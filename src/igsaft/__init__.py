@@ -12,9 +12,9 @@ from .gel import GelFit, fit_gel, inner_lambda, minimize_beta, rho, variance
 from .interactions import (InteractionIndex, MomentSpec, build_Vk, enumerate_subsets,
                            eval_centered, interaction_count)
 from .moments import (AffineMoment, MomentMatrix, build_moment_matrix, eval_g, eval_psi,
-                      mean_and_cov, orthogonality_probe)
-from .nuisance import (CensorModel, KernelConfig, NuisanceFit, PartialFit, estimate_means,
-                       fit_all, fit_cond_moment, fit_local_km, fit_partials, kernel_weights)
+                      mean_and_cov)
+from .nuisance import (CensorModel, KernelConfig, NuisanceFit, PartialFit, fit_all,
+                       fit_partials, kernel_weights)
 from .pipeline import FitConfig, FitReport, fit_families, fit_igsaft, predict_effect
 from .screening import ScreenResult, screen_interactions
 from .simulate import (McSummary, SimConfig, TruthRecord, aft_benchmark,
@@ -27,10 +27,9 @@ __all__ = [
     "FitReport", "GelFit", "InteractionIndex", "KernelConfig", "McSummary", "MomentMatrix",
     "MomentSpec", "NuisanceFit", "Observation", "PartialFit", "ScreenResult", "SimConfig",
     "TestResult", "TruthRecord", "aft_benchmark", "build_Vk", "build_moment_matrix",
-    "calibrate_censoring", "enumerate_subsets", "estimate_means", "eval_centered", "eval_g",
-    "eval_psi", "fit_all", "fit_cond_moment", "fit_families", "fit_gel", "fit_igsaft",
-    "fit_local_km", "fit_partials", "generate", "inner_lambda", "interaction_count",
-    "kernel_weights", "load_csv", "mean_and_cov", "minimize_beta", "orthogonality_probe",
-    "overid_test", "predict_effect", "relevance_f_test", "rho", "run_monte_carlo",
+    "calibrate_censoring", "enumerate_subsets", "eval_centered", "eval_g", "eval_psi",
+    "fit_all", "fit_families", "fit_gel", "fit_igsaft", "fit_partials", "generate",
+    "inner_lambda", "interaction_count", "kernel_weights", "load_csv", "mean_and_cov",
+    "minimize_beta", "overid_test", "predict_effect", "relevance_f_test", "rho", "run_monte_carlo",
     "screen_interactions", "validate", "variance", "write_csv",
 ]

@@ -49,9 +49,9 @@ def _expand_ivs(text: str) -> list[str]:
     return out
 
 
-def _merge_config(args, parser_defaults: dict) -> dict:
-    """flags > config file > defaults."""
-    merged = dict(parser_defaults)
+def _merge_config(args) -> dict:
+    """flags > config file; defaults are applied where the values are read."""
+    merged = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         try:
@@ -112,8 +112,7 @@ def _fit_config(cfg: dict) -> FitConfig:
                              float(cfg.get("search_hi", 10.0))),
                      alpha=float(cfg.get("alpha", 0.05)),
                      seed=int(cfg.get("seed", 0)),
-                     n_splits=int(cfg.get("n_splits", 5)),
-                     screen_stage=cfg.get("screen_stage", "pre"))
+                     n_splits=int(cfg.get("n_splits", 5)))
 
 
 def _load_dataset(cfg: dict):
@@ -230,12 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("auto", "full", "d_only", "marginal"))
         p.add_argument("--no-screen", dest="no_screen", action="store_const", const=True)
         p.add_argument("--max-keep", dest="max_keep", type=int)
-        p.add_argument("--screen-stage", dest="screen_stage", choices=("pre", "post"))
         p.add_argument("--n-splits", dest="n_splits", type=int,
                        help="repeated two-fold splits, median-aggregated")
         p.add_argument("--search-lo", dest="search_lo", type=float)
         p.add_argument("--search-hi", dest="search_hi", type=float)
-        p.add_argument("--threads", type=int)
         p.add_argument("--out")
 
     def add_data(p):
@@ -263,6 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--estimators", help="comma list from el,et,cue,aft")
     p_sim.add_argument("--nonzero-frac", dest="nonzero_frac", type=float)
     p_sim.add_argument("--fix-support", dest="fix_support", action="store_const", const=True)
+    p_sim.add_argument("--threads", type=int, help="worker processes for replications")
     p_sim.add_argument("--json", help="JSON sidecar path")
 
     p_diag = sub.add_parser("diagnose", help="relevance and overidentification tests")
@@ -277,7 +275,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    cfg = _merge_config(args, {})
+    cfg = _merge_config(args)
     handlers = {"fit": cmd_fit, "simulate": cmd_simulate, "diagnose": cmd_diagnose}
     try:
         return handlers[args.command](cfg)

@@ -169,8 +169,14 @@ def load_csv(path, config: ColumnConfig) -> Dataset:
         if any(c == "" or c.upper() in ("NA", "NAN") for c in cells):
             dropped += 1
             continue
-        t_raw = float(cells[0])
-        status_f = float(cells[1])
+        vals = []
+        for name, cell in zip(required, cells):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise SchemaError(f"non-numeric value {cell!r} in column {name!r} "
+                                  f"at row {ridx}") from None
+        t_raw, status_f, d_val, *z_vals = vals
         if status_f not in (0.0, 1.0):
             raise ValueError(f"status value {cells[1]} outside {{0,1}} at row {ridx}")
         if config.time_scale == "raw":
@@ -181,8 +187,8 @@ def load_csv(path, config: ColumnConfig) -> Dataset:
             y = t_raw
         y_vals.append(y)
         deltas.append(int(status_f))
-        d_vals.append(float(cells[2]))
-        z_rows.append([float(c) for c in cells[3:]])
+        d_vals.append(d_val)
+        z_rows.append(z_vals)
 
     if dropped:
         warnings.warn(f"load_csv: dropped {dropped} row(s) with missing required values",

@@ -29,6 +29,7 @@ from .moments import MomentMatrix
 
 FAMILIES = ("el", "et", "cue")
 _EL_GUARD = 1e-6
+_GRID_POINTS = 41  # coarse grid of the outer beta search
 
 
 def rho(v, family: str):
@@ -188,15 +189,14 @@ def _golden(q, lo, hi, tol=1e-8):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def minimize_beta(M: MomentMatrix, family: str, search=(-10.0, 10.0),
-                  grid_points: int = 41) -> GelFit:
+def minimize_beta(M: MomentMatrix, family: str, search=(-10.0, 10.0)) -> GelFit:
     """Coarse grid, golden-section refinement, then one Newton polish."""
     lo, hi = float(search[0]), float(search[1])
     if not lo < hi:
         raise DomainError("search interval must satisfy lo < hi")
     q_of = _q_path(M, family)
-    grid = np.linspace(lo, hi, grid_points)
-    qs = np.full(grid_points, np.inf)
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+    qs = np.full(_GRID_POINTS, np.inf)
     for i, b in enumerate(grid):
         try:
             qs[i] = q_of(float(b))[0]
@@ -206,7 +206,7 @@ def minimize_beta(M: MomentMatrix, family: str, search=(-10.0, 10.0),
         raise EstimationError("GEL objective failed on the whole search grid")
     best = int(np.argmin(qs))
     blo = grid[max(best - 1, 0)]
-    bhi = grid[min(best + 1, grid_points - 1)]
+    bhi = grid[min(best + 1, _GRID_POINTS - 1)]
     beta, qval = _golden(q_of, float(blo), float(bhi))
 
     # safeguarded Newton polish on finite-difference derivatives
@@ -264,10 +264,10 @@ def variance(M: MomentMatrix, fit: GelFit, alpha: float = 0.05) -> GelFit:
     return fit
 
 
-def fit_gel(M: MomentMatrix, family: str, search=(-10.0, 10.0), alpha: float = 0.05,
-            grid_points: int = 41) -> GelFit:
+def fit_gel(M: MomentMatrix, family: str, search=(-10.0, 10.0),
+            alpha: float = 0.05) -> GelFit:
     """Convenience wrapper: outer minimization followed by inference."""
     if family not in FAMILIES:
         raise DomainError(f"unknown GEL family {family!r}")
-    fit = minimize_beta(M, family, search=search, grid_points=grid_points)
+    fit = minimize_beta(M, family, search=search)
     return variance(M, fit, alpha=alpha)

@@ -75,13 +75,6 @@ class MomentMatrix:
     def eval(self, beta: float) -> np.ndarray:
         return self.A + beta * self.B
 
-    def select(self, cols) -> "MomentMatrix":
-        cols = list(cols)
-        sub = MomentSpec(p=self.spec.p, q=self.spec.q,
-                         indices=tuple(self.spec.indices[c] for c in cols))
-        return MomentMatrix(A=self.A[:, cols], B=self.B[:, cols], spec=sub,
-                            fold_tags=self.fold_tags, stats=self.stats)
-
 
 def eval_g(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMoment:
     """Uncensored interaction moment for one observation."""
@@ -260,8 +253,7 @@ def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMom
 
 
 def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
-                        spec: MomentSpec, chunk: int = 256,
-                        censoring_adjust: bool = True) -> MomentMatrix:
+                        spec: MomentSpec, chunk: int = 256) -> MomentMatrix:
     """Cross-fitted moment rows: row i is evaluated with the nuisance fit
     trained on the fold not containing i; rows stay in dataset order."""
     assign = np.asarray(fold_assignment)
@@ -284,13 +276,10 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
             raise IllPosedError(f"training fold for {label} has no observed events")
         eval_fold = dataset.subset(idx)
         ge_a, ge_b = fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec)
-        if censoring_adjust:
-            pa, pb, st = aipcw_transform(eval_fold.z, eval_fold.d, eval_fold.y,
-                                         eval_fold.delta, ge_a, ge_b,
-                                         nuis.cond_moment, chunk=chunk)
-            stats.merge(st)
-        else:
-            pa, pb = ge_a, ge_b
+        pa, pb, st = aipcw_transform(eval_fold.z, eval_fold.d, eval_fold.y,
+                                     eval_fold.delta, ge_a, ge_b,
+                                     nuis.cond_moment, chunk=chunk)
+        stats.merge(st)
         A[idx] = pa
         B[idx] = pb
     return MomentMatrix(A=A, B=B, spec=spec, fold_tags=assign.copy(), stats=stats)
@@ -314,15 +303,3 @@ def dump_moments(M: MomentMatrix, path) -> None:
                              *(repr(float(v)) for v in M.A[i]),
                              *(repr(float(v)) for v in M.B[i])])
 
-
-def orthogonality_probe(dataset: Dataset, truth, spec: MomentSpec, direction: str,
-                        t_grid, beta0: float | None = None) -> np.ndarray:
-    """Norm of the mean oracle moment along a nuisance perturbation path.
-
-    Requires simulation truth (oracle nuisances); see the oracle module for
-    the perturbation families.
-    """
-    from . import oracle
-
-    return oracle.probe_curve(dataset, truth, spec, direction, np.asarray(t_grid, float),
-                              beta0=beta0)

@@ -70,11 +70,6 @@ class PartialFit:
             raise ValueError("partialling coefficients must be finite")
 
 
-def estimate_means(fold: Dataset) -> np.ndarray:
-    """Componentwise sample mean of the instruments."""
-    return fold.z.mean(axis=0)
-
-
 def _solve_normal(XtX, Xty):
     """Cholesky solve with escalating ridge jitter; final fallback lstsq."""
     eig = np.linalg.eigvalsh(XtX)
@@ -127,7 +122,6 @@ class _KernelWeigher:
         else:
             self.Xs = np.zeros((self.n, 0))
             self.h = np.zeros(0)
-        self.fallback_uniform = 0
 
     def _log_kernel(self, U: np.ndarray, widen: float) -> np.ndarray:
         # U: (c, n, dim) standardized differences already divided by h
@@ -161,12 +155,10 @@ class _KernelWeigher:
             if widen >= 1.5 ** 5:
                 break
             widen *= 1.5
-        # rows with an empty window even after widening get uniform weights
-        logk = self._log_kernel(diff, widen)
-        mx = logk.max(axis=1, keepdims=True)
-        dead = ~np.isfinite(mx[:, 0])
-        self.fallback_uniform += int(dead.sum())
-        w = np.where(dead[:, None], 1.0, np.exp(np.where(dead[:, None], 0.0, logk - mx)))
+        # rows with an empty window even after widening get uniform weights;
+        # their max is -inf, so subtract it from live rows only
+        mx[dead] = 0.0
+        w = np.where(dead[:, None], 1.0, np.exp(logk - mx))
         return w / w.sum(axis=1, keepdims=True)
 
 
@@ -264,15 +256,12 @@ class CensorModel:
         logG_train = cumlog[:, self.tie_last]
         return KMTables(w=w, cumlog=cumlog, logG_train=logG_train)
 
-    def _eval_logG(self, tables: KMTables, yq: np.ndarray, rows=None) -> np.ndarray:
-        """log Ghat at query times; rows pairs each query with a table row."""
+    def _eval_logG(self, tables: KMTables, yq: np.ndarray) -> np.ndarray:
+        """log Ghat at query times, from the first table row."""
         pos = np.searchsorted(self.ys, yq, side="right") - 1
         out = np.zeros(pos.shape)
         hit = pos >= 0
-        if rows is None:
-            out[hit] = tables.cumlog[0, pos[hit]]
-        else:
-            out[hit] = tables.cumlog[rows[hit], pos[hit]]
+        out[hit] = tables.cumlog[0, pos[hit]]
         return out
 
     def survival(self, yq, z, d) -> np.ndarray:
@@ -281,11 +270,6 @@ class CensorModel:
         t = self.tables(np.asarray(z)[None, :], [d])
         G = np.exp(self._eval_logG(t, yq))
         return np.maximum(G, self.cfg.trunc_eps)
-
-
-def fit_local_km(fold: Dataset, cfg: KernelConfig) -> CensorModel:
-    """Fit the kernel-weighted product-limit censoring model on a fold."""
-    return CensorModel(fold, cfg)
 
 
 class CondMoment:
@@ -332,14 +316,6 @@ class CondMoment:
         return self.evaluate(-np.inf, z, d)
 
 
-def fit_cond_moment(fold: Dataset, g_a: np.ndarray, g_b: np.ndarray,
-                    censor_model: CensorModel) -> CondMoment:
-    """Bundle the fold's affine g values with the fitted censoring model."""
-    if g_a.shape[0] != fold.n:
-        raise ValueError("g values must align with the fold")
-    return CondMoment(censor_model, g_a, g_b)
-
-
 @dataclass
 class NuisanceFit:
     """All nuisance estimates from one training fold."""
@@ -384,11 +360,11 @@ def fit_all(fold: Dataset, spec: MomentSpec, cfg: KernelConfig,
     min_n = vk_width(fold.p, max(spec.orders)) + 2
     if fold.n < min_n:
         raise IllPosedError(f"fold of size {fold.n} below minimum {min_n} for q={spec.q}")
-    zeta = estimate_means(fold)
+    zeta = fold.z.mean(axis=0)
     partials = {k: fit_partials(fold, k) for k in spec.orders}
-    censor = fit_local_km(fold, cfg)
+    censor = CensorModel(fold, cfg)
     g_a, g_b = fold_g_values(fold, zeta, partials, spec)
-    cond = fit_cond_moment(fold, g_a, g_b, censor)
+    cond = CondMoment(censor, g_a, g_b)
     ids = np.arange(fold.n) if training_ids is None else np.asarray(training_ids)
     return NuisanceFit(zeta=zeta, partials=partials, censor_model=censor,
                        cond_moment=cond, training_ids=ids, fold=fold,

@@ -4,7 +4,7 @@ construction, screening, GEL estimation, variance, and diagnostics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .diagnostics import TestResult, overid_test, relevance_f_test
 from .errors import DomainError, EstimationError
 from .gel import FAMILIES, GelFit, fit_gel
 from .interactions import MomentSpec
-from .moments import MomentMatrix, build_moment_matrix
+from .moments import build_moment_matrix
 from .nuisance import KernelConfig, fit_all
 from .screening import ScreenResult, screen_interactions
 from .simulate import rng_stream
@@ -23,6 +23,20 @@ _FOLD_STREAM = 404
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Settings of one fit.
+
+    q         highest interaction order of the candidate moments (>= 2)
+    gel       GEL family: 'el', 'et' or 'cue'
+    kernel    kernel smoothing of the local Kaplan-Meier censoring model
+    screen    screen the candidates by adaptive lasso before fitting
+    max_keep  most candidates screening may keep
+    search    (lo, hi) interval of the outer beta search
+    alpha     level of the reported confidence interval
+    seed      seed of the fold assignments
+    n_splits  repeated random two-fold splits, median-aggregated
+    indices   manual interaction subsets (1-based); replaces screening
+    """
+
     q: int = 2
     gel: str = "el"
     kernel: KernelConfig = field(default_factory=KernelConfig)
@@ -31,25 +45,16 @@ class FitConfig:
     search: tuple[float, float] = (-10.0, 10.0)
     alpha: float = 0.05
     seed: int = 0
-    folds: int = 2
-    n_splits: int = 5              # repeated two-fold splits, median-aggregated
-    screen_stage: str = "pre"
-    censoring_adjust: bool = True
-    indices: tuple[tuple[int, ...], ...] | None = None  # manual spec override
-    grid_points: int = 41
-    chunk: int = 256
+    n_splits: int = 5
+    indices: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.gel not in FAMILIES:
             raise DomainError(f"gel must be one of {FAMILIES}, got {self.gel!r}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError("alpha must lie in (0, 1)")
-        if self.folds != 2:
-            raise DomainError("only the two-fold split is supported")
         if self.n_splits < 1:
             raise DomainError("n_splits must be at least 1")
-        if self.screen_stage not in ("pre", "post"):
-            raise DomainError("screen_stage must be 'pre' or 'post'")
         if self.q < 2:
             raise DomainError("q must be at least 2")
 
@@ -95,37 +100,28 @@ def _fold_assignment(n: int, seed: int, split: int = 0) -> np.ndarray:
 
 
 def _screen_once(dataset: Dataset, config: FitConfig):
-    """Candidate spec plus the (split-independent) screening outcome."""
+    """The fitted spec plus the (split-independent) screening outcome."""
     if config.indices is not None:
-        candidates = MomentSpec.from_subsets(dataset.p, config.q, config.indices)
-        return candidates, candidates, None
+        return MomentSpec.from_subsets(dataset.p, config.q, config.indices), None
     candidates = MomentSpec.full(dataset.p, config.q)
     if not config.screen:
-        return candidates, candidates, None
+        return candidates, None
     screen = screen_interactions(dataset, candidates, max_keep=config.max_keep)
-    return candidates, screen.selected, screen
+    return screen.selected, screen
 
 
-def _one_split(dataset: Dataset, config: FitConfig, candidates: MomentSpec,
-               spec: MomentSpec, split: int):
+def _one_split(dataset: Dataset, config: FitConfig, spec: MomentSpec, split: int):
     """Fold assignment, cross-fitted nuisances and the moment matrix for one
     random two-fold split."""
     warnings = []
     assign = _fold_assignment(dataset.n, config.seed, split)
     fold_idx = {lab: np.flatnonzero(assign == lab) for lab in (0, 1)}
-    build_spec = spec if config.screen_stage == "pre" else candidates
     nuisances = {}
     for lab in (0, 1):
         aux = fold_idx[1 - lab]
-        nuisances[lab] = fit_all(dataset.subset(aux), build_spec, config.kernel,
+        nuisances[lab] = fit_all(dataset.subset(aux), spec, config.kernel,
                                  training_ids=aux)
-    M = build_moment_matrix(dataset, assign, nuisances, build_spec,
-                            chunk=config.chunk,
-                            censoring_adjust=config.censoring_adjust)
-    if config.screen_stage == "post" and spec is not candidates:
-        keep = [t for t, ix in enumerate(candidates.indices)
-                if ix in set(spec.indices)]
-        M = M.select(keep)
+    M = build_moment_matrix(dataset, assign, nuisances, spec)
     for lab in (0, 1):
         if nuisances[lab].ridge_fallbacks:
             warnings.append(f"split {split}, fold {lab}: partialling used a ridge fallback")
@@ -142,11 +138,11 @@ def _prepare_splits(dataset: Dataset, config: FitConfig):
         warnings.append(f"n = {dataset.n} is small; local censoring estimates may be noisy")
     if not 2 <= config.q <= dataset.p:
         raise DomainError(f"need 2 <= q <= p, got q={config.q}, p={dataset.p}")
-    candidates, spec, screen = _screen_once(dataset, config)
+    spec, screen = _screen_once(dataset, config)
     mats = []
     fold_sizes = bandwidths = None
     for split in range(config.n_splits):
-        M, fs, bw, warn = _one_split(dataset, config, candidates, spec, split)
+        M, fs, bw, warn = _one_split(dataset, config, spec, split)
         mats.append(M)
         warnings.extend(warn)
         if split == 0:
@@ -193,20 +189,10 @@ def _z_crit(alpha: float) -> float:
     return float(norm.ppf(1.0 - alpha / 2.0))
 
 
-def _finish(dataset, config, M, spec, screen, fold_sizes, bandwidths, warnings,
-            gel_fit, all_stats) -> FitReport:
-    relevance = relevance_f_test(dataset, spec)
-    over = None
-    if spec.m >= 2 and gel_fit.converged:
-        over = overid_test(gel_fit, M.n, M.m)
-    elif spec.m >= 2:
-        warnings.append("overidentification test skipped: fit did not converge")
-    return FitReport(gel_fit=gel_fit, screen=screen, relevance=relevance,
-                     over_id=over, spec=spec, fold_sizes=fold_sizes,
-                     fold_seed=config.seed, bandwidths=bandwidths,
-                     clip_count=sum(s.clip_count for s in all_stats),
-                     empty_risk_sets=sum(s.empty_risk_sets for s in all_stats),
-                     warnings=warnings)
+def _fit_family(mats, family: str, config: FitConfig) -> GelFit:
+    """GEL fit of one family on every split, median-aggregated."""
+    fits = [fit_gel(M, family, search=config.search, alpha=config.alpha) for M in mats]
+    return combine_split_fits(fits, config.alpha)
 
 
 def fit_igsaft(dataset: Dataset, config: FitConfig,
@@ -217,37 +203,25 @@ def fit_igsaft(dataset: Dataset, config: FitConfig,
         from .moments import dump_moments
 
         dump_moments(mats[0], dump_moments_path)
-    fits = [fit_gel(M, config.gel, search=config.search, alpha=config.alpha,
-                    grid_points=config.grid_points) for M in mats]
-    gel_fit = combine_split_fits(fits, config.alpha)
-    return _finish(dataset, config, mats[0], spec, screen, fold_sizes,
-                   bandwidths, warnings, gel_fit, [M.stats for M in mats])
+    gel_fit = _fit_family(mats, config.gel, config)
+    relevance = relevance_f_test(dataset, spec)
+    over = None
+    if spec.m >= 2 and gel_fit.converged:
+        over = overid_test(gel_fit, mats[0].n, mats[0].m)
+    elif spec.m >= 2:
+        warnings.append("overidentification test skipped: fit did not converge")
+    return FitReport(gel_fit=gel_fit, screen=screen, relevance=relevance,
+                     over_id=over, spec=spec, fold_sizes=fold_sizes,
+                     fold_seed=config.seed, bandwidths=bandwidths,
+                     clip_count=sum(M.stats.clip_count for M in mats),
+                     empty_risk_sets=sum(M.stats.empty_risk_sets for M in mats),
+                     warnings=warnings)
 
 
 def fit_families(dataset: Dataset, config: FitConfig, families) -> dict[str, GelFit]:
     """Fit several GEL families on one shared moment construction."""
     mats, *_ = _prepare_splits(dataset, config)
-    out = {}
-    for fam in families:
-        fits = [fit_gel(M, fam, search=config.search, alpha=config.alpha,
-                        grid_points=config.grid_points) for M in mats]
-        out[fam] = combine_split_fits(fits, config.alpha)
-    return out
-
-
-def fit_report_families(dataset: Dataset, config: FitConfig, families):
-    """Like fit_families but returns full reports (shared moments and
-    diagnostics computed once)."""
-    mats, spec, screen, fold_sizes, bandwidths, warnings = _prepare_splits(dataset, config)
-    reports = {}
-    for fam in families:
-        fits = [fit_gel(M, fam, search=config.search, alpha=config.alpha,
-                        grid_points=config.grid_points) for M in mats]
-        gel_fit = combine_split_fits(fits, config.alpha)
-        reports[fam] = _finish(dataset, config, mats[0], spec, screen, fold_sizes,
-                               bandwidths, list(warnings), gel_fit,
-                               [M.stats for M in mats])
-    return reports
+    return {fam: _fit_family(mats, fam, config) for fam in families}
 
 
 def predict_effect(fit: GelFit, delta_d: float) -> tuple[float, float]:

@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 
 from .data import Dataset
 from .errors import CalibrationError, DomainError
+from .gel import FAMILIES
 
 _PILOT_STREAM = 101
 _REP_STREAM = 202
@@ -361,13 +362,16 @@ class McSummary:
         raise KeyError(estimator)
 
 
+MC_ESTIMATORS = (*FAMILIES, "aft")
+
+
 def _mc_one_rep(args):
     sim_cfg, fit_cfg, estimators, rep, taus = args
     from .pipeline import fit_families  # local import keeps workers light
 
     dataset, truth = generate(sim_cfg, rep, taus=taus)
     out = {}
-    gel_families = [e for e in estimators if e in ("el", "et", "cue")]
+    gel_families = [e for e in estimators if e in FAMILIES]
     if gel_families:
         fits = fit_families(dataset, fit_cfg, gel_families)
         for fam, fit in fits.items():
@@ -379,17 +383,18 @@ def _mc_one_rep(args):
         else:
             out["aft"] = (b, se, b - 1.959963984540054 * se,
                           b + 1.959963984540054 * se, True)
-    if "truth" in estimators:  # debug estimator
-        b0 = sim_cfg.beta0
-        out["truth"] = (b0, 0.0, b0, b0, True)
     return rep, out
 
 
 def run_monte_carlo(sim_cfg: SimConfig, fit_cfg, estimators=("el",),
                     threads: int = 1) -> McSummary:
     """Replicate generate -> fit -> summarize; excluded replications are the
-    non-converged ones, reported per estimator."""
+    non-converged ones, reported per estimator. Estimators are GEL families
+    or 'aft', the naive censored-regression comparator."""
     estimators = list(estimators)
+    for est in estimators:
+        if est not in MC_ESTIMATORS:
+            raise DomainError(f"unknown estimator {est!r}; choose from {', '.join(MC_ESTIMATORS)}")
     taus = (math.inf, math.inf) if sim_cfg.target_cr == 0.0 else calibrate_censoring(sim_cfg)
     jobs = [(sim_cfg, fit_cfg, estimators, rep, taus) for rep in range(sim_cfg.reps)]
     results = {}

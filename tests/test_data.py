@@ -37,6 +37,15 @@ def test_bad_status_cites_row(tmp_path):
         load_csv(f, COLS)
 
 
+def test_non_numeric_cell_names_row_and_column(tmp_path):
+    f = tmp_path / "d.csv"
+    rows = [f"{i + 1.0},1,0.1,0.2,0.3" for i in range(6)]
+    rows[4] = "5.0,1,0.1,abc,0.3"
+    write_lines(f, ["time,status,bmi,z1,z2", *rows])
+    with pytest.raises(SchemaError, match=r"'abc' in column 'z1' at row 4"):
+        load_csv(f, COLS)
+
+
 def test_missing_column_named(tmp_path):
     f = tmp_path / "d.csv"
     write_lines(f, ["time,status,z1,z2", "1.0,1,0.2,0.3"])

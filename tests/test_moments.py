@@ -5,7 +5,7 @@ from igsaft.data import Dataset, Observation
 from igsaft.interactions import MomentSpec
 from igsaft.moments import (aipcw_transform, build_moment_matrix, eval_g, eval_psi,
                             mean_and_cov)
-from igsaft.nuisance import CondMoment, KernelConfig, fit_all, fit_local_km, fold_g_values
+from igsaft.nuisance import CondMoment, KernelConfig, fit_all, fold_g_values
 from igsaft.pipeline import _fold_assignment
 from igsaft.simulate import SimConfig, generate
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from igsaft.data import Dataset
 from igsaft.errors import IllPosedError
 from igsaft.interactions import MomentSpec, build_Vk
-from igsaft.nuisance import (KernelConfig, estimate_means, fit_all, fit_local_km,
-                             fit_partials, kernel_weights)
+from igsaft.nuisance import (CensorModel, CondMoment, KernelConfig, fit_all, fit_partials,
+                             kernel_weights)
 from igsaft.simulate import SimConfig, generate
 
 
@@ -39,25 +39,30 @@ def textbook_km_censoring(y, delta):
     return G
 
 
+def fitted_means(z, rng):
+    """Instrument means zeta as fit_all estimates them on a fold with these z."""
+    n, p = z.shape
+    ds = Dataset(z, rng.normal(size=n), rng.normal(size=n), np.ones(n, dtype=int))
+    return fit_all(ds, MomentSpec.full(p, 2), KernelConfig()).zeta
+
+
 def test_estimate_means_two_rows():
-    ds = Dataset(np.array([[0.0, 0.0], [2.0, 4.0]]), np.zeros(2), np.zeros(2),
-                 np.array([1, 1]))
-    np.testing.assert_array_equal(estimate_means(ds), [1.0, 2.0])
+    # two distinct rows, repeated until the fold is large enough for fit_all
+    z = np.tile([[0.0, 0.0], [2.0, 4.0]], (4, 1))
+    np.testing.assert_array_equal(fitted_means(z, np.random.default_rng(1)), [1.0, 2.0])
 
 
 def test_estimate_means_constant_column():
     rng = np.random.default_rng(0)
     z = np.column_stack([np.full(50, 3.25), rng.normal(size=50)])
-    ds = Dataset(z, rng.normal(size=50), rng.normal(size=50), np.ones(50, dtype=int))
-    assert estimate_means(ds)[0] == 3.25
+    assert fitted_means(z, rng)[0] == 3.25
 
 
 def test_estimate_means_clt_band():
     rng = np.random.default_rng(11)
     n = 10 ** 5
-    ds = Dataset(rng.standard_normal((n, 3)), rng.normal(size=n), rng.normal(size=n),
-                 np.ones(n, dtype=int))
-    assert np.all(np.abs(estimate_means(ds)) < 5.0 / np.sqrt(n))
+    zeta = fitted_means(rng.standard_normal((n, 3)), rng)
+    assert np.all(np.abs(zeta) < 5.0 / np.sqrt(n))
 
 
 def test_partials_exact_interpolation():
@@ -154,7 +159,7 @@ def test_kernel_weights_empty_window_fallback():
 def test_local_km_all_events_is_one():
     rng = np.random.default_rng(10)
     ds = make_dataset(rng, 40, 2)
-    model = fit_local_km(ds, KernelConfig())
+    model = CensorModel(ds, KernelConfig())
     yq = np.linspace(-3, 3, 9)
     np.testing.assert_array_equal(model.survival(yq, ds.z[0], ds.d[0]), np.ones(9))
 
@@ -162,7 +167,7 @@ def test_local_km_all_events_is_one():
 def test_local_km_two_point_hand_product():
     ds = Dataset(np.array([[0.0], [0.0]]), np.zeros(2), np.array([1.0, 2.0]),
                  np.array([0, 1]))
-    model = fit_local_km(ds, KernelConfig(km_conditioning="marginal"))
+    model = CensorModel(ds, KernelConfig(km_conditioning="marginal"))
     G = model.survival(np.array([0.5, 1.0, 1.5, 2.5]), np.array([0.0]), 0.0)
     np.testing.assert_allclose(G, [1.0, 0.5, 0.5, 0.5])
 
@@ -177,7 +182,7 @@ def test_local_km_uniform_weights_match_textbook():
         if delta.sum() == 0:
             delta[0] = 1
         ds = Dataset(rng.normal(size=(n, 2)), rng.normal(size=n), y, delta)
-        model = fit_local_km(ds, cfg)
+        model = CensorModel(ds, cfg)
         oracle = textbook_km_censoring(y, delta)
         yq = np.concatenate([y, [y.min() - 1, y.max() + 1]])
         got = model.survival(yq, ds.z[0], ds.d[0])
@@ -192,7 +197,7 @@ def test_local_km_monotone_and_bounded(seed):
     n = int(rng.integers(6, 60))
     ds = make_dataset(rng, n, 2, censor_frac=0.4)
     cfg = KernelConfig(km_conditioning="full")
-    model = fit_local_km(ds, cfg)
+    model = CensorModel(ds, cfg)
     yq = np.sort(rng.normal(size=25) * 2)
     G = model.survival(yq, rng.normal(size=2), rng.normal())
     assert np.all(np.diff(G) <= 1e-15)
@@ -220,9 +225,7 @@ def test_cond_moment_single_survivor():
     # only one uncensored observation in the risk set: xi equals its g exactly
     ds = Dataset(np.array([[0.0], [0.2], [0.4]]), np.zeros(3),
                  np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1]))
-    from igsaft.nuisance import CondMoment, fit_local_km as flk
-
-    cm = flk(ds, KernelConfig(km_conditioning="marginal"))
+    cm = CensorModel(ds, KernelConfig(km_conditioning="marginal"))
     g_a = np.array([[1.0], [2.0], [7.0]])
     g_b = np.array([[0.5], [0.25], [4.0]])
     cond = CondMoment(cm, g_a, g_b)
@@ -234,9 +237,7 @@ def test_cond_moment_single_survivor():
 def test_cond_moment_no_censoring_uniform_mean():
     rng = np.random.default_rng(16)
     ds = make_dataset(rng, 50, 2)
-    from igsaft.nuisance import CondMoment, fit_local_km as flk
-
-    cm = flk(ds, KernelConfig(km_conditioning="marginal"))
+    cm = CensorModel(ds, KernelConfig(km_conditioning="marginal"))
     g_a = rng.normal(size=(50, 3))
     g_b = rng.normal(size=(50, 3))
     cond = CondMoment(cm, g_a, g_b)
@@ -248,9 +249,7 @@ def test_cond_moment_no_censoring_uniform_mean():
 def test_cond_moment_carry_forward_flag():
     ds = Dataset(np.array([[0.0], [0.2], [0.4]]), np.zeros(3),
                  np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]))
-    from igsaft.nuisance import CondMoment, fit_local_km as flk
-
-    cm = flk(ds, KernelConfig(km_conditioning="marginal"))
+    cm = CensorModel(ds, KernelConfig(km_conditioning="marginal"))
     cond = CondMoment(cm, np.arange(3.0)[:, None], np.zeros((3, 1)))
     a_last, _ = cond.evaluate(2.0, np.array([0.0]), 0.0)  # risk set = {2.0-event}
     a_beyond, _ = cond.evaluate(10.0, np.array([0.0]), 0.0)
