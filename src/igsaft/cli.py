@@ -50,17 +50,29 @@ def _expand_ivs(text: str) -> list[str]:
 
 
 def _merge_config(args) -> dict:
-    """flags > config file; defaults are applied where the values are read."""
+    """flags > config file; defaults are applied where the values are read.
+
+    The config file may set only the options the subcommand's flags define,
+    under their destination names (e.g. "n_splits").
+    """
     merged = {}
+    known = set(vars(args)) - {"command", "config"}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         try:
             with open(cfg_path, encoding="utf-8") as fh:
-                merged.update(json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config file {cfg_path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise CliError(f"config file {cfg_path} must hold a JSON object")
+        unknown = sorted(set(loaded) - known)
+        if unknown:
+            raise CliError(f"config file {cfg_path}: unknown key(s) "
+                           f"{', '.join(map(repr, unknown))} for {args.command}")
+        merged.update(loaded)
     for key, value in vars(args).items():
-        if value is not None and key not in ("command", "config"):
+        if value is not None and key in known:
             merged[key] = value
     return merged
 
@@ -275,10 +287,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    cfg = _merge_config(args)
     handlers = {"fit": cmd_fit, "simulate": cmd_simulate, "diagnose": cmd_diagnose}
     try:
-        return handlers[args.command](cfg)
+        return handlers[args.command](_merge_config(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -6,8 +6,17 @@ The inner problem max_lambda (1/n) sum rho(lambda' psi_i(beta)) is concave;
 Newton steps with a domain-respecting backtracking line search solve it from
 lambda = 0, so the attained value Q(beta) is always >= 0.
 
-Standard errors follow the plug-in route: H_hat is the second derivative of
-Q at beta_hat, D_hat the rho'-weighted mean moment derivative, and
+Since psi(beta) = A + beta B is affine, Q'(beta) follows from the envelope
+theorem and Q''(beta) from the implicit-function theorem at the inner
+maximizer (Newey & Smith 2004). The outer search takes the least Q on a
+41-point grid, pruned by lower bounds: every inner iterate's value bounds
+Q(beta) from below, so a grid solve stops once it exceeds the least Q found
+so far. A safeguarded Newton search on the exact Q' then refines beta within
+the two neighbouring grid cells.
+
+Standard errors follow the plug-in route: H_hat is the exact second
+derivative of Q at beta_hat (implicit-function theorem, no finite
+differences), D_hat the rho'-weighted mean moment derivative, and
 
     se^2 = V1_hat / n,   V1_hat = H_hat^{-2} D_hat' Omega_bar^{-1} D_hat,
 
@@ -30,6 +39,8 @@ from .moments import MomentMatrix
 FAMILIES = ("el", "et", "cue")
 _EL_GUARD = 1e-6
 _GRID_POINTS = 41  # coarse grid of the outer beta search
+_NEWTON_TOL = 1e-9  # relative step that ends the outer Newton search
+_NEWTON_MAX_ITER = 100
 
 
 def rho(v, family: str):
@@ -109,12 +120,18 @@ def _solve_spd(Hneg, g, jitter_scale):
 
 def inner_lambda(M: MomentMatrix, beta: float, family: str,
                  lam0: np.ndarray | None = None, tol: float = 1e-9,
-                 max_iter: int = 100):
+                 max_iter: int = 100, cap: float = math.inf):
     """Maximize the inner tilting problem at fixed beta.
 
     Returns (lambda, Q, converged). Newton with a backtracking line search
     that keeps every lambda'psi_i inside the rho domain and never accepts a
     decrease, starting from lambda = 0 (so Q >= 0 always).
+
+    Because no step decreases the objective, every iterate's value P_k is a
+    lower bound on Q(beta). Once P_k exceeds `cap` the solve stops and
+    returns that iterate unconverged: the outer grid search passes the least
+    Q found so far, and a point whose lower bound already exceeds it cannot
+    be the argmin.
     """
     u = M.eval(beta)
     n, m = u.shape
@@ -136,6 +153,8 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol:
             converged = True
+            break
+        if P > cap:
             break
         Hneg = (u * (-d2)[:, None]).T @ u / n
         jitter = 1e-10 * max(np.trace(Hneg) / m, 1.0)
@@ -160,68 +179,106 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
     return lam, P, converged
 
 
-def _q_path(M: MomentMatrix, family: str):
-    """Stateful Q(beta) evaluator with lambda warm starts."""
-    state = {"lam": None}
+def q_derivatives(M: MomentMatrix, beta: float, lam: np.ndarray, family: str):
+    """Exact Q'(beta), Q''(beta) and dlambda/dbeta at the inner maximizer lam.
 
-    def q_of(beta: float):
-        lam, Q, conv = inner_lambda(M, beta, family, lam0=state["lam"])
-        state["lam"] = lam
-        return Q, lam, conv
-
-    return q_of
-
-
-def _golden(q, lo, hi, tol=1e-8):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = q(x1)[0], q(x2)[0]
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = q(x1)[0]
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = q(x2)[0]
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+    psi = A + beta B is affine in beta, so with v_i = lam'psi_i the envelope
+    theorem gives Q' = mean(rho'(v_i) lam'B_i), and the implicit-function
+    theorem gives dlambda/dbeta = (-H)^{-1} c and
+    Q'' = mean(rho''(v_i) (lam'B_i)^2) + c'(-H)^{-1} c, with
+    H = mean(rho''(v_i) psi_i psi_i') and c = (psi'(rho'' * B lam) + B'rho')/n.
+    """
+    u = M.eval(beta)
+    bl = M.B @ lam
+    _, d1, d2 = rho(u @ lam, family)
+    n = M.n
+    c = (u.T @ (d2 * bl) + M.B.T @ d1) / n
+    Hneg = (u * (-d2)[:, None]).T @ u / n
+    x = _solve_spd(Hneg, c, 1e-10 * max(np.trace(Hneg) / M.m, 1.0))
+    return float(d1 @ bl) / n, float(d2 @ (bl * bl)) / n + float(c @ x), x
 
 
-def minimize_beta(M: MomentMatrix, family: str, search=(-10.0, 10.0)) -> GelFit:
-    """Coarse grid, golden-section refinement, then one Newton polish."""
-    lo, hi = float(search[0]), float(search[1])
-    if not lo < hi:
-        raise DomainError("search interval must satisfy lo < hi")
-    q_of = _q_path(M, family)
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    qs = np.full(_GRID_POINTS, np.inf)
+def _cue_grid(M: MomentMatrix, grid: np.ndarray) -> np.ndarray:
+    """Closed-form CUE objective 1/2 psibar' Omega(beta)^{-1} psibar on the
+    grid, Omega uncentred; +inf where Omega is singular."""
+    n = M.n
+    abar, bbar = M.A.mean(axis=0), M.B.mean(axis=0)
+    AA, AB, BB = M.A.T @ M.A / n, M.A.T @ M.B / n, M.B.T @ M.B / n
+    AB = AB + AB.T
+    out = np.full(grid.size, np.inf)
     for i, b in enumerate(grid):
+        psibar = abar + b * bbar
         try:
-            qs[i] = q_of(float(b))[0]
+            c = linalg.cho_factor(AA + b * AB + (b * b) * BB, check_finite=False)
+        except linalg.LinAlgError:
+            continue
+        out[i] = 0.5 * psibar @ linalg.cho_solve(c, psibar, check_finite=False)
+    return out
+
+
+def _grid_argmin(M: MomentMatrix, family: str, grid: np.ndarray):
+    """Index of the least Q on the grid and the inner maximizer there.
+
+    The point where the closed-form CUE objective is least is solved first;
+    the sweep from lo to hi then stops each warm-started solve as soon as its
+    lower bound exceeds the least Q found so far (see inner_lambda's cap).
+    The CUE objective only orders the work: the argmin is that of the
+    family's own Q.
+    """
+    qs = np.full(grid.size, np.inf)
+    lams = [None] * grid.size
+
+    def solve(i, lam0, cap):
+        # a stopped solve records its lower bound, which exceeds qs.min()
+        try:
+            lams[i], qs[i], _ = inner_lambda(M, float(grid[i]), family, lam0=lam0, cap=cap)
         except (DomainError, FloatingPointError):
-            qs[i] = np.inf
+            return lam0
+        return lams[i]
+
+    first = int(np.argmin(_cue_grid(M, grid)))
+    lam = solve(first, None, math.inf)
+    for i in range(grid.size):
+        lam = lams[i] if i == first else solve(i, lam, float(qs.min()))
     if not np.isfinite(qs).any():
         raise EstimationError("GEL objective failed on the whole search grid")
     best = int(np.argmin(qs))
-    blo = grid[max(best - 1, 0)]
-    bhi = grid[min(best + 1, _GRID_POINTS - 1)]
-    beta, qval = _golden(q_of, float(blo), float(bhi))
+    return best, lams[best]
 
-    # safeguarded Newton polish on finite-difference derivatives
-    h = 1e-5 * max(1.0, abs(beta))
-    qp, qm = q_of(beta + h)[0], q_of(beta - h)[0]
-    d1 = (qp - qm) / (2 * h)
-    d2 = (qp - 2 * qval + qm) / (h * h)
-    if d2 > 0:
-        cand = beta - d1 / d2
-        if blo <= cand <= bhi:
-            qc = q_of(cand)[0]
-            if qc < qval:
-                beta, qval = cand, qc
 
-    lam, qval, conv = inner_lambda(M, beta, family)
+def minimize_beta(M: MomentMatrix, family: str, search=(-10.0, 10.0)) -> GelFit:
+    """Grid argmin of Q, then safeguarded Newton on the exact Q' within the
+    two neighbouring grid cells, bisecting on the sign of Q' whenever the
+    Newton step leaves the bracket."""
+    lo, hi = float(search[0]), float(search[1])
+    if not lo < hi:
+        raise DomainError("search interval must satisfy lo < hi")
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+    best, lam = _grid_argmin(M, family, grid)
+    blo = float(grid[max(best - 1, 0)])
+    bhi = float(grid[min(best + 1, _GRID_POINTS - 1)])
+    beta = float(grid[best])
+    for _ in range(_NEWTON_MAX_ITER):
+        d1, d2, dlam = q_derivatives(M, beta, lam, family)
+        if d1 > 0:
+            bhi = beta
+        elif d1 < 0:
+            blo = beta
+        else:
+            break
+        cand = beta - d1 / d2 if d2 > 0 else math.nan
+        if not blo <= cand <= bhi:
+            cand = 0.5 * (blo + bhi)
+        # first-order predictor of lambda keeps Q' consistent when the step
+        # is too small for the warm-started inner solve to move lambda
+        lam = lam + (cand - beta) * dlam
+        done = abs(cand - beta) <= _NEWTON_TOL * max(1.0, abs(beta))
+        beta = cand
+        if done:
+            break
+        lam = inner_lambda(M, beta, family, lam0=lam)[0]
+
+    lam, qval, conv = inner_lambda(M, beta, family, lam0=lam)
     fit = GelFit(family=family, beta_hat=float(beta), lambda_hat=lam,
                  q_hat=float(qval), n=M.n, m=M.m, converged=conv,
                  clip_count=M.stats.clip_count)
@@ -238,12 +295,9 @@ def variance(M: MomentMatrix, fit: GelFit, alpha: float = 0.05) -> GelFit:
         fit.warnings.append("inner maximization did not converge; no variance computed")
         return fit
     beta = fit.beta_hat
-    h = max(1e-4, 1e-4 * abs(beta))
-    _, qp, cp = inner_lambda(M, beta + h, fit.family, lam0=fit.lambda_hat)
-    _, qm, cm = inner_lambda(M, beta - h, fit.family, lam0=fit.lambda_hat)
-    H = (qp - 2 * fit.q_hat + qm) / (h * h)
+    H = q_derivatives(M, beta, fit.lambda_hat, fit.family)[1]
     fit.h_hat = float(H)
-    if not (cp and cm) or H <= 0 or not math.isfinite(H):
+    if H <= 0 or not math.isfinite(H):
         fit.converged = False
         fit.se = math.nan
         fit.warnings.append("non-identification: curvature of Q at beta_hat is not positive")

@@ -101,6 +101,8 @@ def _fold_assignment(n: int, seed: int, split: int = 0) -> np.ndarray:
 
 def _screen_once(dataset: Dataset, config: FitConfig):
     """The fitted spec plus the (split-independent) screening outcome."""
+    if not 2 <= config.q <= dataset.p:
+        raise DomainError(f"need 2 <= q <= p, got q={config.q}, p={dataset.p}")
     if config.indices is not None:
         return MomentSpec.from_subsets(dataset.p, config.q, config.indices), None
     candidates = MomentSpec.full(dataset.p, config.q)
@@ -131,14 +133,11 @@ def _one_split(dataset: Dataset, config: FitConfig, spec: MomentSpec, split: int
     return M, fold_sizes, bandwidths, warnings
 
 
-def _prepare_splits(dataset: Dataset, config: FitConfig):
-    """Screening plus one moment matrix per repeated split."""
+def _prepare_splits(dataset: Dataset, config: FitConfig, spec: MomentSpec):
+    """One moment matrix per repeated split."""
     warnings = []
     if dataset.n < 200:
         warnings.append(f"n = {dataset.n} is small; local censoring estimates may be noisy")
-    if not 2 <= config.q <= dataset.p:
-        raise DomainError(f"need 2 <= q <= p, got q={config.q}, p={dataset.p}")
-    spec, screen = _screen_once(dataset, config)
     mats = []
     fold_sizes = bandwidths = None
     for split in range(config.n_splits):
@@ -147,7 +146,7 @@ def _prepare_splits(dataset: Dataset, config: FitConfig):
         warnings.extend(warn)
         if split == 0:
             fold_sizes, bandwidths = fs, bw
-    return mats, spec, screen, fold_sizes, bandwidths, warnings
+    return mats, fold_sizes, bandwidths, warnings
 
 
 def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
@@ -155,7 +154,9 @@ def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
 
     The point estimate is the median across splits; the standard error folds
     split dispersion in via median_s sqrt(se_s^2 + (beta_s - beta_med)^2), so
-    the interval accounts for the split-to-split variability.
+    the interval accounts for the split-to-split variability. lambda_hat,
+    q_hat, h_hat and v_hat are those of the middle split by beta, the lower
+    middle one for an even count.
     """
     usable = [f for f in fits if f.converged] or fits
     if len(usable) == 1 and len(fits) == 1:
@@ -163,7 +164,9 @@ def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
     betas = np.array([f.beta_hat for f in usable])
     med = float(np.median(betas))
     se = float(np.sqrt(np.median([f.se ** 2 + (f.beta_hat - med) ** 2 for f in usable])))
-    pick = usable[int(np.argmin(np.abs(betas - med)))]
+    # by rank, not by distance to the median: with an even count both middle
+    # splits are equally near it and the distance pick turns on rounding
+    pick = usable[np.argsort(betas, kind="stable")[(len(usable) - 1) // 2]]
     out = GelFit(family=pick.family, beta_hat=med, lambda_hat=pick.lambda_hat,
                  q_hat=pick.q_hat, n=pick.n, m=pick.m,
                  converged=all(f.converged for f in fits),
@@ -197,14 +200,20 @@ def _fit_family(mats, family: str, config: FitConfig) -> GelFit:
 
 def fit_igsaft(dataset: Dataset, config: FitConfig,
                dump_moments_path=None) -> FitReport:
-    """Run the full estimation procedure for one GEL family."""
-    mats, spec, screen, fold_sizes, bandwidths, warnings = _prepare_splits(dataset, config)
+    """Run the full estimation procedure for one GEL family.
+
+    The relevance test runs right after screening: it needs only the data
+    and the spec, and it refuses designs too small to fit before any
+    nuisance or GEL work is spent on them.
+    """
+    spec, screen = _screen_once(dataset, config)
+    relevance = relevance_f_test(dataset, spec)
+    mats, fold_sizes, bandwidths, warnings = _prepare_splits(dataset, config, spec)
     if dump_moments_path:
         from .moments import dump_moments
 
         dump_moments(mats[0], dump_moments_path)
     gel_fit = _fit_family(mats, config.gel, config)
-    relevance = relevance_f_test(dataset, spec)
     over = None
     if spec.m >= 2 and gel_fit.converged:
         over = overid_test(gel_fit, mats[0].n, mats[0].m)
@@ -220,7 +229,7 @@ def fit_igsaft(dataset: Dataset, config: FitConfig,
 
 def fit_families(dataset: Dataset, config: FitConfig, families) -> dict[str, GelFit]:
     """Fit several GEL families on one shared moment construction."""
-    mats, *_ = _prepare_splits(dataset, config)
+    mats, *_ = _prepare_splits(dataset, config, _screen_once(dataset, config)[0])
     return {fam: _fit_family(mats, fam, config) for fam in families}
 
 

@@ -97,3 +97,28 @@ def test_simulate_accepts_threads(tmp_path, capsys):
 def test_simulate_unknown_estimator_exits_1(capsys):
     assert main(["simulate", *SIM_ARGS, "--estimators", "el,foo"]) == 1
     assert "unknown estimator 'foo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys", [{"bogus": 1}, {"threads": 2}, {"screen_stage": "post"},
+                                  {"seed": 1, "n_split": 1}])
+def test_unknown_config_keys_exit_1(keys, csv_path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(keys))
+    assert main(["fit", *data_args(csv_path), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert all(f"'{k}'" in err for k in keys if k != "seed") and "'seed'" not in err
+
+
+def test_config_file_must_hold_an_object(csv_path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[[\"seed\", 1]]")
+    assert main(["fit", *data_args(csv_path), "--config", str(cfg)]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_config_keys_follow_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 1, "reps": 1}))
+    assert main(["simulate", *SIM_ARGS, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("Method,Bias,SD,SE,CP\n")

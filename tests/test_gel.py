@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
 from igsaft.errors import DomainError
-from igsaft.gel import FAMILIES, fit_gel, inner_lambda, minimize_beta, rho, variance
+from igsaft.gel import (_GRID_POINTS, FAMILIES, _grid_argmin, fit_gel, inner_lambda,
+                        minimize_beta, q_derivatives, rho, variance)
 from igsaft.interactions import MomentSpec
 from igsaft.moments import MomentMatrix, TransformStats, build_moment_matrix, mean_and_cov
 from igsaft.nuisance import KernelConfig, fit_all
@@ -12,11 +13,11 @@ from igsaft.pipeline import _fold_assignment
 from igsaft.simulate import SimConfig, generate
 
 
-def random_matrix(rng, n, m, spread=1.0):
+def random_matrix(rng, n, m, spread=1.0, slope=1.0):
     subsets = [(1, j + 2) for j in range(m)]
     spec = MomentSpec.from_subsets(m + 1, 2, subsets)
     A = rng.normal(size=(n, m)) * spread
-    B = rng.normal(size=(n, m)) * spread - 0.5
+    B = (rng.normal(size=(n, m)) * spread - 0.5) * slope
     return MomentMatrix(A=A, B=B, spec=spec, fold_tags=np.zeros(n, dtype=int),
                         stats=TransformStats())
 
@@ -246,3 +247,40 @@ def test_boundary_warning():
                      fold_tags=np.zeros(100), stats=TransformStats())
     fit = minimize_beta(M, "cue", search=(-1.0, 1.0))
     assert fit.boundary_warning
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_q_derivatives_match_central_differences(family):
+    rng = np.random.default_rng(14)
+    h = 1e-4
+
+    def q(beta, lam0):
+        lam, val, conv = inner_lambda(M, beta, family, lam0=lam0)
+        assert conv
+        return val
+
+    for _ in range(10):
+        M = random_matrix(rng, 200, int(rng.integers(1, 6)), spread=0.6)
+        beta = float(rng.normal() * 0.2)
+        lam, q0, conv = inner_lambda(M, beta, family)
+        assert conv
+        d1, d2, _ = q_derivatives(M, beta, lam, family)
+        qp, qm = q(beta + h, lam), q(beta - h, lam)
+        np.testing.assert_allclose(d1, (qp - qm) / (2 * h), rtol=1e-5)
+        np.testing.assert_allclose(d2, (qp - 2 * q0 + qm) / h ** 2, rtol=1e-5)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pruned_grid_picks_the_full_grid_argmin(family):
+    rng = np.random.default_rng(15)
+    grid = np.linspace(-4.0, 4.0, _GRID_POINTS)
+    for k in range(24):
+        # every other matrix is weakly identified: Q is nearly flat in beta
+        M = random_matrix(rng, int(rng.integers(80, 400)), int(rng.integers(1, 9)),
+                          spread=float(rng.uniform(0.3, 1.0)),
+                          slope=0.05 if k % 2 else 1.0)
+        qs, lam = [], None
+        for b in grid:
+            lam, val, _ = inner_lambda(M, float(b), family, lam0=lam)
+            qs.append(val)
+        assert _grid_argmin(M, family, grid)[0] == int(np.argmin(qs))

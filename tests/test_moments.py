@@ -250,3 +250,17 @@ def test_fold_too_small_raises():
             aux = np.flatnonzero(assign == 1 - lab)
             nuis[lab] = fit_all(ds.subset(aux), spec, KC, training_ids=aux)
         build_moment_matrix(ds, assign, nuis, spec)
+
+
+@pytest.mark.parametrize("target_cr, kc", [(0.3, KernelConfig(km_conditioning="d_only")),
+                                           (0.0, KC)])
+def test_chunk_size_does_not_change_the_moments(target_cr, kc):
+    cfg = SimConfig(case=1, n=600, p=4, target_cr=target_cr, reps=1, seed=9)
+    taus = (-2.0, 15.0) if target_cr else (np.inf, np.inf)
+    ds, _ = generate(cfg, 0, taus=taus)
+    spec = MomentSpec.full(4, 2)
+    assign, nuis = cross_fitted(ds, spec, kc=kc)
+    mats = [build_moment_matrix(ds, assign, nuis, spec, chunk=c) for c in (16, 32, 256)]
+    for M in mats[1:]:
+        assert np.array_equal(M.A, mats[0].A) and np.array_equal(M.B, mats[0].B)
+        assert M.stats == mats[0].stats

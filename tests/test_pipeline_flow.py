@@ -1,0 +1,41 @@
+"""Pipeline flow around the GEL fits: how repeated-split fits are combined,
+and what runs before the first nuisance fit."""
+
+import numpy as np
+import pytest
+
+import igsaft.pipeline
+from igsaft.errors import IllPosedError
+from igsaft.gel import GelFit
+from igsaft.pipeline import FitConfig, combine_split_fits, fit_igsaft
+from igsaft.simulate import SimConfig, generate
+
+
+def split_fit(beta, q_hat):
+    return GelFit(family="el", beta_hat=beta, lambda_hat=np.array([q_hat]), q_hat=q_hat,
+                  n=100, m=1, converged=True, h_hat=q_hat, v_hat=q_hat, se=0.1)
+
+
+@pytest.mark.parametrize("betas, picked", [
+    ((1.2, 0.8), 0.8),
+    ((0.8, 1.2), 0.8),
+    ((1.0, 0.7, 1.3, 0.9), 0.9),
+    ((1.3, 0.9, 1.0, 0.7), 0.9),
+    ((1.0, 0.7, 1.3), 1.0),
+])
+def test_combine_split_fits_picks_the_lower_middle_split(betas, picked):
+    # q_hat tags each split by its beta, so the pick is visible in the output
+    out = combine_split_fits([split_fit(b, b) for b in betas], alpha=0.05)
+    assert out.beta_hat == pytest.approx(float(np.median(betas)))
+    assert (out.q_hat, out.h_hat, out.v_hat, float(out.lambda_hat[0])) == (picked,) * 4
+
+
+def test_too_small_design_is_refused_before_any_fitting(monkeypatch):
+    def no_fitting(*args, **kwargs):
+        raise AssertionError("nuisances were fitted for a design the relevance test refuses")
+
+    monkeypatch.setattr(igsaft.pipeline, "fit_all", no_fitting)
+    ds = generate(SimConfig(case=1, n=300, p=4, seed=3, reps=1), 0, taus=(-2.0, 14.0))[0]
+    # p = 4 with all 6 pairs: 22 = 2 (1 + p + m) rows are one too few
+    with pytest.raises(IllPosedError, match="rows"):
+        fit_igsaft(ds.subset(range(22)), FitConfig(n_splits=5, screen=False))
