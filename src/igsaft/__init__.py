@@ -15,7 +15,7 @@ from .moments import (AffineMoment, MomentMatrix, build_moment_matrix, eval_g, e
                       mean_and_cov)
 from .nuisance import (CensorModel, KernelConfig, NuisanceFit, PartialFit, fit_all,
                        fit_partials, kernel_weights)
-from .pipeline import FitConfig, FitReport, fit_families, fit_igsaft, predict_effect
+from .pipeline import FitConfig, FitReport, fit_families, fit_igsaft
 from .screening import ScreenResult, screen_interactions
 from .simulate import (McSummary, SimConfig, TruthRecord, aft_benchmark,
                        calibrate_censoring, generate, run_monte_carlo)
@@ -30,6 +30,6 @@ __all__ = [
     "calibrate_censoring", "enumerate_subsets", "eval_centered", "eval_g", "eval_psi",
     "fit_all", "fit_families", "fit_gel", "fit_igsaft", "fit_partials", "generate",
     "inner_lambda", "interaction_count", "kernel_weights", "load_csv", "mean_and_cov",
-    "minimize_beta", "overid_test", "predict_effect", "relevance_f_test", "rho", "run_monte_carlo",
+    "minimize_beta", "overid_test", "relevance_f_test", "rho", "run_monte_carlo",
     "screen_interactions", "validate", "variance", "write_csv",
 ]

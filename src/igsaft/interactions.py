@@ -3,7 +3,6 @@ partialling designs used to orthogonalize outcome and exposure."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -93,13 +92,6 @@ class MomentSpec:
         idx = sorted((InteractionIndex(tuple(s)) for s in subsets),
                      key=lambda ix: (ix.order, ix.subset))
         return cls(p=p, q=q, indices=tuple(idx))
-
-    def to_json(self) -> str:
-        return json.dumps([list(ix.subset) for ix in self.indices])
-
-    @classmethod
-    def from_json(cls, p: int, q: int, text: str) -> "MomentSpec":
-        return cls.from_subsets(p, q, json.loads(text))
 
 
 def eval_centered(z, zeta, spec: MomentSpec) -> np.ndarray:

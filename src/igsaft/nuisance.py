@@ -9,7 +9,7 @@ order; tie groups are precomputed so risk sets use I(Y_j >= Y_i) exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -25,13 +25,16 @@ _LOG_TINY = -745.0  # below this exp() underflows to 0
 class KernelConfig:
     """Kernel smoothing settings for the censoring model.
 
-    km_conditioning picks which coordinates the local Kaplan-Meier smooths
-    over: 'auto' resolves to 'd_only' when p > 5 and 'full' otherwise;
-    'marginal' drops conditioning entirely (uniform weights).
+    kernel           'gaussian', 'uniform' or 'epanechnikov' product kernel
+    fixed_h          bandwidth on the standardized coordinates, > 0; None
+                     uses Silverman's rule 1.06 n^(-1/(4 + dim))
+    trunc_eps        lower clip of the censoring survival, in (0, 1)
+    km_conditioning  coordinates the local Kaplan-Meier smooths over: 'auto'
+                     resolves to 'd_only' when p > 5 and 'full' otherwise;
+                     'marginal' drops conditioning entirely (uniform weights)
     """
 
     kernel: str = "gaussian"
-    bandwidth_rule: str = "silverman"
     fixed_h: float | None = None
     trunc_eps: float = 0.01
     km_conditioning: str = "auto"
@@ -39,10 +42,8 @@ class KernelConfig:
     def __post_init__(self):
         if self.kernel not in ("gaussian", "uniform", "epanechnikov"):
             raise DomainError(f"unknown kernel {self.kernel!r}")
-        if self.bandwidth_rule not in ("silverman", "fixed"):
-            raise DomainError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
-        if self.bandwidth_rule == "fixed" and not (self.fixed_h and self.fixed_h > 0):
-            raise DomainError("fixed bandwidth rule requires fixed_h > 0")
+        if self.fixed_h is not None and not self.fixed_h > 0:
+            raise DomainError(f"fixed bandwidth must be > 0, got {self.fixed_h}")
         if not 0 < self.trunc_eps < 1:
             raise DomainError("trunc_eps must lie in (0, 1)")
         if self.km_conditioning not in ("auto", "full", "d_only", "marginal"):
@@ -114,7 +115,7 @@ class _KernelWeigher:
             sd = X.std(axis=0)
             self.sd = np.where(sd > 0, sd, 1.0)
             self.Xs = (X - self.mean) / self.sd
-            if cfg.bandwidth_rule == "fixed":
+            if cfg.fixed_h is not None:
                 self.h = np.full(self.dim, float(cfg.fixed_h))
             else:
                 # standardized coordinates have unit scale
@@ -326,8 +327,6 @@ class NuisanceFit:
     cond_moment: CondMoment
     training_ids: np.ndarray
     fold: Dataset
-    g_a: np.ndarray  # training-fold g intercepts, fold order, (n_fold, m)
-    g_b: np.ndarray
 
     @property
     def ridge_fallbacks(self) -> int:
@@ -367,5 +366,4 @@ def fit_all(fold: Dataset, spec: MomentSpec, cfg: KernelConfig,
     cond = CondMoment(censor, g_a, g_b)
     ids = np.arange(fold.n) if training_ids is None else np.asarray(training_ids)
     return NuisanceFit(zeta=zeta, partials=partials, censor_model=censor,
-                       cond_moment=cond, training_ids=ids, fold=fold,
-                       g_a=g_a, g_b=g_b)
+                       cond_moment=cond, training_ids=ids, fold=fold)

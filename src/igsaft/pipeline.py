@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset
 from .diagnostics import TestResult, overid_test, relevance_f_test
-from .errors import DomainError, EstimationError
+from .errors import DomainError
 from .gel import FAMILIES, GelFit, fit_gel
 from .interactions import MomentSpec
 from .moments import build_moment_matrix
@@ -231,11 +231,3 @@ def fit_families(dataset: Dataset, config: FitConfig, families) -> dict[str, Gel
     """Fit several GEL families on one shared moment construction."""
     mats, *_ = _prepare_splits(dataset, config, _screen_once(dataset, config)[0])
     return {fam: _fit_family(mats, fam, config) for fam in families}
-
-
-def predict_effect(fit: GelFit, delta_d: float) -> tuple[float, float]:
-    """Multiplicative time ratio for an exposure change and its SE."""
-    if not fit.converged:
-        raise EstimationError("predict_effect requires a converged fit")
-    ratio = math.exp(fit.beta_hat * delta_d)
-    return ratio, ratio * abs(delta_d) * fit.se

@@ -1,11 +1,17 @@
 """Command-line surface: exit codes, option precedence and the manifest."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from igsaft.cli import main
-from igsaft.data import ColumnConfig, write_csv
+from igsaft.data import ColumnConfig, load_csv, write_csv
+from igsaft.interactions import MomentSpec
+from igsaft.moments import build_moment_matrix
+from igsaft.nuisance import KernelConfig, fit_all
+from igsaft.pipeline import _fold_assignment
 from igsaft.simulate import SimConfig, generate
 
 COLS = ColumnConfig(time="time", status="status", exposure="d",
@@ -122,3 +128,36 @@ def test_config_keys_follow_the_subcommand(tmp_path, capsys):
     cfg.write_text(json.dumps({"threads": 1, "reps": 1}))
     assert main(["simulate", *SIM_ARGS, "--config", str(cfg)]) == 0
     assert capsys.readouterr().out.startswith("Method,Bias,SD,SE,CP\n")
+
+
+@pytest.mark.parametrize("bandwidth", ["0", "-0.5"])
+def test_nonpositive_bandwidth_exits_1(bandwidth, csv_path, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["fit", *data_args(csv_path), "--n-splits", "1", "--bandwidth", bandwidth,
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_dump_moments_is_split_0_matrix(csv_path, tmp_path):
+    dump = tmp_path / "moments.csv"
+    assert main(["fit", *data_args(csv_path), "--no-screen", "--n-splits", "2",
+                 "--out", str(tmp_path / "r.json"), "--dump-moments", str(dump)]) == 0
+    with open(dump, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    spec = MomentSpec.full(4, 2)
+    m = spec.m
+    assert header == ["row", "fold", *(f"a_{t}" for t in range(1, m + 1)),
+                      *(f"b_{t}" for t in range(1, m + 1))]
+    ds = load_csv(csv_path, COLS)
+    assert len(rows) == ds.n
+    assign = _fold_assignment(ds.n, 0, split=0)
+    nuis = {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec, KernelConfig(),
+                         training_ids=np.flatnonzero(assign == 1 - lab)) for lab in (0, 1)}
+    M = build_moment_matrix(ds, assign, nuis, spec)
+    vals = np.array([[float(v) for v in r] for r in rows])
+    assert np.array_equal(vals[:, 0], np.arange(ds.n))
+    assert np.array_equal(vals[:, 1], assign)
+    assert np.array_equal(vals[:, 2:2 + m], M.A)
+    assert np.array_equal(vals[:, 2 + m:], M.B)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,14 +111,6 @@ def test_spec_full_counts_and_order():
     for k in (2, 3):
         block = [ix.subset for ix in spec.indices if ix.order == k]
         assert block == sorted(block)
-
-
-def test_spec_json_round_trip():
-    spec = MomentSpec.from_subsets(6, 3, [(1, 2), (2, 5), (1, 3, 6)])
-    text = spec.to_json()
-    assert json.loads(text) == [[1, 2], [2, 5], [1, 3, 6]]
-    back = MomentSpec.from_json(6, 3, text)
-    assert back == spec
 
 
 def test_spec_rejects_bad_indices():

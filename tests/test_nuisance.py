@@ -119,7 +119,7 @@ def test_partials_rank_deficient_fallback():
 def test_kernel_weights_uniform_wide_window():
     rng = np.random.default_rng(8)
     ds = make_dataset(rng, 25, 2)
-    cfg = KernelConfig(kernel="uniform", bandwidth_rule="fixed", fixed_h=1e6,
+    cfg = KernelConfig(kernel="uniform", fixed_h=1e6,
                        km_conditioning="full")
     w = kernel_weights((ds.z[0], ds.d[0]), ds, cfg)
     np.testing.assert_allclose(w, np.full(25, 1.0 / 25))
@@ -128,7 +128,7 @@ def test_kernel_weights_uniform_wide_window():
 def test_kernel_weights_concentrate_small_h():
     rng = np.random.default_rng(9)
     ds = make_dataset(rng, 30, 2)
-    cfg = KernelConfig(bandwidth_rule="fixed", fixed_h=1e-3, km_conditioning="full")
+    cfg = KernelConfig(fixed_h=1e-3, km_conditioning="full")
     w = kernel_weights((ds.z[7], ds.d[7]), ds, cfg)
     assert w[7] > 0.999
 
@@ -137,7 +137,7 @@ def test_kernel_weights_three_point_hand_computation():
     z = np.array([[0.0], [1.0], [2.0]])
     d = np.array([0.0, 1.0, 2.0])
     ds = Dataset(z, d, np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
-    cfg = KernelConfig(bandwidth_rule="fixed", fixed_h=1.0, km_conditioning="full")
+    cfg = KernelConfig(fixed_h=1.0, km_conditioning="full")
     w = kernel_weights((z[0], d[0]), ds, cfg)
     # standardized coordinates: sd(z) = sd(d) = sqrt(2/3)
     sd = np.sqrt(2.0 / 3.0)
@@ -146,11 +146,25 @@ def test_kernel_weights_three_point_hand_computation():
     np.testing.assert_allclose(w, k / k.sum(), rtol=1e-12)
 
 
+@pytest.mark.parametrize("h, expected", [(3.0, (0.5538, 0.3846, 0.0615)),
+                                          (1.0, (1.0, 0.0, 0.0))])
+def test_kernel_weights_three_point_epanechnikov(h, expected):
+    z = np.array([[0.0], [1.0], [2.0]])
+    d = np.array([0.0, 1.0, 2.0])
+    ds = Dataset(z, d, np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
+    cfg = KernelConfig(kernel="epanechnikov", fixed_h=h, km_conditioning="full")
+    w = kernel_weights((z[0], d[0]), ds, cfg)
+    u = np.array([0.0, 1.0, 2.0]) / np.sqrt(2.0 / 3.0) / h
+    k = np.clip(1.0 - u ** 2, 0.0, None) ** 2  # product over the two coordinates
+    np.testing.assert_allclose(w, k / k.sum(), rtol=1e-12)
+    np.testing.assert_allclose(w, expected, atol=5e-5)
+
+
 def test_kernel_weights_empty_window_fallback():
     z = np.array([[0.0], [0.1], [0.2], [50.0]])
     d = np.zeros(4)
     ds = Dataset(z, d, np.arange(4.0), np.ones(4, dtype=int))
-    cfg = KernelConfig(kernel="uniform", bandwidth_rule="fixed", fixed_h=1e-6,
+    cfg = KernelConfig(kernel="uniform", fixed_h=1e-6,
                        km_conditioning="full")
     w = kernel_weights((np.array([10.0]), 0.0), ds, cfg)
     np.testing.assert_allclose(w, np.full(4, 0.25))
