@@ -105,8 +105,8 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
     S_total = suffix[:, 0]
 
     K = cm.grid_vals.size
-    S_grid = suffix[:, cm.grid_first] if K else np.zeros((omega.shape[0], 0))
-    logG_grid = tables.cumlog[:, cm.grid_last] if K else np.zeros((omega.shape[0], 0))
+    S_grid = suffix[:, cm.grid_first]
+    logG_grid = tables.cumlog[:, cm.grid_first]
     G_grid_raw = np.exp(logG_grid)
     G_grid = np.maximum(G_grid_raw, eps)
 
@@ -114,9 +114,8 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
     last_valid = (S_grid > 0).sum(axis=1)  # S_grid is nonincreasing along the grid
     T_eff = np.minimum(T, last_valid)
     stats.empty_risk_sets += int((T_eff < T).sum() + (S_total <= 0).sum())
-    if K:
-        used = np.arange(K)[None, :] < T_eff[:, None]
-        stats.clip_count += int(((G_grid_raw < eps) & used).sum())
+    used = np.arange(K)[None, :] < T_eff[:, None]
+    stats.clip_count += int(((G_grid_raw < eps) & used).sum())
 
     # Ghat at the evaluation row's own time
     pos = np.searchsorted(cm.ys, y_eval, side="right") - 1
@@ -135,10 +134,16 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
 
     Returns (psi_a, psi_b, stats). The map is linear in g: it is
     ipcw * g_eval plus a weighted combination of the training fold's g.
-    Evaluation rows go through in chunks; each chunk makes about a dozen
+    Evaluation rows go through in chunks; each chunk makes a few
     (chunk, n_train) temporaries, so a small chunk keeps them in cache and
     peak memory low. Rows do not interact across a chunk; the output is
     the same bit for bit at chunks 16, 32 and 256 (tests/test_moments.py).
+
+    The coefficient of training row j depends on j only through its rank
+    rank_tr[j] in 0..K on the event grid, so the integral, snap and
+    xi(-inf) terms fill one (chunk, K + 1) table, gathered once by
+    table[:, rank_tr]. W @ a and W @ b stay two products: one product on
+    [a | b] rounds differently with the chunk's row count.
     """
     cm = cond.censor
     n_eval = len(eval_y)
@@ -168,11 +173,8 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
             d0 = wgt.copy()
             d0[:, :-1] -= wgt[:, 1:]
             e = d0 / np.where(S_grid > 0, S_grid, 1.0)
-            Ecum = np.cumsum(e, axis=1)
-            # coefficient of training row j from the integral term
-            gath = np.zeros((c, cm.n))
-            has_rank = rank_tr >= 1
-            gath[:, has_rank] = Ecum[:, rank_tr[has_rank] - 1]
+            table = np.zeros((c, K + 1))  # column r: coefficient at rank r
+            np.cumsum(e, axis=1, out=table[:, 1:])  # integral term
 
             has_grid = T_eff >= 1
             invS_tot = np.where(ok, 1.0 / np.where(ok, S_total, 1.0), 0.0)
@@ -181,10 +183,11 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
             t1 = np.maximum(T_eff, 1)
             S_T = S_grid[np.arange(c), np.minimum(t1, K) - 1]
             invS_T = np.where(S_T > 0, 1.0 / np.where(S_T > 0, S_T, 1.0), 0.0)
-            I2 = rank_tr[None, :] >= t1[:, None]       # I(Y_j >= u_{t1})
-            coef_snap = -(ipcw * invS_T)[:, None] * I2  # -ipcw * xi at floor(Y)
-            W = omega * (coef_inf[:, None] + (coef_snap + gath))
-            W[~ok] = 0.0
+            # -ipcw * xi at floor(Y), on ranks with I(Y_j >= u_{t1})
+            table -= (ipcw * invS_T)[:, None] * (np.arange(K + 1) >= t1[:, None])
+            table += coef_inf[:, None]
+            table[~ok] = 0.0
+            W = omega * table[:, rank_tr]
         else:
             W = np.zeros((c, cm.n))
 
@@ -240,7 +243,7 @@ def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMom
         xi_a[t] = prev_a
         xi_b[t] = prev_b
 
-    G_grid = np.maximum(np.exp(tables.cumlog[0, cm.grid_last]), eps)
+    G_grid = np.maximum(np.exp(tables.cumlog[0, cm.grid_first]), eps)
     T = int(np.searchsorted(cm.grid_vals, obs.y, side="right"))
     int_a = np.zeros(spec.m)
     int_b = np.zeros(spec.m)

@@ -105,7 +105,15 @@ def fit_partials(fold: Dataset, k: int) -> PartialFit:
 
 
 class _KernelWeigher:
-    """Product kernel over standardized conditioning coordinates."""
+    """Product kernel over standardized conditioning coordinates.
+
+    Both bandwidth rules give every coordinate the same h, so the Gaussian
+    log-kernel -|t - x|^2 / 2h^2 is t'x / h^2 - |x|^2 / 2h^2 plus a per-row
+    constant that normalization removes: one (c, dim) x (dim, n) product,
+    with |x|^2 / 2h^2 computed once. A Gaussian row is never empty. The
+    uniform and Epanechnikov kernels keep the (c, n, dim) difference path,
+    whose window widens when a row has no training point inside it.
+    """
 
     def __init__(self, X: np.ndarray, cfg: KernelConfig):
         self.cfg = cfg
@@ -115,11 +123,12 @@ class _KernelWeigher:
             sd = X.std(axis=0)
             self.sd = np.where(sd > 0, sd, 1.0)
             self.Xs = (X - self.mean) / self.sd
-            if cfg.fixed_h is not None:
-                self.h = np.full(self.dim, float(cfg.fixed_h))
-            else:
-                # standardized coordinates have unit scale
-                self.h = np.full(self.dim, 1.06 * self.n ** (-1.0 / (4 + self.dim)))
+            # standardized coordinates have unit scale
+            h = 1.06 * self.n ** (-1.0 / (4 + self.dim)) if cfg.fixed_h is None else cfg.fixed_h
+            self.h = np.full(self.dim, float(h))
+            if cfg.kernel == "gaussian":
+                self.Xh = self.Xs / self.h
+                self.half_sq = 0.5 * (self.Xh * self.Xh).sum(axis=1)
         else:
             self.Xs = np.zeros((self.n, 0))
             self.h = np.zeros(0)
@@ -127,8 +136,6 @@ class _KernelWeigher:
     def _log_kernel(self, U: np.ndarray, widen: float) -> np.ndarray:
         # U: (c, n, dim) standardized differences already divided by h
         U = U / widen
-        if self.cfg.kernel == "gaussian":
-            return -0.5 * np.einsum("cnd,cnd->cn", U, U)
         if self.cfg.kernel == "uniform":
             inside = (np.abs(U) <= 1.0).all(axis=2)
             return np.where(inside, 0.0, -np.inf)
@@ -144,6 +151,10 @@ class _KernelWeigher:
         if self.dim == 0:
             return np.full((c, self.n), 1.0 / self.n)
         T = (targets - self.mean) / self.sd
+        if self.cfg.kernel == "gaussian":
+            w = (T / self.h) @ self.Xh.T - self.half_sq
+            np.exp(w - w.max(axis=1, keepdims=True), out=w)
+            return w / w.sum(axis=1, keepdims=True)
         diff = (T[:, None, :] - self.Xs[None, :, :]) / self.h
         widen = 1.0
         for _ in range(6):
@@ -187,7 +198,7 @@ class KMTables:
 
     w: np.ndarray        # (c, n) kernel weights
     cumlog: np.ndarray   # (c, n) cumulative log product-limit factors by index
-    logG_train: np.ndarray  # (c, n) log Ghat evaluated at each sorted training time
+    logG_train: np.ndarray  # (c, n) log Ghat at each sorted training time; cumlog itself
 
 
 class CensorModel:
@@ -210,24 +221,22 @@ class CensorModel:
         self.weigher = _KernelWeigher(X, cfg)
 
         # tie groups over the sorted times
-        first = np.zeros(self.n, dtype=np.int64)
-        for j in range(1, self.n):
-            first[j] = first[j - 1] if self.ys[j] == self.ys[j - 1] else j
-        last = np.zeros(self.n, dtype=np.int64)
-        last[-1] = self.n - 1
-        for j in range(self.n - 2, -1, -1):
-            last[j] = last[j + 1] if self.ys[j] == self.ys[j + 1] else j
-        self.tie_first, self.tie_last = first, last
-        self.group_starts = np.unique(first)
-        self.cens_mask = (self.delta_s == 0.0).astype(float)
+        new_group = np.diff(self.ys, prepend=-np.inf) != 0
+        starts = np.flatnonzero(new_group)
+        group = np.cumsum(new_group) - 1
+
+        # tie groups with a censored row, the only ones with a factor other
+        # than 1: where each begins among cens_rows and in sorted order
+        self.cens_rows = np.flatnonzero(self.delta_s == 0.0)
+        cens_group = group[self.cens_rows]
+        self.cens_seg = np.flatnonzero(np.diff(cens_group, prepend=-1) != 0)
+        self.cens_starts = starts[cens_group[self.cens_seg]]
+        self.cens_span = np.diff(np.r_[0, self.cens_starts, self.n])  # cumlog repeats
 
         # distinct event times; ties merge into one grid point
-        seen = {}
-        for j in np.flatnonzero(self.delta_s == 1.0):
-            seen.setdefault(self.ys[j], j)
-        self.grid_vals = np.array(sorted(seen))
-        self.grid_first = np.array([first[seen[v]] for v in self.grid_vals], dtype=np.int64)
-        self.grid_last = np.array([last[seen[v]] for v in self.grid_vals], dtype=np.int64)
+        event_groups = np.unique(group[self.delta_s == 1.0])
+        self.grid_first = starts[event_groups]
+        self.grid_vals = self.ys[self.grid_first]
 
     @property
     def bandwidth(self) -> np.ndarray:
@@ -239,23 +248,24 @@ class CensorModel:
         Tied censored observations are grouped: each tie group contributes a
         single product-limit factor 1 - (censored mass in group) / (at-risk
         mass), which reduces exactly to the unconditional Kaplan-Meier under
-        uniform weights.
+        uniform weights. Only groups with a censored row have a factor other
+        than 1, so only they get sums and logs (none: cumlog is all zeros).
+        cumlog is constant within a tie group, so it is also logG_train.
         """
         targets = _conditioning_targets(z, d, self.conditioning)
         w = self.weigher.weights(targets)
-        suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-        risk_at_start = suffix[:, self.group_starts]
-        cens_group = np.add.reduceat(w * self.cens_mask[None, :],
-                                     self.group_starts, axis=1)
+        if not self.cens_starts.size:
+            cumlog = np.zeros_like(w)
+            return KMTables(w=w, cumlog=cumlog, logG_train=cumlog)
+        between = np.add.reduceat(w, self.cens_starts, axis=1)  # from the first start on
+        risk_at_start = np.cumsum(between[:, ::-1], axis=1)[:, ::-1]
+        cens_group = np.add.reduceat(w[:, self.cens_rows], self.cens_seg, axis=1)
         frac = cens_group / np.maximum(risk_at_start, 1e-300)
         with np.errstate(divide="ignore"):
             logf_group = np.log1p(-np.minimum(frac, 1.0))
-        logf_group = np.maximum(logf_group, _LOG_TINY)
-        logf = np.zeros_like(w)
-        logf[:, self.group_starts] = logf_group
-        cumlog = np.cumsum(logf, axis=1)
-        logG_train = cumlog[:, self.tie_last]
-        return KMTables(w=w, cumlog=cumlog, logG_train=logG_train)
+        cum = np.cumsum(np.maximum(logf_group, _LOG_TINY), axis=1)
+        cumlog = np.repeat(np.column_stack([np.zeros(len(w)), cum]), self.cens_span, axis=1)
+        return KMTables(w=w, cumlog=cumlog, logG_train=cumlog)
 
     def _eval_logG(self, tables: KMTables, yq: np.ndarray) -> np.ndarray:
         """log Ghat at query times, from the first table row."""

@@ -272,15 +272,92 @@ def test_cond_moment_carry_forward_flag():
 
 
 def test_xi_affine_in_beta():
-    # second difference over beta in {0, 1, 2} vanishes by construction
+    # xi(beta) = a + beta * b, with a and b averaged under one set of weights
     cfg = SimConfig(case=1, n=400, p=3, target_cr=0.25, reps=1, seed=17)
     ds, _ = generate(cfg, 0, taus=(-2.0, 14.0))
     spec = MomentSpec.full(3, 2)
     nu = fit_all(ds, spec, KernelConfig())
     z, d, u = ds.z[5], float(ds.d[5]), float(np.median(ds.y))
     a, b = nu.cond_moment.evaluate(u, z, d)
-    vals = [a + beta * b for beta in (0.0, 1.0, 2.0)]
-    np.testing.assert_array_equal(vals[2] - 2 * vals[1] + vals[0], np.zeros(spec.m))
+    cm = nu.censor_model
+    t = cm.tables(z[None, :], [d])
+    om = t.w[0] * cm.delta_s / np.maximum(np.exp(t.logG_train[0]), cm.cfg.trunc_eps)
+    om[cm.ys < u] = 0.0  # risk set I(Y_j >= u)
+    np.testing.assert_allclose(a, om @ nu.cond_moment.a / om.sum(), rtol=1e-13)
+    np.testing.assert_allclose(b, om @ nu.cond_moment.b / om.sum(), rtol=1e-13)
+    # the second difference over beta in {0, 1, 2} is zero up to rounding
+    vals = np.array([a + beta * b for beta in (0.0, 1.0, 2.0)])
+    assert np.all(np.abs(vals[2] - 2 * vals[1] + vals[0]) <= 4 * np.spacing(np.abs(vals).max()))
+
+
+@pytest.mark.parametrize("h", [None, 0.05, 0.5, 3.0])
+@pytest.mark.parametrize("conditioning", ["d_only", "full"])
+def test_gaussian_weights_match_difference_reference(conditioning, h):
+    # exp(-|t - x|^2 / 2h^2) from explicit differences, normalized per target
+    rng = np.random.default_rng(19)
+    n, p = 400, 5
+    ds = Dataset(rng.normal(size=(n, p)) * 2.0 + 1.0, rng.normal(size=n) * 0.5,
+                 rng.normal(size=n), np.ones(n, dtype=int))
+    cfg = KernelConfig(fixed_h=h, km_conditioning=conditioning)
+    cm = CensorModel(ds, cfg)
+    zt = rng.normal(size=(30, p)) * 3.0 + 1.0
+    dt = rng.normal(size=30)
+    w = cm.tables(zt, dt).w
+
+    X = np.column_stack([ds.z, ds.d]) if conditioning == "full" else ds.d[:, None]
+    T = np.column_stack([zt, dt]) if conditioning == "full" else dt[:, None]
+    X = X[cm.order]
+    dim = X.shape[1]
+    assert dim == (p + 1 if conditioning == "full" else 1)
+    mean, sd = X.mean(axis=0), X.std(axis=0)
+    hh = 1.06 * n ** (-1.0 / (4 + dim)) if h is None else h
+    U = ((T - mean) / sd)[:, None, :] - ((X - mean) / sd)[None, :, :]
+    logk = -0.5 * (U * U).sum(axis=2) / hh ** 2
+    ref = np.exp(logk - logk.max(axis=1, keepdims=True))
+    ref /= ref.sum(axis=1, keepdims=True)
+    assert np.all(np.abs(w - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
+
+
+def all_groups_cumlog(cm, w):
+    """Cumulative log product-limit factors with one factor per tie group,
+    censored or not, in sorted training order."""
+    ys = cm.ys
+    starts = np.flatnonzero(np.r_[True, ys[1:] != ys[:-1]])
+    suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    cens = np.add.reduceat(w * (cm.delta_s == 0.0), starts, axis=1)
+    frac = cens / np.maximum(suffix[:, starts], 1e-300)
+    with np.errstate(divide="ignore"):
+        logf_group = np.maximum(np.log1p(-np.minimum(frac, 1.0)), -745.0)
+    logf = np.zeros_like(w)
+    logf[:, starts] = logf_group
+    return np.cumsum(logf, axis=1)
+
+
+def test_censored_group_product_limit_matches_all_groups():
+    rng = np.random.default_rng(20)
+    n = 300
+    y = np.round(rng.normal(size=n), 1)
+    delta = (rng.random(n) >= 0.35).astype(int)
+    ds = Dataset(rng.normal(size=(n, 2)), rng.normal(size=n), y, delta)
+    shared = [v for v in np.unique(y) if {0, 1} <= set(delta[y == v])]
+    assert len(shared) > 5  # censored and event rows share these times
+    cm = CensorModel(ds, KernelConfig(fixed_h=0.5, km_conditioning="full"))
+    t = cm.tables(rng.normal(size=(20, 2)), rng.normal(size=20))
+    assert np.all(t.w.max(axis=1) > 5 * t.w.min(axis=1))  # non-uniform weights
+    ref = all_groups_cumlog(cm, t.w)
+    np.testing.assert_allclose(t.cumlog, ref, rtol=0, atol=1e-14)
+    last = np.searchsorted(cm.ys, cm.ys, side="right") - 1
+    np.testing.assert_allclose(t.logG_train, ref[:, last], rtol=0, atol=1e-14)
+
+
+def test_no_censored_rows_give_zero_log_survival():
+    rng = np.random.default_rng(21)
+    ds = make_dataset(rng, 80, 2)
+    ds = Dataset(ds.z, ds.d, np.round(ds.y, 1), ds.delta)
+    cm = CensorModel(ds, KernelConfig(fixed_h=0.5, km_conditioning="full"))
+    t = cm.tables(rng.normal(size=(7, 2)), rng.normal(size=7))
+    assert t.cumlog.shape == t.logG_train.shape == (7, 80)
+    assert not t.cumlog.any() and not t.logG_train.any()
 
 
 def test_fit_all_requires_enough_rows():

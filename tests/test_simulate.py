@@ -1,11 +1,13 @@
-"""Monte Carlo driver: estimator names are checked before any replication."""
+"""Monte Carlo runs: estimator names are checked before any replication;
+censoring calibration hits its target rate."""
 
+import numpy as np
 import pytest
 
 from igsaft import simulate
 from igsaft.errors import DomainError
 from igsaft.pipeline import FitConfig
-from igsaft.simulate import SimConfig, run_monte_carlo
+from igsaft.simulate import SimConfig, calibrate_censoring, generate, run_monte_carlo
 
 
 @pytest.mark.parametrize("bad", ["foo", "truth"])
@@ -25,3 +27,12 @@ def test_known_estimators_give_one_row_each():
     summary = run_monte_carlo(cfg, FitConfig(n_splits=1), ["cue", "aft"])
     assert [r.estimator for r in summary.rows] == ["cue", "aft"]
     assert all(r.n_used + r.n_excluded == 2 for r in summary.rows)
+
+
+@pytest.mark.parametrize("target_cr", [0.2, 0.4])
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_calibrated_censoring_hits_target(case, target_cr):
+    cfg = SimConfig(case=case, n=2000, p=10, target_cr=target_cr, reps=10, seed=3)
+    taus = calibrate_censoring(cfg)
+    shares = [1.0 - generate(cfg, rep, taus=taus)[0].delta.mean() for rep in range(cfg.reps)]
+    assert abs(np.mean(shares) - target_cr) <= 0.01
