@@ -5,16 +5,25 @@ moment matrices, and mean/second-moment summaries.
 Every moment is affine in beta and is stored as an (intercept, slope) pair,
 so downstream beta searches reuse one construction pass.
 
-The batch transform rewrites psi as
+The batch transform rewrites psi as psi_i = ipcw_i * g_i + sum_j W_ij * g_j
+over training rows j by telescoping the integral term over the training
+event grid; the moment dimension enters only through two matrix products.
+Ghat is constant on each censoring segment (the rows from one censored tie
+group to the next), so an integral increment (1/G[t] - 1/G[t+1]) / S[t] is
+nonzero only where the grid enters a new segment. With k the event segment
+of an event row j and l = 1 if j is in its last event group,
 
-    psi_i = ipcw_i * g_i + sum_j W_ij * g_j                    (training j)
+    W_ij = w_ij * P_i[2k + l] for j < J0_i,   P_i[2k + l] = (F_i[k + l] + coef_inf_i) / G_i[k]
+    W_ij = w_ij * Q_i[2k + l] for j >= J0_i,  Q_i[2k + l] = const_i / G_i[k]
 
-by telescoping the integral term over the training event grid; building W
-costs O(n_eval * n_train) and the moment dimension enters only through two
-matrix products. The discrete step function xi_hat jumps only at training
-event times (censored rows carry zero inverse-probability mass), and psi
-reads it left-of-jump at Y, which makes the zero-censoring identity
-psi == g exact in floating point.
+and W_ij = 0 for censored j. F_i sums the increments below the row's last
+used grid point T_eff_i - 1, whose first training row is J0_i (0 when
+T_eff_i = 0); const_i adds the increment at T_eff_i - 1 and the
+-ipcw * xi(Y) snap. S needs per-segment masses and one partial sum per row.
+The discrete step function xi_hat jumps only at training event times
+(censored rows carry zero inverse-probability mass), and psi reads it
+left-of-jump at Y, which makes the zero-censoring identity psi == g exact
+in floating point.
 """
 
 from __future__ import annotations
@@ -89,107 +98,89 @@ def eval_g(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMomen
     return AffineMoment(a=a, b=b)
 
 
-def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
-    """Shared per-chunk quantities for the AIPCW weight assembly."""
-    cm = cond.censor
-    eps = cm.cfg.trunc_eps
-    stats = TransformStats()
-
-    G_train_raw = np.exp(tables.logG_train)
-    G_train = np.maximum(G_train_raw, eps)
-    omega = tables.w * cm.delta_s[None, :] / G_train
-    stats.clip_count += int(((G_train_raw < eps) & (cm.delta_s[None, :] == 1.0)
-                             & (tables.w > 0)).sum())
-
-    suffix = np.cumsum(omega[:, ::-1], axis=1)[:, ::-1]
-    S_total = suffix[:, 0]
-
-    K = cm.grid_vals.size
-    S_grid = suffix[:, cm.grid_first]
-    logG_grid = tables.cumlog[:, cm.grid_first]
-    G_grid_raw = np.exp(logG_grid)
-    G_grid = np.maximum(G_grid_raw, eps)
-
-    T = np.searchsorted(cm.grid_vals, y_eval, side="right")
-    last_valid = (S_grid > 0).sum(axis=1)  # S_grid is nonincreasing along the grid
-    T_eff = np.minimum(T, last_valid)
-    stats.empty_risk_sets += int((T_eff < T).sum() + (S_total <= 0).sum())
-    used = np.arange(K)[None, :] < T_eff[:, None]
-    stats.clip_count += int(((G_grid_raw < eps) & used).sum())
-
-    # Ghat at the evaluation row's own time
-    pos = np.searchsorted(cm.ys, y_eval, side="right") - 1
-    logGy = np.where(pos >= 0, tables.cumlog[np.arange(len(y_eval)), np.maximum(pos, 0)], 0.0)
-    Gy_raw = np.exp(logGy)
-    Gy = np.maximum(Gy_raw, eps)
-    stats.clip_count += int(((Gy_raw < eps) & (delta_eval == 1)).sum())
-    ipcw = delta_eval / Gy
-
-    return omega, S_total, S_grid, G_grid, T_eff, ipcw, stats
-
-
 def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
                     cond: CondMoment, chunk: int = 32):
     """Apply the censoring adjustment to evaluation-fold g values.
 
-    Returns (psi_a, psi_b, stats). The map is linear in g: it is
-    ipcw * g_eval plus a weighted combination of the training fold's g.
-    Evaluation rows go through in chunks; each chunk makes a few
-    (chunk, n_train) temporaries, so a small chunk keeps them in cache and
-    peak memory low. Rows do not interact across a chunk; the output is
-    the same bit for bit at chunks 16, 32 and 256 (tests/test_moments.py).
-
-    The coefficient of training row j depends on j only through its rank
-    rank_tr[j] in 0..K on the event grid, so the integral, snap and
-    xi(-inf) terms fill one (chunk, K + 1) table, gathered once by
-    table[:, rank_tr]. W @ a and W @ b stay two products: one product on
-    [a | b] rounds differently with the chunk's row count.
+    Returns (psi_a, psi_b, stats), with W built from the censoring-segment
+    tables of the module docstring. Evaluation rows go through in chunks;
+    each chunk makes a few (chunk, n_train) temporaries, so a small chunk
+    keeps them in cache and peak memory low. Rows do not interact across a
+    chunk; the output is the same bit for bit at chunks 16, 32 and 256
+    (tests/test_moments.py). W @ a and W @ b stay two products: one product
+    on [a | b] rounds differently with the chunk's row count.
     """
     cm = cond.censor
-    n_eval = len(eval_y)
-    m = ge_a.shape[1]
-    psi_a = np.empty((n_eval, m))
-    psi_b = np.empty((n_eval, m))
+    K, E, n = cm.grid_vals.size, cm.ev_seg.size, cm.n  # Dataset holds K >= 1 events
+    eps = cm.cfg.trunc_eps
+    psi_a = np.empty((len(eval_y), cond.m))
+    psi_b = np.empty_like(psi_a)
     stats = TransformStats()
-    K = cm.grid_vals.size
-    # rank of each training time on the event grid: #events <= Y_j
-    rank_tr = np.searchsorted(cm.grid_vals, cm.ys, side="right") if K else None
+    C = 2 * E + 1  # columns of P and of Q; the last is the censored rows' zero
+    F_col = (np.arange(2 * E) + 1) // 2  # class 2k + l reads F[:, k + l]
 
-    for start in range(0, n_eval, chunk):
-        sl = slice(start, min(start + chunk, n_eval))
-        y_c = eval_y[sl]
-        delta_c = eval_delta[sl].astype(float)
-        tables = cm.tables(eval_z[sl], eval_d[sl])
-        omega, S_total, S_grid, G_grid, T_eff, ipcw, st = _grid_tables(
-            cond, tables, y_c, delta_c)
-        stats.merge(st)
-        c = len(y_c)
-        ok = S_total > 0  # rows without weighted events degenerate to the IPCW term
+    for start in range(0, len(eval_y), chunk):
+        sl = slice(start, start + chunk)
+        y_c, delta_c = eval_y[sl], eval_delta[sl].astype(float)
+        t = cm.tables(eval_z[sl], eval_d[sl])
+        rows = np.arange(len(y_c))
+        G_raw = np.exp(t.seglog)
+        invG = 1.0 / np.maximum(G_raw[:, cm.ev_seg], eps)
+        clipped = G_raw[:, cm.ev_seg] < eps
+        Gy_raw = G_raw[rows, np.searchsorted(cm.cens_times, y_c, side="right")]
+        stats.clip_count += int(((Gy_raw < eps) & (delta_c == 1)).sum())
+        ipcw = delta_c / np.maximum(Gy_raw, eps)
 
-        if K:
-            invG = 1.0 / G_grid
-            valid = np.arange(K)[None, :] < T_eff[:, None]
-            wgt = invG * valid
-            d0 = wgt.copy()
-            d0[:, :-1] -= wgt[:, 1:]
-            e = d0 / np.where(S_grid > 0, S_grid, 1.0)
-            table = np.zeros((c, K + 1))  # column r: coefficient at rank r
-            np.cumsum(e, axis=1, out=table[:, 1:])  # integral term
+        # S, the weighted event mass from a row on, at every run start
+        suf = np.cumsum((t.mass * np.repeat(invG, 2, axis=1))[:, ::-1], axis=1)[:, ::-1]
+        S_total, S_last = suf[:, 0], suf[:, 1::2]
+        ok = S_total > 0  # else every event weight and so W is 0: the IPCW term alone
 
-            has_grid = T_eff >= 1
-            invS_tot = np.where(ok, 1.0 / np.where(ok, S_total, 1.0), 0.0)
-            c1 = np.where(has_grid, invG[:, 0], 0.0)   # Abel correction only with a nonempty sum
-            coef_inf = invS_tot * (1.0 - c1)
-            t1 = np.maximum(T_eff, 1)
-            S_T = S_grid[np.arange(c), np.minimum(t1, K) - 1]
-            invS_T = np.where(S_T > 0, 1.0 / np.where(S_T > 0, S_T, 1.0), 0.0)
-            # -ipcw * xi at floor(Y), on ranks with I(Y_j >= u_{t1})
-            table -= (ipcw * invS_T)[:, None] * (np.arange(K + 1) >= t1[:, None])
-            table += coef_inf[:, None]
-            table[~ok] = 0.0
-            W = omega * table[:, rank_tr]
-        else:
-            W = np.zeros((c, cm.n))
+        # S > 0 at a grid point iff an event row on or after it has w > 0
+        # (G >= trunc_eps), so only zero weights cut the usable grid short
+        last_valid = np.full(len(rows), K)
+        live_ev = np.tile(cm.ev_count, (len(rows), 1))
+        zero = np.flatnonzero(t.w.min(axis=1) == 0.0)
+        if zero.size:
+            live = t.w_event[zero] > 0
+            live_ev[zero] = np.add.reduceat(live, cm.ev_first, axis=1)
+            j_last = n - 1 - live[:, ::-1].argmax(axis=1)
+            rank = np.searchsorted(cm.grid_first, j_last, side="right")
+            last_valid[zero] = rank * live.any(axis=1)
+        T = np.searchsorted(cm.grid_vals, y_c, side="right")
+        T_eff = np.minimum(T, last_valid)
+        stats.empty_risk_sets += int((T_eff < T).sum() + (~ok).sum())
+        below = np.clip(T_eff[:, None], cm.grid_start, cm.bnd_grid + 1) - cm.grid_start
+        stats.clip_count += int((clipped * (live_ev + below)).sum())
+
+        # S at grid point T_eff - 1 (S_total when T_eff = 0): from the last
+        # event group of its segment on, plus a partial sum up to there
+        has_grid = T_eff >= 1
+        k0 = cm.grid_ev[np.maximum(T_eff - 1, 0)]
+        J0 = np.where(has_grid, cm.grid_first[np.maximum(T_eff - 1, 0)], 0)
+        S_T = np.where(has_grid, S_last[rows, k0], S_total)
+        mid = np.flatnonzero(has_grid & (J0 < cm.last_first[k0]))
+        ends = np.column_stack([J0[mid], cm.last_first[k0[mid]]]) + n * mid[:, None]
+        S_T[mid] += np.add.reduceat(t.w_event.ravel(), ends.ravel())[::2] * invG[mid, k0[mid]]
+        invS_T = np.where(S_T > 0, 1.0 / np.where(S_T > 0, S_T, 1.0), 0.0)
+        invS_tot = np.where(ok, 1.0 / np.where(ok, S_total, 1.0), 0.0)
+        # Abel correction only with a nonempty sum
+        coef_inf = invS_tot * (1.0 - np.where(has_grid, invG[:, 0], 0.0))
+
+        # F: boundary increments below T_eff - 1, divided only where used
+        F = np.zeros((len(rows), E + 1))
+        act = cm.bnd_grid[:-1] < (T_eff - 1)[:, None]
+        F[:, 1:E][act] = (invG[:, :-1] - invG[:, 1:])[act] / S_last[:, :-1][act]
+        np.cumsum(F, axis=1, out=F)
+        head = np.where(has_grid, F[rows, k0] + invG[rows, k0] / np.where(has_grid, S_T, 1.0), 0.0)
+        const = (head - ipcw * invS_T) + coef_inf
+
+        invG2 = np.repeat(invG, 2, axis=1)
+        PQ = np.zeros((len(rows), 2 * C))  # [P | Q] per row
+        PQ[:, :C - 1] = invG2 * (F[:, F_col] + coef_inf[:, None])
+        PQ[:, C:-1] = invG2 * const[:, None]
+        W = np.take(PQ, cm.cls_of + C * ((np.arange(n) >= J0[:, None]) + 2 * rows[:, None]))
+        W *= t.w
 
         psi_a[sl] = ipcw[:, None] * ge_a[sl] + W @ cond.a
         psi_b[sl] = ipcw[:, None] * ge_b[sl] + W @ cond.b

@@ -194,11 +194,24 @@ def kernel_weights(target, fold: Dataset, cfg: KernelConfig) -> np.ndarray:
 
 @dataclass
 class KMTables:
-    """Per-target arrays in sorted training order, produced by CensorModel."""
+    """Per-target arrays in sorted training order, produced by CensorModel.
+
+    Ghat is constant on each censoring segment, so its log is kept once per
+    segment; cumlog and logG_train expand it to every training row.
+    """
 
     w: np.ndarray        # (c, n) kernel weights
-    cumlog: np.ndarray   # (c, n) cumulative log product-limit factors by index
-    logG_train: np.ndarray  # (c, n) log Ghat at each sorted training time; cumlog itself
+    w_event: np.ndarray  # (c, n) kernel weights on event rows, 0 on censored rows
+    seglog: np.ndarray   # (c, S + 1) log Ghat on each censoring segment
+    mass: np.ndarray     # (c, 2E) event weight of the two runs of each event segment
+    seg_of: np.ndarray   # (n,) censoring segment of each sorted training row
+
+    @property
+    def cumlog(self) -> np.ndarray:
+        """(c, n) log Ghat at each sorted training time."""
+        return self.seglog[:, self.seg_of]
+
+    logG_train = cumlog
 
 
 class CensorModel:
@@ -231,12 +244,35 @@ class CensorModel:
         cens_group = group[self.cens_rows]
         self.cens_seg = np.flatnonzero(np.diff(cens_group, prepend=-1) != 0)
         self.cens_starts = starts[cens_group[self.cens_seg]]
-        self.cens_span = np.diff(np.r_[0, self.cens_starts, self.n])  # cumlog repeats
+        self.cens_times = self.ys[self.cens_starts]
+        # censoring segment s: the rows from the s-th censored group start to
+        # the next (segment 0 may be empty); Ghat is constant on each
+        self.seg_of = np.searchsorted(self.cens_starts, np.arange(self.n), side="right")
 
         # distinct event times; ties merge into one grid point
         event_groups = np.unique(group[self.delta_s == 1.0])
         self.grid_first = starts[event_groups]
         self.grid_vals = self.ys[self.grid_first]
+
+        # event segments (segments with an event), in order: grid_ev maps each
+        # grid point to one, bnd_grid is the last grid point of each, and
+        # last_first the first row of its last event group
+        grid_seg = self.seg_of[self.grid_first]
+        last = np.diff(grid_seg, append=np.inf) != 0
+        self.grid_ev = np.cumsum(last) - last
+        self.bnd_grid = np.flatnonzero(last)
+        self.last_first = self.grid_first[last]
+        self.ev_seg = grid_seg[last]
+        self.ev_first = np.r_[0, self.cens_starts][self.ev_seg]
+        self.grid_start = np.r_[0, self.bnd_grid + 1][:-1]
+        # event rows by (event segment, last-group flag); censored rows are
+        # class 2E, whose coefficient is 0
+        ev_rows = np.flatnonzero(self.delta_s == 1.0)
+        ev_of = self.grid_ev[np.searchsorted(self.grid_first, ev_rows, side="right") - 1]
+        self.cls_of = np.full(self.n, 2 * self.ev_seg.size)
+        self.cls_of[ev_rows] = 2 * ev_of + (ev_rows >= self.last_first[ev_of])
+        self.ev_count = np.bincount(ev_of, minlength=self.ev_seg.size)
+        self.run_starts = np.column_stack([self.ev_first, self.last_first]).ravel()
 
     @property
     def bandwidth(self) -> np.ndarray:
@@ -249,23 +285,26 @@ class CensorModel:
         single product-limit factor 1 - (censored mass in group) / (at-risk
         mass), which reduces exactly to the unconditional Kaplan-Meier under
         uniform weights. Only groups with a censored row have a factor other
-        than 1, so only they get sums and logs (none: cumlog is all zeros).
-        cumlog is constant within a tie group, so it is also logG_train.
+        than 1, so log Ghat is one value per censoring segment (seglog; all
+        zeros without censored rows). mass sums the event weights of each
+        event segment over two runs, before and from its last event group;
+        an empty first run sums to 0.
         """
         targets = _conditioning_targets(z, d, self.conditioning)
         w = self.weigher.weights(targets)
-        if not self.cens_starts.size:
-            cumlog = np.zeros_like(w)
-            return KMTables(w=w, cumlog=cumlog, logG_train=cumlog)
-        between = np.add.reduceat(w, self.cens_starts, axis=1)  # from the first start on
-        risk_at_start = np.cumsum(between[:, ::-1], axis=1)[:, ::-1]
-        cens_group = np.add.reduceat(w[:, self.cens_rows], self.cens_seg, axis=1)
-        frac = cens_group / np.maximum(risk_at_start, 1e-300)
-        with np.errstate(divide="ignore"):
-            logf_group = np.log1p(-np.minimum(frac, 1.0))
-        cum = np.cumsum(np.maximum(logf_group, _LOG_TINY), axis=1)
-        cumlog = np.repeat(np.column_stack([np.zeros(len(w)), cum]), self.cens_span, axis=1)
-        return KMTables(w=w, cumlog=cumlog, logG_train=cumlog)
+        seglog = np.zeros((len(w), self.cens_starts.size + 1))
+        if self.cens_starts.size:
+            between = np.add.reduceat(w, self.cens_starts, axis=1)  # from the first start on
+            risk_at_start = np.cumsum(between[:, ::-1], axis=1)[:, ::-1]
+            cens_group = np.add.reduceat(w[:, self.cens_rows], self.cens_seg, axis=1)
+            frac = cens_group / np.maximum(risk_at_start, 1e-300)
+            with np.errstate(divide="ignore"):
+                logf_group = np.log1p(-np.minimum(frac, 1.0))
+            np.cumsum(np.maximum(logf_group, _LOG_TINY), axis=1, out=seglog[:, 1:])
+        w_event = w * self.delta_s
+        mass = np.add.reduceat(w_event, self.run_starts, axis=1)
+        mass[:, 0::2] *= self.ev_first < self.last_first
+        return KMTables(w=w, w_event=w_event, seglog=seglog, mass=mass, seg_of=self.seg_of)
 
     def _eval_logG(self, tables: KMTables, yq: np.ndarray) -> np.ndarray:
         """log Ghat at query times, from the first table row."""
@@ -289,7 +328,7 @@ class CondMoment:
     Evaluations are affine in beta: the intercept and slope parts of g are
     averaged with identical weights. When the weighted risk set at u is
     empty, the value at the largest u with a nonzero denominator is carried
-    forward and a flag is raised.
+    forward.
     """
 
     def __init__(self, censor: CensorModel, g_a: np.ndarray, g_b: np.ndarray):
@@ -299,7 +338,6 @@ class CondMoment:
         self.a = g_a[censor.order]
         self.b = g_b[censor.order]
         self.m = g_a.shape[1]
-        self.empty_risk_sets = 0
 
     def _omega(self, tables: KMTables) -> np.ndarray:
         G = np.maximum(np.exp(tables.logG_train), self.censor.cfg.trunc_eps)
@@ -313,7 +351,6 @@ class CondMoment:
         den = omega[j0:].sum()
         if den <= 0.0:
             # carry forward from the largest u with weighted mass
-            self.empty_risk_sets += 1
             nz = np.flatnonzero(omega > 0)
             if nz.size == 0:
                 return np.zeros(self.m), np.zeros(self.m)

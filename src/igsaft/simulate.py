@@ -184,21 +184,25 @@ def calibrate_censoring(cfg: SimConfig, pilot_sets: int = 25, pilot_n: int = 400
     T = np.concatenate(ts)
     width = width_sd * float(T.std())
     ugen = rng_stream(cfg.seed, _PILOT_STREAM, 999_983)
-    U = ugen.random(T.size)
-
-    def cr(tau1):
-        return float(np.mean(T > tau1 + width * U)) - cfg.target_cr
-
+    # passed as brentq's args, not closed over: brentq's wrapper of the
+    # function refers to itself, so what the function holds waits for a
+    # full garbage-collection pass
+    args = (T, ugen.random(T.size), width, cfg.target_cr)
     lo = float(T.min()) - width - 1.0
     hi = float(T.max()) + 1.0
-    if cr(lo) < 0 or cr(hi) > 0:
+    if _pilot_gap(lo, *args) < 0 or _pilot_gap(hi, *args) > 0:
         raise CalibrationError("target censoring rate cannot be bracketed")
-    tau1 = brentq(cr, lo, hi, xtol=1e-10)
+    tau1 = brentq(_pilot_gap, lo, hi, args=args, xtol=1e-10)
     # brentq gives a sign change point of the step function; accept if within band
-    if abs(cr(tau1)) > 0.005:
-        raise CalibrationError(
-            f"pilot censoring rate misses target by {abs(cr(tau1)):.4f} > 0.005")
+    gap = abs(_pilot_gap(tau1, *args))
+    if gap > 0.005:
+        raise CalibrationError(f"pilot censoring rate misses target by {gap:.4f} > 0.005")
     return float(tau1), float(tau1 + width)
+
+
+def _pilot_gap(tau1, T, U, width, target):
+    """Share of pilot times T censored by tau1 + width * U, minus the target."""
+    return float(np.mean(T > tau1 + width * U)) - target
 
 
 def generate(cfg: SimConfig, rep: int, taus: tuple[float, float] | None = None

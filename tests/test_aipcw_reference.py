@@ -1,0 +1,243 @@
+"""The segment-table AIPCW transform against a dense reference.
+
+`dense_transform` computes the same map densely: it builds omega, the
+suffix sums and a (chunk, K + 1) table indexed by event grid rank over every
+(evaluation, training) pair, and reads Ghat from the expanded `cumlog`. The
+designs below reach every branch of the segment form: ties, zero kernel
+weights, heavy clipping, empty risk sets, marginal conditioning, an
+uncensored training fold, and a hand-made fold with an empty first segment,
+a tie group holding censored and event rows, and a segment without events.
+"""
+
+import numpy as np
+import pytest
+
+from igsaft import moments
+from igsaft.data import Dataset
+from igsaft.interactions import MomentSpec
+from igsaft.moments import TransformStats, aipcw_transform, build_moment_matrix
+from igsaft.nuisance import CensorModel, CondMoment, KernelConfig, fit_all
+from igsaft.pipeline import _fold_assignment
+from igsaft.simulate import SimConfig, generate
+
+
+def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
+    """Shared per-chunk quantities for the AIPCW weight assembly."""
+    cm = cond.censor
+    eps = cm.cfg.trunc_eps
+    stats = TransformStats()
+
+    G_train_raw = np.exp(tables.logG_train)
+    G_train = np.maximum(G_train_raw, eps)
+    omega = tables.w * cm.delta_s[None, :] / G_train
+    stats.clip_count += int(((G_train_raw < eps) & (cm.delta_s[None, :] == 1.0)
+                             & (tables.w > 0)).sum())
+
+    suffix = np.cumsum(omega[:, ::-1], axis=1)[:, ::-1]
+    S_total = suffix[:, 0]
+
+    K = cm.grid_vals.size
+    S_grid = suffix[:, cm.grid_first]
+    logG_grid = tables.cumlog[:, cm.grid_first]
+    G_grid_raw = np.exp(logG_grid)
+    G_grid = np.maximum(G_grid_raw, eps)
+
+    T = np.searchsorted(cm.grid_vals, y_eval, side="right")
+    last_valid = (S_grid > 0).sum(axis=1)  # S_grid is nonincreasing along the grid
+    T_eff = np.minimum(T, last_valid)
+    stats.empty_risk_sets += int((T_eff < T).sum() + (S_total <= 0).sum())
+    used = np.arange(K)[None, :] < T_eff[:, None]
+    stats.clip_count += int(((G_grid_raw < eps) & used).sum())
+
+    # Ghat at the evaluation row's own time
+    pos = np.searchsorted(cm.ys, y_eval, side="right") - 1
+    logGy = np.where(pos >= 0, tables.cumlog[np.arange(len(y_eval)), np.maximum(pos, 0)], 0.0)
+    Gy_raw = np.exp(logGy)
+    Gy = np.maximum(Gy_raw, eps)
+    stats.clip_count += int(((Gy_raw < eps) & (delta_eval == 1)).sum())
+    ipcw = delta_eval / Gy
+
+    return omega, S_total, S_grid, G_grid, T_eff, ipcw, stats
+
+
+def dense_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
+                    cond: CondMoment, chunk: int = 32):
+    cm = cond.censor
+    n_eval = len(eval_y)
+    m = ge_a.shape[1]
+    psi_a = np.empty((n_eval, m))
+    psi_b = np.empty((n_eval, m))
+    stats = TransformStats()
+    K = cm.grid_vals.size
+    # rank of each training time on the event grid: #events <= Y_j
+    rank_tr = np.searchsorted(cm.grid_vals, cm.ys, side="right") if K else None
+
+    for start in range(0, n_eval, chunk):
+        sl = slice(start, min(start + chunk, n_eval))
+        y_c = eval_y[sl]
+        delta_c = eval_delta[sl].astype(float)
+        tables = cm.tables(eval_z[sl], eval_d[sl])
+        omega, S_total, S_grid, G_grid, T_eff, ipcw, st = _grid_tables(
+            cond, tables, y_c, delta_c)
+        stats.merge(st)
+        c = len(y_c)
+        ok = S_total > 0  # rows without weighted events degenerate to the IPCW term
+
+        if K:
+            invG = 1.0 / G_grid
+            valid = np.arange(K)[None, :] < T_eff[:, None]
+            wgt = invG * valid
+            d0 = wgt.copy()
+            d0[:, :-1] -= wgt[:, 1:]
+            e = d0 / np.where(S_grid > 0, S_grid, 1.0)
+            table = np.zeros((c, K + 1))  # column r: coefficient at rank r
+            np.cumsum(e, axis=1, out=table[:, 1:])  # integral term
+
+            has_grid = T_eff >= 1
+            invS_tot = np.where(ok, 1.0 / np.where(ok, S_total, 1.0), 0.0)
+            c1 = np.where(has_grid, invG[:, 0], 0.0)   # Abel correction only with a nonempty sum
+            coef_inf = invS_tot * (1.0 - c1)
+            t1 = np.maximum(T_eff, 1)
+            S_T = S_grid[np.arange(c), np.minimum(t1, K) - 1]
+            invS_T = np.where(S_T > 0, 1.0 / np.where(S_T > 0, S_T, 1.0), 0.0)
+            # -ipcw * xi at floor(Y), on ranks with I(Y_j >= u_{t1})
+            table -= (ipcw * invS_T)[:, None] * (np.arange(K + 1) >= t1[:, None])
+            table += coef_inf[:, None]
+            table[~ok] = 0.0
+            W = omega * table[:, rank_tr]
+        else:
+            W = np.zeros((c, cm.n))
+
+        psi_a[sl] = ipcw[:, None] * ge_a[sl] + W @ cond.a
+        psi_b[sl] = ipcw[:, None] * ge_b[sl] + W @ cond.b
+    return psi_a, psi_b, stats
+
+
+def assert_close_to_reference(got, ref):
+    for x, r in zip(got, ref):
+        scale = np.abs(r).max(axis=0)
+        assert np.all(np.abs(x - r) <= 1e-12 * scale)
+
+
+def both_moment_matrices(ds, kc, monkeypatch):
+    """build_moment_matrix with the segment transform, then with the dense one."""
+    spec = MomentSpec.full(ds.p, 2)
+    assign = _fold_assignment(ds.n, 0)
+    nuis = {}
+    for lab in (0, 1):
+        aux = np.flatnonzero(assign == 1 - lab)
+        nuis[lab] = fit_all(ds.subset(aux), spec, kc, training_ids=aux)
+    M = build_moment_matrix(ds, assign, nuis, spec)
+    monkeypatch.setattr(moments, "aipcw_transform", dense_transform)
+    return M, build_moment_matrix(ds, assign, nuis, spec), assign
+
+
+def simulated(n=400, p=4, cr=0.3, seed=3):
+    ds, _ = generate(SimConfig(case=1, n=n, p=p, target_cr=cr, reps=1, seed=seed), 0,
+                     taus=(-2.0, 15.0))
+    return ds
+
+
+def rounded(ds, step):
+    return Dataset(ds.z, ds.d, np.round(ds.y / step) * step, ds.delta)
+
+
+DESIGNS = {
+    "ties_0.1": (lambda: rounded(simulated(), 0.1), KernelConfig(), None),
+    "ties_0.25": (lambda: rounded(simulated(seed=4), 0.25),
+                  KernelConfig(km_conditioning="d_only"), None),
+    "zero_weights": (simulated, KernelConfig(km_conditioning="d_only", fixed_h=0.02),
+                     "zero_weights"),
+    "clip_0.2": (simulated, KernelConfig(trunc_eps=0.2), "clip"),
+    "clip_0.3": (lambda: rounded(simulated(seed=5), 0.1),
+                 KernelConfig(trunc_eps=0.3, km_conditioning="d_only"), "clip"),
+    "uniform": (simulated, KernelConfig(kernel="uniform", fixed_h=0.3), "empty"),
+    "epanechnikov": (lambda: simulated(p=2), KernelConfig(kernel="epanechnikov", fixed_h=0.3),
+                     "empty"),
+    "marginal": (lambda: rounded(simulated(), 0.1), KernelConfig(km_conditioning="marginal"),
+                 None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_segment_transform_matches_dense_reference(name, monkeypatch):
+    make, kc, branch = DESIGNS[name]
+    ds = make()
+    M, M_ref, assign = both_moment_matrices(ds, kc, monkeypatch)
+    assert_close_to_reference((M.A, M.B), (M_ref.A, M_ref.B))
+    assert M.stats == M_ref.stats
+    if branch == "clip":
+        assert M.stats.clip_count > 0
+    if branch == "empty":
+        assert M.stats.empty_risk_sets > 0
+    if branch == "zero_weights":
+        cm = fit_all(ds.subset(np.flatnonzero(assign == 1)), M.spec, kc).censor_model
+        assert (cm.tables(ds.z[:50], ds.d[:50]).w == 0).any()
+
+
+def test_uncensored_training_fold_with_censored_evaluation_rows(monkeypatch):
+    ds = simulated()
+    assign = _fold_assignment(ds.n, 0)
+    delta = np.where(assign == 1, 1, ds.delta)  # fold 1 trains fold 0's nuisances
+    ds = Dataset(ds.z, ds.d, ds.y, delta)
+    assert (ds.delta[assign == 0] == 0).any()
+    M, M_ref, _ = both_moment_matrices(ds, KernelConfig(), monkeypatch)
+    assert_close_to_reference((M.A, M.B), (M_ref.A, M_ref.B))
+    assert M.stats == M_ref.stats
+
+
+# Hand-made fold, in time order: a censored row at the smallest time (segment
+# 0 is empty), a tie group at 2.0 with censored and event rows, and censored
+# groups at 3.0 and 3.5 next to each other (the segment from 3.0 has no events).
+HAND_Y = np.array([0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.0, 2.5, 3.0, 3.5, 4.0, 4.0, 4.5, 5.0, 5.5])
+HAND_DELTA = np.array([0, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1])
+
+
+def hand_model(kc=KernelConfig(km_conditioning="full", fixed_h=0.8)):
+    rng = np.random.default_rng(30)
+    perm = rng.permutation(HAND_Y.size)  # CensorModel sorts the rows itself
+    ds = Dataset(rng.normal(size=(HAND_Y.size, 2)), rng.normal(size=HAND_Y.size),
+                 HAND_Y[perm], HAND_DELTA[perm])
+    return ds, CensorModel(ds, kc)
+
+
+@pytest.mark.parametrize("kc", [KernelConfig(km_conditioning="full", fixed_h=0.8),
+                                KernelConfig(km_conditioning="full", fixed_h=0.8,
+                                             trunc_eps=0.5),
+                                KernelConfig(km_conditioning="marginal")])
+def test_hand_made_fold_matches_dense_reference(kc):
+    ds, cm = hand_model(kc)
+    rng = np.random.default_rng(31)
+    cond = CondMoment(cm, rng.normal(size=(ds.n, 3)), rng.normal(size=(ds.n, 3)))
+    y_eval = np.repeat(np.arange(0.0, 6.01, 0.25), 2)
+    n_eval = y_eval.size
+    args = (rng.normal(size=(n_eval, 2)), rng.normal(size=n_eval), y_eval,
+            np.tile([1, 0], n_eval // 2), rng.normal(size=(n_eval, 3)),
+            rng.normal(size=(n_eval, 3)), cond)
+    *got, st = aipcw_transform(*args, chunk=7)
+    *ref, st_ref = dense_transform(*args, chunk=7)
+    assert_close_to_reference(got, ref)
+    assert st == st_ref
+
+
+def test_segment_metadata_matches_brute_force():
+    _, cm = hand_model()
+    ys, dl, n = cm.ys, cm.delta_s, cm.n
+    group_start = [min(i for i in range(n) if ys[i] == ys[j]) for j in range(n)]
+    cens_starts = sorted({group_start[j] for j in range(n) if dl[j] == 0})
+    seg_of = [sum(s <= j for s in cens_starts) for j in range(n)]
+    event_segs = sorted({seg_of[j] for j in range(n) if dl[j] == 1})
+    last_group = {s: max(group_start[j] for j in range(n) if dl[j] == 1 and seg_of[j] == s)
+                  for s in event_segs}
+    cls_of = [2 * event_segs.index(seg_of[j]) + (group_start[j] == last_group[seg_of[j]])
+              if dl[j] == 1 else 2 * len(event_segs) for j in range(n)]
+    grid_first = sorted({group_start[j] for j in range(n) if dl[j] == 1})
+
+    assert list(cm.seg_of) == seg_of == [1, 1, 1, 1, 2, 2, 2, 2, 3, 4, 4, 4, 4, 5, 5]
+    assert list(cm.ev_seg) == event_segs == [1, 2, 4, 5]
+    assert list(cm.last_first) == [last_group[s] for s in event_segs] == [3, 7, 12, 14]
+    assert list(cm.bnd_grid) == [grid_first.index(last_group[s]) for s in event_segs]
+    assert list(cm.cls_of) == cls_of
+    assert sorted(cm.cls_of) == [0, 0, 1, 2, 3, 4, 4, 5, 7, 8, 8, 8, 8, 8, 8]
+    assert list(cm.grid_first) == grid_first
+

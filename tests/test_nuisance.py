@@ -266,8 +266,8 @@ def test_cond_moment_carry_forward_flag():
     cm = CensorModel(ds, KernelConfig(km_conditioning="marginal"))
     cond = CondMoment(cm, np.arange(3.0)[:, None], np.zeros((3, 1)))
     a_last, _ = cond.evaluate(2.0, np.array([0.0]), 0.0)  # risk set = {2.0-event}
-    a_beyond, _ = cond.evaluate(10.0, np.array([0.0]), 0.0)
-    assert cond.empty_risk_sets == 1
+    a_beyond, _ = cond.evaluate(10.0, np.array([0.0]), 0.0)  # empty risk set
+    np.testing.assert_allclose(a_last, [1.0])
     np.testing.assert_allclose(a_beyond, a_last)
 
 
