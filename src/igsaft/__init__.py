@@ -6,7 +6,7 @@ screened), cross-fit the censoring nuisances, and estimate the log-time
 effect by generalized empirical likelihood with weak-moment-aware inference.
 """
 
-from .data import ColumnConfig, Dataset, Finding, Observation, load_csv, validate, write_csv
+from .data import ColumnConfig, Dataset, Observation, load_csv, write_csv
 from .diagnostics import TestResult, overid_test, relevance_f_test
 from .gel import GelFit, fit_gel, inner_lambda, minimize_beta, rho, variance
 from .interactions import (InteractionIndex, MomentSpec, build_Vk, enumerate_subsets,
@@ -23,7 +23,7 @@ from .simulate import (McSummary, SimConfig, TruthRecord, aft_benchmark,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMoment", "CensorModel", "ColumnConfig", "Dataset", "Finding", "FitConfig",
+    "AffineMoment", "CensorModel", "ColumnConfig", "Dataset", "FitConfig",
     "FitReport", "GelFit", "InteractionIndex", "KernelConfig", "McSummary", "MomentMatrix",
     "MomentSpec", "NuisanceFit", "Observation", "PartialFit", "ScreenResult", "SimConfig",
     "TestResult", "TruthRecord", "aft_benchmark", "build_Vk", "build_moment_matrix",
@@ -31,5 +31,5 @@ __all__ = [
     "fit_all", "fit_families", "fit_gel", "fit_igsaft", "fit_partials", "generate",
     "inner_lambda", "interaction_count", "kernel_weights", "load_csv", "mean_and_cov",
     "minimize_beta", "overid_test", "relevance_f_test", "rho", "run_monte_carlo",
-    "screen_interactions", "validate", "variance", "write_csv",
+    "screen_interactions", "variance", "write_csv",
 ]

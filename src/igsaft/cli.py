@@ -1,5 +1,7 @@
 """Command-line surface: fit, simulate, diagnose.
 
+The censoring model always uses a Gaussian product kernel; --bandwidth,
+--trunc-eps and --km-conditioning set its bandwidth, clip and coordinates.
 Exit codes: 0 success, 1 schema or usage problems, 2 estimation failures.
 Every run writes a manifest sufficient for exact replay; config precedence
 is flags > config file > defaults.
@@ -106,8 +108,7 @@ def _manifest(command: str, cfg: dict, started: float, input_path=None) -> dict:
 
 
 def _kernel_config(cfg: dict) -> KernelConfig:
-    return KernelConfig(kernel=cfg.get("kernel", "gaussian"),
-                        fixed_h=cfg.get("bandwidth"),
+    return KernelConfig(fixed_h=cfg.get("bandwidth"),
                         trunc_eps=cfg.get("trunc_eps", 0.01),
                         km_conditioning=cfg.get("km_conditioning", "auto"))
 
@@ -232,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gel", choices=("el", "et", "cue"))
         p.add_argument("--alpha", type=float)
         p.add_argument("--q", type=int)
-        p.add_argument("--kernel", choices=("gaussian", "uniform", "epanechnikov"))
         p.add_argument("--bandwidth", type=float)
         p.add_argument("--trunc-eps", dest="trunc_eps", type=float)
         p.add_argument("--km-conditioning", dest="km_conditioning",

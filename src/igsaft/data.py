@@ -1,4 +1,4 @@
-"""Dataset representation, validation and CSV ingestion.
+"""Dataset representation and CSV ingestion.
 
 Internally the outcome is always on the log-time scale; raw event times are
 transformed once at the load boundary.
@@ -76,10 +76,6 @@ class Dataset:
     def p(self) -> int:
         return self.z.shape[1]
 
-    @property
-    def censoring_rate(self) -> float:
-        return float(1.0 - self.delta.mean())
-
     def observation(self, i: int) -> Observation:
         return Observation(z=self.z[i].copy(), d=float(self.d[i]), y=float(self.y[i]),
                            delta=int(self.delta[i]))
@@ -87,21 +83,6 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         return Dataset(self.z[idx], self.d[idx], self.y[idx], self.delta[idx])
-
-    @classmethod
-    def from_observations(cls, observations) -> "Dataset":
-        obs = list(observations)
-        if not obs:
-            raise ValueError("empty observation list")
-        p = obs[0].z.shape[0]
-        if any(o.z.shape[0] != p for o in obs):
-            raise ValueError("observations disagree on instrument dimension")
-        return cls(
-            np.stack([o.z for o in obs]),
-            np.array([o.d for o in obs]),
-            np.array([o.y for o in obs]),
-            np.array([o.delta for o in obs]),
-        )
 
     def __eq__(self, other):
         return (
@@ -131,17 +112,8 @@ class ColumnConfig:
             raise SchemaError("at least one instrument column required")
 
 
-@dataclass(frozen=True)
-class Finding:
-    """Advisory item produced by validate()."""
-
-    kind: str
-    message: str
-    value: object = None
-
-
 def load_csv(path, config: ColumnConfig) -> Dataset:
-    """Read a comma-separated file into a validated Dataset.
+    """Read a comma-separated file into a checked Dataset.
 
     Rows with a missing value in any required column are dropped with a
     warning. Raw times must be strictly positive; status must be 0 or 1.
@@ -214,38 +186,3 @@ def write_csv(path, dataset: Dataset, config: ColumnConfig) -> None:
             t = math.exp(dataset.y[i]) if config.time_scale == "raw" else dataset.y[i]
             writer.writerow([repr(float(t)), int(dataset.delta[i]), repr(float(dataset.d[i])),
                              *(repr(float(v)) for v in dataset.z[i])])
-
-
-def validate(dataset: Dataset, corr_threshold: float = 0.2) -> list[Finding]:
-    """Advisory checks: censoring rate, constant columns, duplicate event
-    times, and instrument-pair correlations above corr_threshold."""
-    findings = [Finding("censoring_rate", f"censoring rate {dataset.censoring_rate:.4f}",
-                        dataset.censoring_rate)]
-    for j in range(dataset.p):
-        if np.ptp(dataset.z[:, j]) == 0.0:
-            findings.append(Finding("constant_column", f"instrument {j + 1} is constant", j + 1))
-    if np.ptp(dataset.d) == 0.0:
-        findings.append(Finding("constant_column", "exposure is constant", "d"))
-
-    event_times = dataset.y[dataset.delta == 1]
-    n_dup = event_times.size - np.unique(event_times).size
-    if n_dup:
-        findings.append(Finding("duplicate_event_times",
-                                f"{n_dup} duplicated event time(s)", n_dup))
-
-    # Pairwise correlations bear on the mutual-independence requirement.
-    sd = dataset.z.std(axis=0)
-    ok = sd > 0
-    if ok.sum() >= 2:
-        zc = (dataset.z[:, ok] - dataset.z[:, ok].mean(axis=0)) / sd[ok]
-        corr = zc.T @ zc / dataset.n
-        cols = np.flatnonzero(ok)
-        for a in range(len(cols)):
-            for b in range(a + 1, len(cols)):
-                if abs(corr[a, b]) > corr_threshold:
-                    pair = (int(cols[a]) + 1, int(cols[b]) + 1)
-                    findings.append(Finding(
-                        "instrument_correlation",
-                        f"instruments {pair[0]} and {pair[1]} correlate at {corr[a, b]:.3f}",
-                        pair))
-    return findings

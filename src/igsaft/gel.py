@@ -41,6 +41,8 @@ _EL_GUARD = 1e-6
 _GRID_POINTS = 41  # coarse grid of the outer beta search
 _NEWTON_TOL = 1e-9  # relative step that ends the outer Newton search
 _NEWTON_MAX_ITER = 100
+_INNER_TOL = 1e-9  # gradient norm that ends an inner solve
+_INNER_MAX_ITER = 100
 
 
 def rho(v, family: str):
@@ -119,8 +121,7 @@ def _solve_spd(Hneg, g, jitter_scale):
 
 
 def inner_lambda(M: MomentMatrix, beta: float, family: str,
-                 lam0: np.ndarray | None = None, tol: float = 1e-9,
-                 max_iter: int = 100, cap: float = math.inf):
+                 lam0: np.ndarray | None = None, cap: float = math.inf):
     """Maximize the inner tilting problem at fixed beta.
 
     Returns (lambda, Q, converged). Newton with a backtracking line search
@@ -148,10 +149,10 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
         val, d1, d2 = rho(v, family)
         P = float(val.mean())
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_INNER_MAX_ITER):
         grad = u.T @ d1 / n
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < tol:
+        if gnorm < _INNER_TOL:
             converged = True
             break
         if P > cap:

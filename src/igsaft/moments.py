@@ -38,6 +38,11 @@ from .errors import IllPosedError
 from .interactions import MomentSpec, build_Vk, eval_centered, vk_width
 from .nuisance import CondMoment, NuisanceFit, fold_g_values
 
+# A weighted risk-set mass S at or below this counts as an empty risk set.
+# Above it, 1/S times two factors 1/trunc_eps stays finite for trunc_eps
+# down to 1e-7; a subnormal S would make 1/S infinite.
+_MASS_FLOOR = 1e-290
+
 
 @dataclass(frozen=True)
 class AffineMoment:
@@ -134,19 +139,22 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         # S, the weighted event mass from a row on, at every run start
         suf = np.cumsum((t.mass * np.repeat(invG, 2, axis=1))[:, ::-1], axis=1)[:, ::-1]
         S_total, S_last = suf[:, 0], suf[:, 1::2]
-        ok = S_total > 0  # else every event weight and so W is 0: the IPCW term alone
+        ok = S_total > _MASS_FLOOR  # else W is 0: the IPCW term alone
 
-        # S > 0 at a grid point iff an event row on or after it has w > 0
-        # (G >= trunc_eps), so only zero weights cut the usable grid short
-        last_valid = np.full(len(rows), K)
+        # event rows with w > 0, for the clip count
         live_ev = np.tile(cm.ev_count, (len(rows), 1))
         zero = np.flatnonzero(t.w.min(axis=1) == 0.0)
         if zero.size:
-            live = t.w_event[zero] > 0
-            live_ev[zero] = np.add.reduceat(live, cm.ev_first, axis=1)
-            j_last = n - 1 - live[:, ::-1].argmax(axis=1)
-            rank = np.searchsorted(cm.grid_first, j_last, side="right")
-            last_valid[zero] = rank * live.any(axis=1)
+            live_ev[zero] = np.add.reduceat(t.w_event[zero] > 0, cm.ev_first, axis=1)
+        # S is nonincreasing along the grid, so the usable grid is cut short
+        # only in rows whose last grid point holds at most _MASS_FLOOR
+        last_valid = np.full(len(rows), K)
+        cut = np.flatnonzero(S_last[:, -1] <= _MASS_FLOOR)
+        if cut.size:
+            seg = np.minimum(cm.cls_of // 2, E - 1)  # event segment of each event row
+            omega = t.w_event[cut] * invG[cut][:, seg]
+            S_grid = np.cumsum(omega[:, ::-1], axis=1)[:, ::-1][:, cm.grid_first]
+            last_valid[cut] = (S_grid > _MASS_FLOOR).sum(axis=1)
         T = np.searchsorted(cm.grid_vals, y_c, side="right")
         T_eff = np.minimum(T, last_valid)
         stats.empty_risk_sets += int((T_eff < T).sum() + (~ok).sum())
@@ -162,7 +170,8 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         mid = np.flatnonzero(has_grid & (J0 < cm.last_first[k0]))
         ends = np.column_stack([J0[mid], cm.last_first[k0[mid]]]) + n * mid[:, None]
         S_T[mid] += np.add.reduceat(t.w_event.ravel(), ends.ravel())[::2] * invG[mid, k0[mid]]
-        invS_T = np.where(S_T > 0, 1.0 / np.where(S_T > 0, S_T, 1.0), 0.0)
+        live_T = has_grid | ok  # S_T > _MASS_FLOOR: T_eff <= last_valid, or S_T is S_total
+        invS_T = np.where(live_T, 1.0 / np.where(live_T, S_T, 1.0), 0.0)
         invS_tot = np.where(ok, 1.0 / np.where(ok, S_total, 1.0), 0.0)
         # Abel correction only with a nonempty sum
         coef_inf = invS_tot * (1.0 - np.where(has_grid, invG[:, 0], 0.0))
@@ -192,7 +201,8 @@ def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMom
 
     ipcw * (g - xi(Y)) + xi(-inf) + sum_{u_t <= Y} dxi(u_t) / Ghat(u_t),
     with u_t the training fold's distinct event times, xi carried forward
-    across empty weighted risk sets, and xi(Y) read at the largest u_t <= Y.
+    across empty weighted risk sets (mass at most _MASS_FLOOR), and xi(Y)
+    read at the largest u_t <= Y.
     """
     g = eval_g(obs, nuis, spec)
     cm = nuis.censor_model
@@ -204,7 +214,7 @@ def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMom
         return g
 
     tables = cm.tables(obs.z[None, :], [obs.d])
-    G_train = np.maximum(np.exp(tables.logG_train[0]), eps)
+    G_train = np.maximum(np.exp(tables.cumlog[0]), eps)
     omega = tables.w[0] * cm.delta_s / G_train
     suffix = np.cumsum(omega[::-1])[::-1]
     S_total = suffix[0]
@@ -212,8 +222,8 @@ def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMom
     Gy = float(np.maximum(np.exp(cm._eval_logG(tables, np.array([obs.y]))[0]), eps))
     ipcw = obs.delta / Gy
 
-    K = cm.grid_vals.size
-    if K == 0 or S_total <= 0:
+    K = cm.grid_vals.size  # Dataset holds K >= 1 events
+    if S_total <= _MASS_FLOOR:
         return AffineMoment(a=ipcw * g.a, b=ipcw * g.b)
 
     num_rev_a = np.cumsum((omega[:, None] * cond.a)[::-1], axis=0)[::-1]
@@ -228,7 +238,7 @@ def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMom
     xi_b = np.empty((K, spec.m))
     prev_a, prev_b = xi_inf_a, xi_inf_b
     for t in range(K):
-        if S_grid[t] > 0:
+        if S_grid[t] > _MASS_FLOOR:
             prev_a = num_a[t] / S_grid[t]
             prev_b = num_b[t] / S_grid[t]
         xi_a[t] = prev_a
@@ -270,8 +280,6 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
         overlap = np.intersect1d(nuis.training_ids, idx)
         if overlap.size:
             raise ValueError(f"fold {label}: nuisance fit was trained on evaluation rows")
-        if nuis.fold.delta.sum() == 0:
-            raise IllPosedError(f"training fold for {label} has no observed events")
         eval_fold = dataset.subset(idx)
         ge_a, ge_b = fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec)
         pa, pb, st = aipcw_transform(eval_fold.z, eval_fold.d, eval_fold.y,

@@ -23,25 +23,22 @@ _LOG_TINY = -745.0  # below this exp() underflows to 0
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel smoothing settings for the censoring model.
+    """Kernel smoothing settings for the censoring model, which weighs
+    training rows by a Gaussian product kernel.
 
-    kernel           'gaussian', 'uniform' or 'epanechnikov' product kernel
     fixed_h          bandwidth on the standardized coordinates, > 0; None
                      uses Silverman's rule 1.06 n^(-1/(4 + dim))
     trunc_eps        lower clip of the censoring survival, in (0, 1)
     km_conditioning  coordinates the local Kaplan-Meier smooths over: 'auto'
                      resolves to 'd_only' when p > 5 and 'full' otherwise;
-                     'marginal' drops conditioning entirely (uniform weights)
+                     'marginal' drops conditioning entirely (every weight 1/n)
     """
 
-    kernel: str = "gaussian"
     fixed_h: float | None = None
     trunc_eps: float = 0.01
     km_conditioning: str = "auto"
 
     def __post_init__(self):
-        if self.kernel not in ("gaussian", "uniform", "epanechnikov"):
-            raise DomainError(f"unknown kernel {self.kernel!r}")
         if self.fixed_h is not None and not self.fixed_h > 0:
             raise DomainError(f"fixed bandwidth must be > 0, got {self.fixed_h}")
         if not 0 < self.trunc_eps < 1:
@@ -105,72 +102,36 @@ def fit_partials(fold: Dataset, k: int) -> PartialFit:
 
 
 class _KernelWeigher:
-    """Product kernel over standardized conditioning coordinates.
+    """Gaussian product kernel over standardized conditioning coordinates.
 
-    Both bandwidth rules give every coordinate the same h, so the Gaussian
-    log-kernel -|t - x|^2 / 2h^2 is t'x / h^2 - |x|^2 / 2h^2 plus a per-row
-    constant that normalization removes: one (c, dim) x (dim, n) product,
-    with |x|^2 / 2h^2 computed once. A Gaussian row is never empty. The
-    uniform and Epanechnikov kernels keep the (c, n, dim) difference path,
-    whose window widens when a row has no training point inside it.
+    Both bandwidth rules give every coordinate the same h, so the log-kernel
+    -|t - x|^2 / 2h^2 is t'x / h^2 - |x|^2 / 2h^2 plus a per-row constant
+    that normalization removes: one (c, dim) x (dim, n) product, with
+    |x|^2 / 2h^2 computed once. Without conditioning coordinates (dim 0)
+    every weight is 1/n.
     """
 
     def __init__(self, X: np.ndarray, cfg: KernelConfig):
-        self.cfg = cfg
         self.n, self.dim = X.shape
         if self.dim:
             self.mean = X.mean(axis=0)
             sd = X.std(axis=0)
             self.sd = np.where(sd > 0, sd, 1.0)
-            self.Xs = (X - self.mean) / self.sd
             # standardized coordinates have unit scale
             h = 1.06 * self.n ** (-1.0 / (4 + self.dim)) if cfg.fixed_h is None else cfg.fixed_h
             self.h = np.full(self.dim, float(h))
-            if cfg.kernel == "gaussian":
-                self.Xh = self.Xs / self.h
-                self.half_sq = 0.5 * (self.Xh * self.Xh).sum(axis=1)
+            self.Xh = (X - self.mean) / self.sd / self.h
+            self.half_sq = 0.5 * (self.Xh * self.Xh).sum(axis=1)
         else:
-            self.Xs = np.zeros((self.n, 0))
             self.h = np.zeros(0)
-
-    def _log_kernel(self, U: np.ndarray, widen: float) -> np.ndarray:
-        # U: (c, n, dim) standardized differences already divided by h
-        U = U / widen
-        if self.cfg.kernel == "uniform":
-            inside = (np.abs(U) <= 1.0).all(axis=2)
-            return np.where(inside, 0.0, -np.inf)
-        vals = 1.0 - U * U
-        ok = (vals > 0).all(axis=2)
-        with np.errstate(invalid="ignore"):
-            logs = np.where(ok[:, :, None], np.log(np.maximum(vals, 1e-300)), 0.0).sum(axis=2)
-        return np.where(ok, logs, -np.inf)
 
     def weights(self, targets: np.ndarray) -> np.ndarray:
         """Normalized weights (c, n); rows sum to 1."""
         c = targets.shape[0]
         if self.dim == 0:
             return np.full((c, self.n), 1.0 / self.n)
-        T = (targets - self.mean) / self.sd
-        if self.cfg.kernel == "gaussian":
-            w = (T / self.h) @ self.Xh.T - self.half_sq
-            np.exp(w - w.max(axis=1, keepdims=True), out=w)
-            return w / w.sum(axis=1, keepdims=True)
-        diff = (T[:, None, :] - self.Xs[None, :, :]) / self.h
-        widen = 1.0
-        for _ in range(6):
-            logk = self._log_kernel(diff, widen)
-            mx = logk.max(axis=1, keepdims=True)
-            dead = ~np.isfinite(mx[:, 0])
-            if not dead.any():
-                w = np.exp(logk - mx)
-                return w / w.sum(axis=1, keepdims=True)
-            if widen >= 1.5 ** 5:
-                break
-            widen *= 1.5
-        # rows with an empty window even after widening get uniform weights;
-        # their max is -inf, so subtract it from live rows only
-        mx[dead] = 0.0
-        w = np.where(dead[:, None], 1.0, np.exp(logk - mx))
+        w = ((targets - self.mean) / self.sd / self.h) @ self.Xh.T - self.half_sq
+        np.exp(w - w.max(axis=1, keepdims=True), out=w)
         return w / w.sum(axis=1, keepdims=True)
 
 
@@ -197,7 +158,7 @@ class KMTables:
     """Per-target arrays in sorted training order, produced by CensorModel.
 
     Ghat is constant on each censoring segment, so its log is kept once per
-    segment; cumlog and logG_train expand it to every training row.
+    segment; cumlog expands it to every training row.
     """
 
     w: np.ndarray        # (c, n) kernel weights
@@ -210,8 +171,6 @@ class KMTables:
     def cumlog(self) -> np.ndarray:
         """(c, n) log Ghat at each sorted training time."""
         return self.seglog[:, self.seg_of]
-
-    logG_train = cumlog
 
 
 class CensorModel:
@@ -284,7 +243,7 @@ class CensorModel:
         Tied censored observations are grouped: each tie group contributes a
         single product-limit factor 1 - (censored mass in group) / (at-risk
         mass), which reduces exactly to the unconditional Kaplan-Meier under
-        uniform weights. Only groups with a censored row have a factor other
+        equal weights. Only groups with a censored row have a factor other
         than 1, so log Ghat is one value per censoring segment (seglog; all
         zeros without censored rows). mass sums the event weights of each
         event segment over two runs, before and from its last event group;
@@ -340,7 +299,7 @@ class CondMoment:
         self.m = g_a.shape[1]
 
     def _omega(self, tables: KMTables) -> np.ndarray:
-        G = np.maximum(np.exp(tables.logG_train), self.censor.cfg.trunc_eps)
+        G = np.maximum(np.exp(tables.cumlog), self.censor.cfg.trunc_eps)
         return tables.w * self.censor.delta_s[None, :] / G
 
     def evaluate(self, u: float, z, d) -> tuple[np.ndarray, np.ndarray]:
@@ -359,9 +318,6 @@ class CondMoment:
         wa = omega[j0:] @ self.a[j0:]
         wb = omega[j0:] @ self.b[j0:]
         return wa / den, wb / den
-
-    def at_minus_inf(self, z, d) -> tuple[np.ndarray, np.ndarray]:
-        return self.evaluate(-np.inf, z, d)
 
 
 @dataclass

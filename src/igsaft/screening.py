@@ -19,6 +19,9 @@ from .data import Dataset
 from .errors import DomainError
 from .interactions import MomentSpec, eval_centered_matrix
 
+_CD_TOL = 1e-10  # largest scaled coordinate step that ends a sweep loop
+_CD_MAX_SWEEPS = 1000
+
 
 @dataclass(frozen=True)
 class ScreenResult:
@@ -36,7 +39,7 @@ class ScreenResult:
         }
 
 
-def _cd_lasso_gram(G, c, w_pen, n_unpen, lam, theta, tol=1e-10, max_sweeps=1000):
+def _cd_lasso_gram(G, c, w_pen, n_unpen, lam, theta):
     """Coordinate descent on the Gram system; objective
     (1/2n)||d - X theta||^2 + lam * sum_t w_t |theta_t| over penalized coords.
 
@@ -64,12 +67,12 @@ def _cd_lasso_gram(G, c, w_pen, n_unpen, lam, theta, tol=1e-10, max_sweeps=1000)
         return delta_max
 
     all_coords = range(m)
-    for _ in range(max_sweeps):
-        if sweep(all_coords) < tol:
+    for _ in range(_CD_MAX_SWEEPS):
+        if sweep(all_coords) < _CD_TOL:
             break
         active = [j for j in all_coords if j < n_unpen or theta[j] != 0.0]
-        for _ in range(max_sweeps):
-            if sweep(active) < tol:
+        for _ in range(_CD_MAX_SWEEPS):
+            if sweep(active) < _CD_TOL:
                 break
     return theta
 

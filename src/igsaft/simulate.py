@@ -26,6 +26,11 @@ _PILOT_STREAM = 101
 _REP_STREAM = 202
 _SUPPORT_STREAM = 303
 
+# censoring calibration: pilot draws, and the support's width in pilot SDs of T
+_PILOT_SETS = 25
+_PILOT_N = 4000
+_WIDTH_SD = 8.0
+
 # (eps, nu) noise: mean zero, variances 0.4, covariance 0.2
 _NOISE_COV = np.array([[0.4, 0.2], [0.2, 0.4]])
 _NOISE_CHOL = np.linalg.cholesky(_NOISE_COV)
@@ -163,9 +168,8 @@ def _draw_structural(cfg: SimConfig, gen, theta, phi, phi_pairs, pairs, n):
     return Z, D, T
 
 
-def calibrate_censoring(cfg: SimConfig, pilot_sets: int = 25, pilot_n: int = 4000,
-                        width_sd: float = 8.0) -> tuple[float, float]:
-    """Pick the uniform censoring support: width width_sd*SD(T) from a pilot,
+def calibrate_censoring(cfg: SimConfig) -> tuple[float, float]:
+    """Pick the uniform censoring support: width _WIDTH_SD * SD(T) from a pilot,
     then bisect the left endpoint until the pilot censoring rate hits the
     target within 0.005.
 
@@ -176,13 +180,13 @@ def calibrate_censoring(cfg: SimConfig, pilot_sets: int = 25, pilot_n: int = 400
     if not 0.0 < cfg.target_cr < 1.0:
         raise DomainError("calibration needs target_cr in (0, 1)")
     ts = []
-    for i in range(pilot_sets):
+    for i in range(_PILOT_SETS):
         gen = rng_stream(cfg.seed, _PILOT_STREAM, i)
         coeffs = _draw_coefficients(cfg, gen)
-        _, _, T = _draw_structural(cfg, gen, *coeffs, pilot_n)
+        _, _, T = _draw_structural(cfg, gen, *coeffs, _PILOT_N)
         ts.append(T)
     T = np.concatenate(ts)
-    width = width_sd * float(T.std())
+    width = _WIDTH_SD * float(T.std())
     ugen = rng_stream(cfg.seed, _PILOT_STREAM, 999_983)
     # passed as brentq's args, not closed over: brentq's wrapper of the
     # function refers to itself, so what the function holds waits for a
@@ -268,12 +272,6 @@ class McSummary:
             lines.append(f"{r.estimator.upper()},{r.bias_pct:.3f}%,{sd},"
                          f"{r.mean_se:.4f},{r.coverage:.3f}")
         return "\n".join(lines) + "\n"
-
-    def row(self, estimator: str) -> McRow:
-        for r in self.rows:
-            if r.estimator == estimator:
-                return r
-        raise KeyError(estimator)
 
 
 MC_ESTIMATORS = (*FAMILIES, "aft")

@@ -140,6 +140,16 @@ def test_nonpositive_bandwidth_exits_1(bandwidth, csv_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_kernel_is_not_an_option(csv_path, tmp_path, capsys):
+    # the censoring model has one kernel, so neither a flag nor a config key picks it
+    assert main(["fit", *data_args(csv_path), "--kernel", "uniform"]) == 1
+    assert "--kernel" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "gaussian"}))
+    assert main(["fit", *data_args(csv_path), "--config", str(cfg)]) == 1
+    assert "'kernel'" in capsys.readouterr().err
+
+
 def test_dump_moments_is_split_0_matrix(csv_path, tmp_path):
     dump = tmp_path / "moments.csv"
     assert main(["fit", *data_args(csv_path), "--no-screen", "--n-splits", "2",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ def test_censored_below_first_event_returns_xi_inf():
     first_event = nu.censor_model.grid_vals[0]
     obs = Observation(z=ds.z[3].copy(), d=float(ds.d[3]), y=first_event - 1.0, delta=0)
     am = eval_psi(obs, nu, spec)
-    a_inf, b_inf = nu.cond_moment.at_minus_inf(obs.z, obs.d)
+    a_inf, b_inf = nu.cond_moment.evaluate(-np.inf, obs.z, obs.d)
     np.testing.assert_allclose(am.a, a_inf, rtol=1e-10)
     np.testing.assert_allclose(am.b, b_inf, rtol=1e-10)
 
@@ -89,6 +91,25 @@ def test_batch_matches_per_observation():
     assign, nuis = cross_fitted(ds, spec, seed=2)
     M = build_moment_matrix(ds, assign, nuis, spec, chunk=32)
     for i in range(0, ds.n, 13):
+        am = eval_psi(ds.observation(i), nuis[assign[i]], spec)
+        np.testing.assert_allclose(M.A[i], am.a, rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(M.B[i], am.b, rtol=1e-9, atol=1e-11)
+
+
+def test_subnormal_risk_set_mass_counts_as_empty():
+    # a narrow full kernel gives row 83 a subnormal last event weight; 1/S
+    # would overflow, so both paths treat the mass as an empty risk set
+    cfg = SimConfig(case=1, n=400, p=4, target_cr=0.3, reps=1, seed=3)
+    ds, _ = generate(cfg, 0, taus=(-2.0, 15.0))
+    spec = MomentSpec.full(4, 2)
+    assign, nuis = cross_fitted(ds, spec, KernelConfig(km_conditioning="full", fixed_h=0.05))
+    w = nuis[assign[83]].censor_model.tables(ds.z[[83]], ds.d[[83]]).w_event
+    assert 0.0 < w[w > 0].min() < np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = build_moment_matrix(ds, assign, nuis, spec)
+    assert np.isfinite(M.A).all() and np.isfinite(M.B).all()
+    for i in range(ds.n):
         am = eval_psi(ds.observation(i), nuis[assign[i]], spec)
         np.testing.assert_allclose(M.A[i], am.a, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(M.B[i], am.b, rtol=1e-9, atol=1e-11)

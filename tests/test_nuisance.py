@@ -116,15 +116,6 @@ def test_partials_rank_deficient_fallback():
     assert np.all(np.isfinite(fit.theta_y))
 
 
-def test_kernel_weights_uniform_wide_window():
-    rng = np.random.default_rng(8)
-    ds = make_dataset(rng, 25, 2)
-    cfg = KernelConfig(kernel="uniform", fixed_h=1e6,
-                       km_conditioning="full")
-    w = kernel_weights((ds.z[0], ds.d[0]), ds, cfg)
-    np.testing.assert_allclose(w, np.full(25, 1.0 / 25))
-
-
 def test_kernel_weights_concentrate_small_h():
     rng = np.random.default_rng(9)
     ds = make_dataset(rng, 30, 2)
@@ -144,30 +135,6 @@ def test_kernel_weights_three_point_hand_computation():
     u = np.array([0.0, 1.0, 2.0]) / sd
     k = np.exp(-0.5 * (u ** 2) * 2)  # product over the two coordinates
     np.testing.assert_allclose(w, k / k.sum(), rtol=1e-12)
-
-
-@pytest.mark.parametrize("h, expected", [(3.0, (0.5538, 0.3846, 0.0615)),
-                                          (1.0, (1.0, 0.0, 0.0))])
-def test_kernel_weights_three_point_epanechnikov(h, expected):
-    z = np.array([[0.0], [1.0], [2.0]])
-    d = np.array([0.0, 1.0, 2.0])
-    ds = Dataset(z, d, np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
-    cfg = KernelConfig(kernel="epanechnikov", fixed_h=h, km_conditioning="full")
-    w = kernel_weights((z[0], d[0]), ds, cfg)
-    u = np.array([0.0, 1.0, 2.0]) / np.sqrt(2.0 / 3.0) / h
-    k = np.clip(1.0 - u ** 2, 0.0, None) ** 2  # product over the two coordinates
-    np.testing.assert_allclose(w, k / k.sum(), rtol=1e-12)
-    np.testing.assert_allclose(w, expected, atol=5e-5)
-
-
-def test_kernel_weights_empty_window_fallback():
-    z = np.array([[0.0], [0.1], [0.2], [50.0]])
-    d = np.zeros(4)
-    ds = Dataset(z, d, np.arange(4.0), np.ones(4, dtype=int))
-    cfg = KernelConfig(kernel="uniform", fixed_h=1e-6,
-                       km_conditioning="full")
-    w = kernel_weights((np.array([10.0]), 0.0), ds, cfg)
-    np.testing.assert_allclose(w, np.full(4, 0.25))
 
 
 def test_local_km_all_events_is_one():
@@ -225,11 +192,11 @@ def test_cond_moment_minus_inf_formula():
     spec = MomentSpec.full(3, 2)
     nu = fit_all(ds, spec, KernelConfig(km_conditioning="d_only"))
     z, d = rng.normal(size=3), rng.normal()
-    a_inf, b_inf = nu.cond_moment.at_minus_inf(z, d)
+    a_inf, b_inf = nu.cond_moment.evaluate(-np.inf, z, d)
     # direct evaluation of the displayed ratio
     cm = nu.censor_model
     t = cm.tables(z[None, :], [d])
-    G = np.maximum(np.exp(t.logG_train[0]), 0.01)
+    G = np.maximum(np.exp(t.cumlog[0]), 0.01)
     om = t.w[0] * cm.delta_s / G
     np.testing.assert_allclose(a_inf, om @ nu.cond_moment.a / om.sum(), rtol=1e-12)
     np.testing.assert_allclose(b_inf, om @ nu.cond_moment.b / om.sum(), rtol=1e-12)
@@ -281,7 +248,7 @@ def test_xi_affine_in_beta():
     a, b = nu.cond_moment.evaluate(u, z, d)
     cm = nu.censor_model
     t = cm.tables(z[None, :], [d])
-    om = t.w[0] * cm.delta_s / np.maximum(np.exp(t.logG_train[0]), cm.cfg.trunc_eps)
+    om = t.w[0] * cm.delta_s / np.maximum(np.exp(t.cumlog[0]), cm.cfg.trunc_eps)
     om[cm.ys < u] = 0.0  # risk set I(Y_j >= u)
     np.testing.assert_allclose(a, om @ nu.cond_moment.a / om.sum(), rtol=1e-13)
     np.testing.assert_allclose(b, om @ nu.cond_moment.b / om.sum(), rtol=1e-13)
@@ -347,7 +314,7 @@ def test_censored_group_product_limit_matches_all_groups():
     ref = all_groups_cumlog(cm, t.w)
     np.testing.assert_allclose(t.cumlog, ref, rtol=0, atol=1e-14)
     last = np.searchsorted(cm.ys, cm.ys, side="right") - 1
-    np.testing.assert_allclose(t.logG_train, ref[:, last], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(t.cumlog, ref[:, last], rtol=0, atol=1e-14)
 
 
 def test_no_censored_rows_give_zero_log_survival():
@@ -356,8 +323,8 @@ def test_no_censored_rows_give_zero_log_survival():
     ds = Dataset(ds.z, ds.d, np.round(ds.y, 1), ds.delta)
     cm = CensorModel(ds, KernelConfig(fixed_h=0.5, km_conditioning="full"))
     t = cm.tables(rng.normal(size=(7, 2)), rng.normal(size=7))
-    assert t.cumlog.shape == t.logG_train.shape == (7, 80)
-    assert not t.cumlog.any() and not t.logG_train.any()
+    assert t.cumlog.shape == (7, 80)
+    assert not t.cumlog.any()
 
 
 def test_fit_all_requires_enough_rows():
