@@ -13,11 +13,16 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import re
 import sys
 import time
 
+import numpy
+import scipy
+
 from . import __version__
+from .blas import blas_threads, one_blas_thread
 from .data import ColumnConfig, load_csv
 from .errors import CalibrationError, DomainError, EstimationError, IllPosedError, SchemaError
 from .nuisance import KernelConfig
@@ -94,6 +99,8 @@ def _sha256(path: str) -> str:
 
 
 def _manifest(command: str, cfg: dict, started: float, input_path=None) -> dict:
+    with one_blas_thread:
+        fit_blas_threads = blas_threads()
     man = {
         "command": command,
         "argv": sys.argv[1:],
@@ -101,6 +108,12 @@ def _manifest(command: str, cfg: dict, started: float, input_path=None) -> dict:
         "software_version": __version__,
         "schema_version": SCHEMA_VERSION,
         "wall_time_s": round(time.time() - started, 3),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        # per bundled OpenBLAS; empty when none was found to pin
+        "fit_blas_threads": fit_blas_threads,
     }
     if input_path:
         man["input_sha256"] = _sha256(input_path)
@@ -270,7 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--estimators", help="comma list from el,et,cue,aft")
     p_sim.add_argument("--nonzero-frac", dest="nonzero_frac", type=float)
     p_sim.add_argument("--fix-support", dest="fix_support", action="store_const", const=True)
-    p_sim.add_argument("--threads", type=int, help="worker processes for replications")
+    p_sim.add_argument("--threads", type=int,
+                       help="worker processes for replications; each fit uses one "
+                            "BLAS thread, so more workers are how more cores get used")
     p_sim.add_argument("--json", help="JSON sidecar path")
 
     p_diag = sub.add_parser("diagnose", help="relevance and overidentification tests")

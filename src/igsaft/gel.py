@@ -43,6 +43,7 @@ _NEWTON_TOL = 1e-9  # relative step that ends the outer Newton search
 _NEWTON_MAX_ITER = 100
 _INNER_TOL = 1e-9  # gradient norm that ends an inner solve
 _INNER_MAX_ITER = 100
+_INNER_IDLE_STEPS = 3  # steps without progress in value or gradient that end an inner solve
 
 
 def rho(v, family: str):
@@ -128,6 +129,13 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
     that keeps every lambda'psi_i inside the rho domain and never accepts a
     decrease, starting from lambda = 0 (so Q >= 0 always).
 
+    The solve also stops, unconverged, after _INNER_IDLE_STEPS accepted
+    steps in a row that neither raise the value nor bring the gradient norm
+    below its least so far. Near the EL domain edge the gradient can stall
+    above the tolerance, and further steps only repeat the same value; a
+    single step that leaves the value unchanged is not enough, because the
+    gradient often still falls below the tolerance a few steps later.
+
     Because no step decreases the objective, every iterate's value P_k is a
     lower bound on Q(beta). Once P_k exceeds `cap` the solve stops and
     returns that iterate unconverged: the outer grid search passes the least
@@ -148,14 +156,17 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
         v = u @ lam
         val, d1, d2 = rho(v, family)
         P = float(val.mean())
-    converged = False
+    converged = stalled = False
+    least_gnorm, idle = math.inf, 0
     for _ in range(_INNER_MAX_ITER):
         grad = u.T @ d1 / n
         gnorm = float(np.linalg.norm(grad))
         if gnorm < _INNER_TOL:
             converged = True
             break
-        if P > cap:
+        idle = idle + 1 if stalled and gnorm >= least_gnorm else 0
+        least_gnorm = min(least_gnorm, gnorm)
+        if P > cap or idle == _INNER_IDLE_STEPS:
             break
         Hneg = (u * (-d2)[:, None]).T @ u / n
         jitter = 1e-10 * max(np.trace(Hneg) / m, 1.0)
@@ -171,6 +182,7 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
             valc, d1c, d2c = rho(vc, family)
             Pc = float(valc.mean())
             if Pc >= P:
+                stalled = Pc == P
                 lam, v, P, d1, d2 = cand, vc, Pc, d1c, d2c
                 accepted = True
                 break

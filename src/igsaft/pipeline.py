@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .data import Dataset
 from .diagnostics import TestResult, overid_test, relevance_f_test
 from .errors import DomainError
@@ -198,9 +199,11 @@ def _fit_family(mats, family: str, config: FitConfig) -> GelFit:
     return combine_split_fits(fits, config.alpha)
 
 
+@one_blas_thread
 def fit_igsaft(dataset: Dataset, config: FitConfig,
                dump_moments_path=None) -> FitReport:
-    """Run the full estimation procedure for one GEL family.
+    """Run the full estimation procedure for one GEL family, with one BLAS
+    thread (see `blas.one_blas_thread`).
 
     The relevance test runs right after screening: it needs only the data
     and the spec, and it refuses designs too small to fit before any
@@ -227,7 +230,9 @@ def fit_igsaft(dataset: Dataset, config: FitConfig,
                      warnings=warnings)
 
 
+@one_blas_thread
 def fit_families(dataset: Dataset, config: FitConfig, families) -> dict[str, GelFit]:
-    """Fit several GEL families on one shared moment construction."""
+    """Fit several GEL families on one shared moment construction, with one
+    BLAS thread."""
     mats, *_ = _prepare_splits(dataset, config, _screen_once(dataset, config)[0])
     return {fam: _fit_family(mats, fam, config) for fam in families}

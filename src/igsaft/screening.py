@@ -24,6 +24,9 @@ from .interactions import MomentSpec, eval_centered_matrix
 _TIE = 1e-12        # path events closer than this share of λ happen together
 _DEPENDENT = 1e-7   # an instrument with less than this share of its norm
                     # outside the span of [1, earlier instruments] is dependent
+_NO_SIGNAL = 1e-10  # largest interaction covariance with the residual of D on
+                    # [1, Z], as a share of its Cauchy-Schwarz bound, that
+                    # counts as rounding noise
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,17 @@ def _check_instruments(xu: np.ndarray) -> None:
             "linearly independent instruments")
 
 
+def _check_signal(resid_corr: np.ndarray, sq_means: np.ndarray, d2: float) -> None:
+    """IllPosedError when the exposure is, to rounding, a linear function of
+    [1, Z]: then every interaction's covariance with the residual of D on
+    [1, Z] is rounding noise, below _NO_SIGNAL of the bound
+    sqrt(mean I_j^2 * mean D^2), and a path started from it selects noise."""
+    if np.all(np.abs(resid_corr) <= _NO_SIGNAL * np.sqrt(sq_means * d2)):
+        raise IllPosedError(
+            "the exposure is, to rounding, a linear function of the intercept and "
+            "the instruments; no interaction can be relevant to it")
+
+
 def screen_interactions(dataset: Dataset, candidates: MomentSpec,
                         max_keep: int = 100) -> ScreenResult:
     """Select informative interactions; never returns an empty set."""
@@ -131,16 +145,15 @@ def screen_interactions(dataset: Dataset, candidates: MomentSpec,
     G_uu, G_up = G[:n_unpen, :n_unpen], G[:n_unpen, n_unpen:]
     base = linalg.solve(G_uu, c[:n_unpen], assume_a="pos")
     resid_corr = c[n_unpen:] - G[n_unpen:, :n_unpen] @ base
+    d2 = float(d @ d / n)
+    _check_signal(resid_corr, np.diag(G)[n_unpen:], d2)
     lam_max = float(np.max(np.abs(resid_corr) / w_pen))
-    if lam_max <= 0.0 or not np.isfinite(lam_max):
-        lam_max = 1.0
     lams = np.geomspace(lam_max * 0.999, lam_max * 1e-3, 50)
 
     # [1, Z] profiled out: theta_U = base - M theta_P
     M = linalg.solve(G_uu, G_up, assume_a="pos")
     coefs = _lasso_path(G[n_unpen:, n_unpen:] - G_up.T @ M, resid_corr, w_pen, lams)
     thetas = np.hstack([base - coefs @ M.T, coefs])
-    d2 = float(d @ d / n)
     rss = np.maximum(d2 - 2 * thetas @ c + np.einsum("ij,ij->i", thetas @ G, thetas), 1e-300)
     supports = np.count_nonzero(coefs, axis=1)
     bic = n * np.log(rss) + np.log(n) * (n_unpen + supports)

@@ -3,8 +3,10 @@ the Monte Carlo harness.
 
 Randomness flows through counter-based Philox streams keyed by
 (seed, stream, rep), with normal variates produced by inverse-CDF of the
-uniform stream, so every dataset and summary is bit-reproducible across
-platforms and across any worker count.
+uniform stream, so every dataset is bit-reproducible across platforms and
+across any worker count. Every fit runs with one BLAS thread
+(`blas.one_blas_thread`), so a summary does not depend on the worker count
+or on the caller's BLAS thread count either.
 """
 
 from __future__ import annotations
@@ -299,7 +301,11 @@ def run_monte_carlo(sim_cfg: SimConfig, fit_cfg, estimators=("el",),
                     threads: int = 1) -> McSummary:
     """Replicate generate -> fit -> summarize; excluded replications are the
     non-converged ones, reported per estimator. Estimators are GEL families
-    or 'aft', the naive least-squares comparator."""
+    or 'aft', the naive least-squares comparator.
+
+    Each fit uses one BLAS thread. More cores are used through worker
+    processes: `threads` > 1 runs the replications in that many processes,
+    and the summary equals the one from `threads=1`."""
     estimators = list(estimators)
     for est in estimators:
         if est not in MC_ESTIMATORS:

@@ -2,10 +2,13 @@
 
 import csv
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+from igsaft.blas import bundled_openblas
 from igsaft.cli import main
 from igsaft.data import ColumnConfig, load_csv, write_csv
 from igsaft.interactions import MomentSpec
@@ -40,7 +43,14 @@ def test_fit_writes_report_and_exits_0(csv_path, tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["converged"] and report["fold_sizes"] == [150, 150]
-    assert len(report["manifest"]["input_sha256"]) == 64
+    manifest = report["manifest"]
+    assert len(manifest["input_sha256"]) == 64
+    assert (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
+    assert manifest["python"] == platform.python_version()
+    assert manifest["platform"] == platform.platform()
+    # fits run with one thread in every bundled OpenBLAS that was found
+    assert set(manifest["fit_blas_threads"]) == {lib.package for lib in bundled_openblas()}
+    assert set(manifest["fit_blas_threads"].values()) <= {1}
     assert "beta_hat =" in capsys.readouterr().out
 
 
@@ -97,6 +107,7 @@ def test_simulate_accepts_threads(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("Method,Bias,SD,SE,CP\nAFT,")
     payload = json.loads(sidecar.read_text())
     assert payload["manifest"]["resolved_config"]["threads"] == 1
+    assert {"python", "numpy", "scipy", "platform", "fit_blas_threads"} <= set(payload["manifest"])
     assert [r["n_used"] for r in payload["rows"]] == [2]
 
 

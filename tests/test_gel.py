@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
+from igsaft import gel
+from igsaft.blas import one_blas_thread
+from igsaft.data import Dataset
 from igsaft.errors import DomainError
-from igsaft.gel import (_GRID_POINTS, FAMILIES, _grid_argmin, fit_gel, inner_lambda,
-                        minimize_beta, q_derivatives, rho, variance)
+from igsaft.gel import (_GRID_POINTS, _INNER_MAX_ITER, FAMILIES, _grid_argmin, fit_gel,
+                        inner_lambda, minimize_beta, q_derivatives, rho, variance)
 from igsaft.interactions import MomentSpec
 from igsaft.moments import MomentMatrix, TransformStats, build_moment_matrix, mean_and_cov
 from igsaft.nuisance import KernelConfig, fit_all
-from igsaft.pipeline import _fold_assignment
+from igsaft.pipeline import FitConfig, _fold_assignment, _one_split
 from igsaft.simulate import SimConfig, generate
 
 
@@ -284,3 +287,35 @@ def test_pruned_grid_picks_the_full_grid_argmin(family):
             lam, val, _ = inner_lambda(M, float(b), family, lam0=lam)
             qs.append(val)
         assert _grid_argmin(M, family, grid)[0] == int(np.argmin(qs))
+
+
+def test_inner_solve_stops_when_a_step_no_longer_raises_the_value(monkeypatch):
+    # the EL design of test_overid_power_against_invalid_moment at seed 106:
+    # warm-started at beta = -3.0, the gradient stalls above the 1e-9
+    # tolerance after 8 Newton steps, and every later step leaves the value
+    # unchanged; the solve used to run all 100 iterations and now stops at 12
+    ds, _ = generate(SimConfig(case=1, n=10_000, p=5, target_cr=0.0, reps=1, seed=106), 0)
+    ds = Dataset(ds.z, ds.d, ds.y + 0.35 * ds.z[:, 0] * ds.z[:, 1], ds.delta)
+    with one_blas_thread:
+        M = _one_split(ds, FitConfig(gel="el", seed=5, screen=False, n_splits=1),
+                       MomentSpec.full(5, 2), 0)[0]
+        steps = {}
+        solve_spd, inner = gel._solve_spd, gel.inner_lambda
+
+        def counted_solve(*args):  # one Newton system per inner iteration
+            steps[beta] += 1
+            return solve_spd(*args)
+
+        def counted_inner(M, b, *args, **kwargs):
+            nonlocal beta
+            beta = b
+            steps[b] = 0
+            return inner(M, b, *args, **kwargs)
+
+        beta = None
+        monkeypatch.setattr(gel, "_solve_spd", counted_solve)
+        monkeypatch.setattr(gel, "inner_lambda", counted_inner)
+        fit = fit_gel(M, "el")
+    assert steps[-3.0] <= 15
+    assert max(steps.values()) < _INNER_MAX_ITER
+    assert fit.converged and abs(fit.beta_hat - 1.0862162690393) < 1e-9

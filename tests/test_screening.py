@@ -260,3 +260,20 @@ def test_dependent_instrument_rejected(make_dependent):
     bad = Dataset(z, ds.d, ds.y, ds.delta)
     with pytest.raises(IllPosedError, match="instrument column 5 "):
         screen_interactions(bad, MomentSpec.full(6, 2))
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1e-6, 0.0), (1.0, 1e3)])
+def test_exposure_linear_in_the_instruments_rejected(scale, shift):
+    # D exactly linear in Z: the residual of D on [1, Z] is rounding noise,
+    # and a path started from it selected (1, 6), unrelated to D
+    ds = planted_dataset(11, n=600)
+    d = shift + scale * (1.0 + 0.5 * ds.z[:, 0] - ds.z[:, 1])
+    with pytest.raises(IllPosedError, match="linear function of the intercept"):
+        screen_interactions(Dataset(ds.z, d, ds.y, ds.delta), MomentSpec.full(6, 2))
+
+
+def test_small_interaction_signal_above_the_noise_floor_is_kept():
+    ds = planted_dataset(11, n=600)
+    d = 1.0 + 0.5 * ds.z[:, 0] - ds.z[:, 1] + 1e-6 * ds.z[:, 1] * ds.z[:, 3]
+    res = screen_interactions(Dataset(ds.z, d, ds.y, ds.delta), MomentSpec.full(6, 2))
+    assert (2, 4) in [ix.subset for ix in res.selected.indices]

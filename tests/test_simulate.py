@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from igsaft import simulate
+from igsaft.blas import bundled_openblas
 from igsaft.errors import DomainError
 from igsaft.pipeline import FitConfig
 from igsaft.simulate import SimConfig, calibrate_censoring, generate, run_monte_carlo
@@ -47,6 +48,25 @@ def test_monte_carlo_does_not_depend_on_the_worker_count():
     serial = run_monte_carlo(cfg, FitConfig(), ("el", "aft"), threads=1)
     pooled = run_monte_carlo(cfg, FitConfig(), ("el", "aft"), threads=2)
     assert all(r.n_used == cfg.reps for r in serial.rows)  # no NaN in the compared fields
+    assert pooled == serial
+
+
+def test_monte_carlo_on_the_paper_design_does_not_depend_on_the_worker_count():
+    # p = 10, m = 45, n = 2000: the AIPCW products are large enough for
+    # OpenBLAS to split them over threads, which moves the last bits of
+    # unpinned fits; the serial run also starts from another BLAS thread count
+    cfg = SimConfig(case=1, n=2000, p=10, target_cr=0.2, seed=0, reps=2)
+    fit_cfg = FitConfig(n_splits=5)
+    before = [lib.get() for lib in bundled_openblas()]
+    try:
+        for lib in bundled_openblas():
+            lib.set(1)
+        serial = run_monte_carlo(cfg, fit_cfg, ("el", "aft"), threads=1)
+    finally:
+        for lib, k in zip(bundled_openblas(), before):
+            lib.set(k)
+    pooled = run_monte_carlo(cfg, fit_cfg, ("el", "aft"), threads=2)
+    assert all(r.n_used == cfg.reps for r in serial.rows)
     assert pooled == serial
 
 
