@@ -41,7 +41,7 @@ _EL_GUARD = 1e-6
 _GRID_POINTS = 41  # coarse grid of the outer beta search
 _NEWTON_TOL = 1e-9  # relative step that ends the outer Newton search
 _NEWTON_MAX_ITER = 100
-_INNER_TOL = 1e-9  # gradient norm that ends an inner solve
+_INNER_TOL = 1e-9  # gradient norm that ends an inner solve, relative above a term scale of 1
 _INNER_MAX_ITER = 100
 _INNER_IDLE_STEPS = 3  # steps without progress in value or gradient that end an inner solve
 
@@ -127,7 +127,16 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
 
     Returns (lambda, Q, converged). Newton with a backtracking line search
     that keeps every lambda'psi_i inside the rho domain and never accepts a
-    decrease, starting from lambda = 0 (so Q >= 0 always).
+    decrease, starting from lambda = 0 (so Q >= 0 always). The solve
+    converges once the gradient norm is at most _INNER_TOL times the larger
+    of 1 and |u|_F |rho'| / n, the scale of the gradient's terms (by
+    Cauchy-Schwarz it bounds the norm of |u|'|rho'| / n, and it is linear
+    in the moments). The rounding of the gradient and of P grows with that
+    scale, so large moments no longer stall just above an absolute
+    tolerance. Below a scale of 1 the tolerance stays absolute: where the EL
+    problem has no finite maximum (0 outside the convex hull of the psi_i),
+    the gradient and its scale both shrink as lambda grows, and only an
+    absolute tolerance ends the solve before lambda'psi overflows.
 
     The solve also stops, unconverged, after _INNER_IDLE_STEPS accepted
     steps in a row that neither raise the value nor bring the gradient norm
@@ -158,10 +167,11 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
         P = float(val.mean())
     converged = stalled = False
     least_gnorm, idle = math.inf, 0
+    u_norm = float(np.linalg.norm(u))
     for _ in range(_INNER_MAX_ITER):
         grad = u.T @ d1 / n
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < _INNER_TOL:
+        if gnorm <= _INNER_TOL * max(u_norm * float(np.linalg.norm(d1)) / n, 1.0):
             converged = True
             break
         idle = idle + 1 if stalled and gnorm >= least_gnorm else 0

@@ -114,6 +114,12 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
     chunk; the output is the same bit for bit at chunks 16, 32 and 256
     (tests/test_moments.py). W @ a and W @ b stay two products: one product
     on [a | b] rounds differently with the chunk's row count.
+
+    P and Q sit interleaved in one (chunk, C, 2) table, so the flat index of
+    W_ij is a per-transform base index of P[i, class of j] plus the flag
+    j >= J0_i: one comparison, one add and one gather per chunk. The live
+    event count of a row with zero kernel weights (for the clip count) is
+    the indicator product CensorModel.seg_sum applied to w > 0.
     """
     cm = cond.censor
     K, E, n = cm.grid_vals.size, cm.ev_seg.size, cm.n  # Dataset holds K >= 1 events
@@ -123,6 +129,9 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
     stats = TransformStats()
     C = 2 * E + 1  # columns of P and of Q; the last is the censored rows' zero
     F_col = (np.arange(2 * E) + 1) // 2  # class 2k + l reads F[:, k + l]
+    # flat index of P[i, class of j] in a chunk's PQ; Q's is one more
+    train_rows = np.arange(n)
+    pq_index = 2 * cm.cls_of + 2 * C * np.arange(min(chunk, len(eval_y)))[:, None]
 
     for start in range(0, len(eval_y), chunk):
         sl = slice(start, start + chunk)
@@ -144,8 +153,9 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         # event rows with w > 0, for the clip count
         live_ev = np.tile(cm.ev_count, (len(rows), 1))
         zero = np.flatnonzero(t.w.min(axis=1) == 0.0)
-        if zero.size:
-            live_ev[zero] = np.add.reduceat(t.w_event[zero] > 0, cm.ev_first, axis=1)
+        if zero.size:  # count per event run, then add the two runs of each segment
+            live = (cm.seg_sum @ (t.w[zero] > 0).T).T[:, -2 * E:]
+            live_ev[zero] = live[:, 0::2] + live[:, 1::2]
         # S is nonincreasing along the grid, so the usable grid is cut short
         # only in rows whose last grid point holds at most _MASS_FLOOR
         last_valid = np.full(len(rows), K)
@@ -185,10 +195,10 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         const = (head - ipcw * invS_T) + coef_inf
 
         invG2 = np.repeat(invG, 2, axis=1)
-        PQ = np.zeros((len(rows), 2 * C))  # [P | Q] per row
-        PQ[:, :C - 1] = invG2 * (F[:, F_col] + coef_inf[:, None])
-        PQ[:, C:-1] = invG2 * const[:, None]
-        W = np.take(PQ, cm.cls_of + C * ((np.arange(n) >= J0[:, None]) + 2 * rows[:, None]))
+        PQ = np.zeros((len(rows), C, 2))  # P and Q interleaved per row
+        PQ[:, :-1, 0] = invG2 * (F[:, F_col] + coef_inf[:, None])
+        PQ[:, :-1, 1] = invG2 * const[:, None]
+        W = np.take(PQ, pq_index[:len(rows)] + (train_rows >= J0[:, None]))
         W *= t.w
 
         psi_a[sl] = ipcw[:, None] * ge_a[sl] + W @ cond.a

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 
 from .data import Dataset
 from .errors import DomainError, IllPosedError
@@ -106,9 +106,10 @@ class _KernelWeigher:
 
     Both bandwidth rules give every coordinate the same h, so the log-kernel
     -|t - x|^2 / 2h^2 is t'x / h^2 - |x|^2 / 2h^2 plus a per-row constant
-    that normalization removes: one (c, dim) x (dim, n) product, with
-    |x|^2 / 2h^2 computed once. Without conditioning coordinates (dim 0)
-    every weight is 1/n.
+    that normalization removes: one (c, dim + 1) x (dim + 1, n) product of
+    [t / h, 1] with XhT, the coordinates over h stacked on a row of
+    -|x|^2 / 2h^2. Without conditioning coordinates (dim 0) every weight
+    is 1/n.
     """
 
     def __init__(self, X: np.ndarray, cfg: KernelConfig):
@@ -120,8 +121,8 @@ class _KernelWeigher:
             # standardized coordinates have unit scale
             h = 1.06 * self.n ** (-1.0 / (4 + self.dim)) if cfg.fixed_h is None else cfg.fixed_h
             self.h = np.full(self.dim, float(h))
-            self.Xh = (X - self.mean) / self.sd / self.h
-            self.half_sq = 0.5 * (self.Xh * self.Xh).sum(axis=1)
+            Xh = (X - self.mean) / self.sd / self.h
+            self.XhT = np.vstack([Xh.T, -0.5 * (Xh * Xh).sum(axis=1)])
         else:
             self.h = np.zeros(0)
 
@@ -130,9 +131,13 @@ class _KernelWeigher:
         c = targets.shape[0]
         if self.dim == 0:
             return np.full((c, self.n), 1.0 / self.n)
-        w = ((targets - self.mean) / self.sd / self.h) @ self.Xh.T - self.half_sq
-        np.exp(w - w.max(axis=1, keepdims=True), out=w)
-        return w / w.sum(axis=1, keepdims=True)
+        T = np.ones((c, self.dim + 1))
+        T[:, :-1] = (targets - self.mean) / self.sd / self.h
+        w = T @ self.XhT
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        return w
 
 
 def _conditioning_targets(z, d, mode: str) -> np.ndarray:
@@ -158,7 +163,9 @@ class KMTables:
     """Per-target arrays in sorted training order, produced by CensorModel.
 
     Ghat is constant on each censoring segment, so its log is kept once per
-    segment; cumlog expands it to every training row.
+    segment; cumlog expands it to every training row. mass comes from the
+    indicator product CensorModel.seg_sum @ w.T, each run summed in row
+    order; a run without event rows is exactly 0.
     """
 
     w: np.ndarray        # (c, n) kernel weights
@@ -198,18 +205,16 @@ class CensorModel:
         group = np.cumsum(new_group) - 1
 
         # tie groups with a censored row, the only ones with a factor other
-        # than 1: where each begins among cens_rows and in sorted order
-        self.cens_rows = np.flatnonzero(self.delta_s == 0.0)
-        cens_group = group[self.cens_rows]
-        self.cens_seg = np.flatnonzero(np.diff(cens_group, prepend=-1) != 0)
-        self.cens_starts = starts[cens_group[self.cens_seg]]
+        # than 1: where each begins in sorted order
+        cens = self.delta_s == 0.0
+        self.cens_starts = starts[np.unique(group[cens])]
         self.cens_times = self.ys[self.cens_starts]
         # censoring segment s: the rows from the s-th censored group start to
         # the next (segment 0 may be empty); Ghat is constant on each
         self.seg_of = np.searchsorted(self.cens_starts, np.arange(self.n), side="right")
 
         # distinct event times; ties merge into one grid point
-        event_groups = np.unique(group[self.delta_s == 1.0])
+        event_groups = np.unique(group[~cens])
         self.grid_first = starts[event_groups]
         self.grid_vals = self.ys[self.grid_first]
 
@@ -222,16 +227,21 @@ class CensorModel:
         self.bnd_grid = np.flatnonzero(last)
         self.last_first = self.grid_first[last]
         self.ev_seg = grid_seg[last]
-        self.ev_first = np.r_[0, self.cens_starts][self.ev_seg]
         self.grid_start = np.r_[0, self.bnd_grid + 1][:-1]
-        # event rows by (event segment, last-group flag); censored rows are
-        # class 2E, whose coefficient is 0
-        ev_rows = np.flatnonzero(self.delta_s == 1.0)
+        # event rows by (event segment, last-group flag), the event runs;
+        # censored rows are class 2E, whose coefficient is 0
+        ev_rows = np.flatnonzero(~cens)
         ev_of = self.grid_ev[np.searchsorted(self.grid_first, ev_rows, side="right") - 1]
         self.cls_of = np.full(self.n, 2 * self.ev_seg.size)
         self.cls_of[ev_rows] = 2 * ev_of + (ev_rows >= self.last_first[ev_of])
         self.ev_count = np.bincount(ev_of, minlength=self.ev_seg.size)
-        self.run_starts = np.column_stack([self.ev_first, self.last_first]).ravel()
+        # indicator (S + 2E, n) with one 1 per training row: a censored row
+        # sums into its censored tie group (the group starting its segment),
+        # an event row into its event run; an empty run has no entries
+        S = self.cens_starts.size
+        seg_row = np.where(cens, self.seg_of - 1, S + self.cls_of)
+        self.seg_sum = sparse.csr_matrix((np.ones(self.n), (seg_row, np.arange(self.n))),
+                                         shape=(S + 2 * self.ev_seg.size, self.n))
 
     @property
     def bandwidth(self) -> np.ndarray:
@@ -245,25 +255,29 @@ class CensorModel:
         mass), which reduces exactly to the unconditional Kaplan-Meier under
         equal weights. Only groups with a censored row have a factor other
         than 1, so log Ghat is one value per censoring segment (seglog; all
-        zeros without censored rows). mass sums the event weights of each
-        event segment over two runs, before and from its last event group;
-        an empty first run sums to 0.
+        zeros without censored rows). The censored mass of each group and
+        mass, the event weight of each event segment over two runs (before
+        and from its last event group), come from one product with the
+        indicator seg_sum, which sums each group and run in row order; a run
+        without event rows sums to exactly 0. The at-risk masses stay a
+        reduceat from each censored group start on.
         """
         targets = _conditioning_targets(z, d, self.conditioning)
         w = self.weigher.weights(targets)
-        seglog = np.zeros((len(w), self.cens_starts.size + 1))
-        if self.cens_starts.size:
+        S = self.cens_starts.size
+        # (c, S + 2E): censored groups, then event runs; rows contiguous for
+        # the cumulative sums along them
+        sums = np.ascontiguousarray((self.seg_sum @ w.T).T)
+        seglog = np.zeros((len(w), S + 1))
+        if S:
             between = np.add.reduceat(w, self.cens_starts, axis=1)  # from the first start on
             risk_at_start = np.cumsum(between[:, ::-1], axis=1)[:, ::-1]
-            cens_group = np.add.reduceat(w[:, self.cens_rows], self.cens_seg, axis=1)
-            frac = cens_group / np.maximum(risk_at_start, 1e-300)
+            frac = sums[:, :S] / np.maximum(risk_at_start, 1e-300)
             with np.errstate(divide="ignore"):
                 logf_group = np.log1p(-np.minimum(frac, 1.0))
             np.cumsum(np.maximum(logf_group, _LOG_TINY), axis=1, out=seglog[:, 1:])
-        w_event = w * self.delta_s
-        mass = np.add.reduceat(w_event, self.run_starts, axis=1)
-        mass[:, 0::2] *= self.ev_first < self.last_first
-        return KMTables(w=w, w_event=w_event, seglog=seglog, mass=mass, seg_of=self.seg_of)
+        return KMTables(w=w, w_event=w * self.delta_s, seglog=seglog, mass=sums[:, S:],
+                        seg_of=self.seg_of)
 
     def _eval_logG(self, tables: KMTables, yq: np.ndarray) -> np.ndarray:
         """log Ghat at query times, from the first table row."""

@@ -190,11 +190,16 @@ HAND_Y = np.array([0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.0, 2.5, 3.0, 3.5, 4.0, 4.0, 4
 HAND_DELTA = np.array([0, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1])
 
 
-def hand_model(kc=KernelConfig(km_conditioning="full", fixed_h=0.8)):
+# The same times with an event at the smallest one and censored rows at 1.0:
+# segment 0 holds one event group, so its first run is empty.
+HAND_DELTA_EVENT_FIRST = np.array([1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1])
+
+
+def hand_model(kc=KernelConfig(km_conditioning="full", fixed_h=0.8), delta=HAND_DELTA):
     rng = np.random.default_rng(30)
     perm = rng.permutation(HAND_Y.size)  # CensorModel sorts the rows itself
     ds = Dataset(rng.normal(size=(HAND_Y.size, 2)), rng.normal(size=HAND_Y.size),
-                 HAND_Y[perm], HAND_DELTA[perm])
+                 HAND_Y[perm], delta[perm])
     return ds, CensorModel(ds, kc)
 
 
@@ -238,3 +243,40 @@ def test_segment_metadata_matches_brute_force():
     assert sorted(cm.cls_of) == [0, 0, 1, 2, 3, 4, 4, 5, 7, 8, 8, 8, 8, 8, 8]
     assert list(cm.grid_first) == grid_first
 
+
+@pytest.mark.parametrize("delta, empty_runs", [(HAND_DELTA, [6]), (HAND_DELTA_EVENT_FIRST, [0, 2, 8])],
+                         ids=["hand", "event_first"])
+def test_segment_sums_match_loop_sums(delta, empty_runs):
+    # censored tie-group sums and event-run masses from the indicator product
+    # against sums in a loop over the rows of each group and run
+    ds, cm = hand_model(delta=delta)
+    t = cm.tables(np.random.default_rng(32).normal(size=(9, 2)), np.linspace(-2.0, 2.0, 9))
+    ys, dl, n, S = cm.ys, cm.delta_s, cm.n, cm.cens_starts.size
+    group_start = [min(i for i in range(n) if ys[i] == ys[j]) for j in range(n)]
+    cens_groups = sorted({group_start[j] for j in range(n) if dl[j] == 0})
+    seg_of = [sum(s <= j for s in cens_groups) for j in range(n)]
+    event_segs = sorted({seg_of[j] for j in range(n) if dl[j] == 1})
+    last_group = {s: max(group_start[j] for j in range(n) if dl[j] == 1 and seg_of[j] == s)
+                  for s in event_segs}
+
+    def loop_sum(rows):
+        total = np.zeros(len(t.w))
+        for j in rows:
+            total += t.w[:, j]
+        return total
+
+    cens_ref = [loop_sum(j for j in range(n) if dl[j] == 0 and group_start[j] == g)
+                for g in cens_groups]
+    run_ref = [loop_sum(j for j in range(n) if dl[j] == 1 and seg_of[j] == s
+                        and (group_start[j] == last_group[s]) == last)
+               for s in event_segs for last in (False, True)]
+    cens_got = (cm.seg_sum @ t.w.T).T[:, :S]
+    for got, ref in ((cens_got, np.column_stack(cens_ref)), (t.mass, np.column_stack(run_ref))):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+    # the runs without an event row: before 5.5 only 5.0 is in its segment;
+    # in the second fold, 0.5 is the only event group of segment 0 and 1.5
+    # the only one of the segment from 1.0
+    empty = ~np.column_stack(run_ref).any(axis=0)
+    assert list(np.flatnonzero(empty)) == empty_runs
+    assert np.all(t.mass[:, empty] == 0.0)

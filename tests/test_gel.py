@@ -119,6 +119,26 @@ def test_inner_stationarity(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_inner_convergence_does_not_depend_on_the_moment_scale(family):
+    # lambda'psi, and so Q, is unchanged when A and B are rescaled; under an
+    # absolute gradient tolerance the EL solve at scale 1e3 did not converge.
+    # Below a term scale of 1 the tolerance is absolute, so the solve at 1e-3
+    # may stop one step earlier
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(400, 4)) + 0.2
+    B = rng.normal(size=(400, 4)) - 0.5
+    spec = MomentSpec.from_subsets(5, 2, [(1, j + 2) for j in range(4)])
+    out = []
+    for scale in (1e-3, 1.0, 1e3):
+        M = MomentMatrix(A=A * scale, B=B * scale, spec=spec, fold_tags=np.zeros(400, dtype=int),
+                         stats=TransformStats())
+        lam, Q, conv = inner_lambda(M, 0.3, family)
+        out.append((conv, Q))
+    assert [conv for conv, _ in out] == [True] * 3
+    np.testing.assert_allclose([Q for _, Q in out], out[1][1], rtol=1e-10)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_q_nonnegative(family):
     rng = np.random.default_rng(5)
     for _ in range(20):

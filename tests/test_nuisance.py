@@ -285,6 +285,29 @@ def test_gaussian_weights_match_difference_reference(conditioning, h):
     assert np.all(np.abs(w - ref) <= 1e-12 * ref.max(axis=1, keepdims=True))
 
 
+@pytest.mark.parametrize("conditioning, dim", [("d_only", 1), ("full", 6)])
+def test_gaussian_weights_match_the_matmul_then_shift_formula(conditioning, dim):
+    # the former formula: a (c, dim) x (dim, n) product minus |x|^2 / 2h^2,
+    # then exp(w - max) and w / sum, each into a fresh array
+    rng = np.random.default_rng(22)
+    n = 2000
+    ds = Dataset(rng.normal(size=(n, 5)) * 2.0 + 1.0, rng.normal(size=n) * 0.5,
+                 rng.normal(size=n), np.ones(n, dtype=int))
+    cm = CensorModel(ds, KernelConfig(km_conditioning=conditioning))
+    zt, dt = rng.normal(size=(32, 5)) * 2.0 + 1.0, rng.normal(size=32) * 0.5
+    w = cm.tables(zt, dt).w
+
+    X = (np.column_stack([ds.z, ds.d]) if dim == 6 else ds.d[:, None])[cm.order]
+    T = np.column_stack([zt, dt]) if dim == 6 else dt[:, None]
+    mean, sd, h = X.mean(axis=0), X.std(axis=0), 1.06 * n ** (-1.0 / (4 + dim))
+    Xh = (X - mean) / sd / h
+    half_sq = 0.5 * (Xh * Xh).sum(axis=1)
+    ref = ((T - mean) / sd / h) @ Xh.T - half_sq
+    ref = np.exp(ref - ref.max(axis=1, keepdims=True))
+    ref = ref / ref.sum(axis=1, keepdims=True)
+    assert np.all(np.abs(w - ref) <= 4 * np.spacing(ref.max(axis=1, keepdims=True)))
+
+
 def all_groups_cumlog(cm, w):
     """Cumulative log product-limit factors with one factor per tie group,
     censored or not, in sorted training order."""
