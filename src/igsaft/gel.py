@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import DomainError, EstimationError
 from .moments import MomentMatrix
@@ -138,6 +138,13 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
     the gradient and its scale both shrink as lambda grows, and only an
     absolute tolerance ends the solve before lambda'psi overflows.
 
+    Such a solve is reported unconverged. For EL and ET rho' < 0, so at a
+    finite maximizer with lambda != 0 the first-order condition
+    mean(rho'(v_i) v_i) = lambda' grad = 0, with v_i = lambda'psi_i, needs
+    v_i of both signs. An EL or ET solve that meets the tolerance with every
+    v_i < 0 has only run out of gradient along a direction in which every
+    term still rises. CUE is exempt: its rho' changes sign.
+
     The solve also stops, unconverged, after _INNER_IDLE_STEPS accepted
     steps in a row that neither raise the value nor bring the gradient norm
     below its least so far. Near the EL domain edge the gradient can stall
@@ -172,7 +179,7 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
         grad = u.T @ d1 / n
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= _INNER_TOL * max(u_norm * float(np.linalg.norm(d1)) / n, 1.0):
-            converged = True
+            converged = family == "cue" or float(v.max()) >= 0.0
             break
         idle = idle + 1 if stalled and gnorm >= least_gnorm else 0
         least_gnorm = min(least_gnorm, gnorm)
@@ -311,8 +318,17 @@ def minimize_beta(M: MomentMatrix, family: str, search=(-10.0, 10.0)) -> GelFit:
     return fit
 
 
+def _z_crit(alpha: float) -> float:
+    """The 1 - alpha/2 standard normal quantile from ``scipy.special.ndtri``,
+    the function ``scipy.stats.norm.ppf`` evaluates, without the half second
+    that importing ``scipy.stats`` costs."""
+    return float(ndtri(1.0 - alpha / 2.0))
+
+
 def variance(M: MomentMatrix, fit: GelFit, alpha: float = 0.05) -> GelFit:
-    """Fill in H_hat, V1_hat, se, CI and the exp-scale delta-method report."""
+    """Fill in H_hat, V1_hat, se, the interval beta_hat -/+ z se with z the
+    1 - alpha/2 standard normal quantile (`_z_crit`), and the exp-scale
+    delta-method report."""
     fit.alpha = alpha
     if not fit.converged:
         fit.warnings.append("inner maximization did not converge; no variance computed")
@@ -335,7 +351,7 @@ def variance(M: MomentMatrix, fit: GelFit, alpha: float = 0.05) -> GelFit:
     V1 = float(D @ x) / (H * H)
     fit.v_hat = V1
     fit.se = math.sqrt(V1 / M.n)
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = _z_crit(alpha)
     fit.ci = (beta - z * fit.se, beta + z * fit.se)
     fit.exp_scale = (math.exp(beta), math.exp(beta) * fit.se)
     return fit

@@ -111,9 +111,15 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
     tables of the module docstring. Evaluation rows go through in chunks;
     each chunk makes a few (chunk, n_train) temporaries, so a small chunk
     keeps them in cache and peak memory low. Rows do not interact across a
-    chunk; the output is the same bit for bit at chunks 16, 32 and 256
-    (tests/test_moments.py). W @ a and W @ b stay two products: one product
-    on [a | b] rounds differently with the chunk's row count.
+    chunk, so the chunk size moves the output only through rounding: the
+    BLAS products W @ a and W @ b may round a row differently with the
+    chunk's row count (and with the BLAS thread count). On the m = 6 test
+    design the output is the same bit for bit at chunks 16, 32 and 256; on
+    the m = 45 one A and B agree within 1e-15 of each column's largest
+    magnitude and the stats are equal (tests/test_moments.py). W @ a and
+    W @ b stay two products, each of width m: one product on [a | b] rounds
+    differently from them at some widths (m = 10 with one BLAS thread),
+    which would move the last bits of A and B.
 
     P and Q sit interleaved in one (chunk, C, 2) table, so the flat index of
     W_ij is a per-transform base index of P[i, class of j] plus the flag

@@ -12,7 +12,7 @@ from .blas import one_blas_thread
 from .data import Dataset
 from .diagnostics import TestResult, overid_test, relevance_f_test
 from .errors import DomainError
-from .gel import FAMILIES, GelFit, fit_gel
+from .gel import FAMILIES, GelFit, _z_crit, fit_gel
 from .interactions import MomentSpec
 from .moments import build_moment_matrix
 from .nuisance import KernelConfig, fit_all
@@ -185,12 +185,6 @@ def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
         out.warnings.append(f"{len(fits) - len(usable)} of {len(fits)} splits "
                             "did not converge and were dropped")
     return out
-
-
-def _z_crit(alpha: float) -> float:
-    from scipy.stats import norm
-
-    return float(norm.ppf(1.0 - alpha / 2.0))
 
 
 def _fit_family(mats, family: str, config: FitConfig) -> GelFit:

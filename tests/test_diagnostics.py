@@ -4,7 +4,7 @@ from scipy import linalg
 from scipy.stats import chi2, kstest
 
 from igsaft.data import Dataset
-from igsaft.diagnostics import overid_test, relevance_f_test
+from igsaft.diagnostics import _chi2_sf, overid_test, relevance_f_test
 from igsaft.errors import DomainError, EstimationError
 from igsaft.gel import GelFit
 from igsaft.interactions import MomentSpec, eval_centered_matrix
@@ -125,6 +125,26 @@ def test_p_values_monotone_in_statistic():
     fits = [make_fit(q, m=6, n=2000) for q in (0.0005, 0.001, 0.002, 0.004)]
     ps = [overid_test(f, 2000, 6).p_value for f in fits]
     assert all(p1 > p2 for p1, p2 in zip(ps, ps[1:]))
+
+
+def test_p_values_equal_scipy_stats_chi2():
+    for seed, p in ((0, 4), (1, 5), (2, 6)):
+        ds = null_dataset(seed, n=600, p=p)
+        spec = MomentSpec.full(p, 2)
+        res = relevance_f_test(ds, spec)
+        assert res.p_value == float(chi2.sf(res.statistic, spec.m))
+    for q_hat, m, n in ((0.0, 5, 1000), (0.0007, 6, 2000), (0.002, 4, 5000), (0.05, 45, 2000)):
+        res = overid_test(make_fit(q_hat, m=m, n=n), n, m)
+        assert res.p_value == float(chi2.sf(res.statistic, m - 1))
+
+
+@pytest.mark.parametrize("stat, expected", [(0.0, 1.0), (-1e-12, 1.0), (-5.0, 1.0),
+                                            (np.inf, 0.0), (np.nan, np.nan)])
+def test_chi2_tail_at_the_edges(stat, expected):
+    # chdtrc alone gives NaN below its support, where chi2.sf gives 1.0
+    for df in (1, 3, 44):
+        np.testing.assert_equal([_chi2_sf(stat, df), float(chi2.sf(stat, df))],
+                                [expected, expected])
 
 
 def test_overid_power_against_invalid_moment():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg
+from scipy.stats import norm
 
 from igsaft import gel
 from igsaft.blas import one_blas_thread
@@ -214,6 +215,16 @@ def test_variance_fd_matches_analytic_quadratic():
     np.testing.assert_allclose(fit.h_hat, h_true, rtol=1e-4)
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+def test_interval_uses_the_normal_quantile(alpha):
+    rng = np.random.default_rng(9)
+    M = random_matrix(rng, 400, 3, spread=0.7)
+    fit = variance(M, minimize_beta(M, "el", search=(-3.0, 3.0)), alpha=alpha)
+    z = norm.ppf(1.0 - alpha / 2.0)
+    assert fit.converged
+    assert fit.ci == (fit.beta_hat - z * fit.se, fit.beta_hat + z * fit.se)
+
+
 def test_variance_exp_scale_at_zero():
     rng = np.random.default_rng(10)
     # symmetric rows force beta_hat = 0 for CUE
@@ -291,6 +302,29 @@ def test_q_derivatives_match_central_differences(family):
         qp, qm = q(beta + h, lam), q(beta - h, lam)
         np.testing.assert_allclose(d1, (qp - qm) / (2 * h), rtol=1e-5)
         np.testing.assert_allclose(d2, (qp - 2 * q0 + qm) / h ** 2, rtol=1e-5)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_inner_solve_without_a_finite_maximum_is_not_converged(family):
+    # the first moment is positive in every row, so 0 lies outside the convex
+    # hull of the psi_i: EL and ET rise without bound as lambda_1 falls, and
+    # their solves end on a vanishing gradient; CUE's quadratic has a maximum
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(200, 3))
+    A[:, 0] = np.abs(A[:, 0]) + 0.5
+    spec = MomentSpec.from_subsets(4, 2, [(1, 2), (1, 3), (1, 4)])
+    M = MomentMatrix(A=A, B=np.zeros_like(A), spec=spec, fold_tags=np.zeros(200, dtype=int),
+                     stats=TransformStats())
+    lam, Q, conv = inner_lambda(M, 0.0, family)
+    assert conv == (family == "cue")
+    assert np.isfinite(Q) and Q > 0.0
+    # centred near 0, which then lies inside the hull: a finite maximum with
+    # lambda != 0, where lambda'psi_i takes both signs
+    centered = MomentMatrix(A=A - A.mean(axis=0) + 0.1, B=np.zeros_like(A), spec=spec,
+                            fold_tags=np.zeros(200, dtype=int), stats=TransformStats())
+    lam, Q, conv = inner_lambda(centered, 0.0, family)
+    v = centered.A @ lam
+    assert conv and v.min() < 0.0 < v.max()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

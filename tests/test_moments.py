@@ -285,3 +285,20 @@ def test_chunk_size_does_not_change_the_moments(target_cr, kc):
     for M in mats[1:]:
         assert np.array_equal(M.A, mats[0].A) and np.array_equal(M.B, mats[0].B)
         assert M.stats == mats[0].stats
+
+
+def test_chunk_size_moves_wide_moments_only_by_rounding():
+    # m = 45 on two 1000-row folds: the BLAS product W @ a rounds a row
+    # differently with the chunk's row count, so A and B are not the same bit
+    # for bit across chunks (chunk 16 against 32 differs in most rows), but
+    # within rounding of each column's scale; the counts do not move at all
+    cfg = SimConfig(case=1, n=2000, p=10, target_cr=0.2, reps=1, seed=3)
+    ds, _ = generate(cfg, 0)
+    spec = MomentSpec.full(10, 2)
+    assign, nuis = cross_fitted(ds, spec, kc=KernelConfig(km_conditioning="d_only"))
+    mats = [build_moment_matrix(ds, assign, nuis, spec, chunk=c) for c in (16, 32, 256)]
+    ref = mats[1]
+    for M in (mats[0], mats[2]):
+        for got, want in ((M.A, ref.A), (M.B, ref.B)):
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want).max(axis=0))
+        assert M.stats == ref.stats

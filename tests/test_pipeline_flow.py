@@ -3,10 +3,11 @@ and what runs before the first nuisance fit."""
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import igsaft.pipeline
 from igsaft.errors import IllPosedError
-from igsaft.gel import GelFit
+from igsaft.gel import GelFit, _z_crit
 from igsaft.pipeline import FitConfig, combine_split_fits, fit_igsaft
 from igsaft.simulate import SimConfig, generate
 
@@ -28,6 +29,14 @@ def test_combine_split_fits_picks_the_lower_middle_split(betas, picked):
     out = combine_split_fits([split_fit(b, b) for b in betas], alpha=0.05)
     assert out.beta_hat == pytest.approx(float(np.median(betas)))
     assert (out.q_hat, out.h_hat, out.v_hat, float(out.lambda_hat[0])) == (picked,) * 4
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+def test_split_interval_uses_the_normal_quantile(alpha):
+    z = norm.ppf(1.0 - alpha / 2.0)
+    assert _z_crit(alpha) == z
+    out = combine_split_fits([split_fit(b, b) for b in (1.2, 0.8, 1.0)], alpha=alpha)
+    assert out.ci == (out.beta_hat - z * out.se, out.beta_hat + z * out.se)
 
 
 def test_too_small_design_is_refused_before_any_fitting(monkeypatch):
