@@ -16,24 +16,6 @@ import numpy as np
 from .errors import SchemaError
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One unit: instruments, exposure, observed log-time, event indicator."""
-
-    z: np.ndarray
-    d: float
-    y: float
-    delta: int
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        object.__setattr__(self, "z", z)
-        if self.delta not in (0, 1):
-            raise ValueError(f"delta must be 0 or 1, got {self.delta}")
-        if not (np.all(np.isfinite(z)) and math.isfinite(self.d) and math.isfinite(self.y)):
-            raise ValueError("observation contains non-finite values")
-
-
 class Dataset:
     """Immutable column-major sample of n observations.
 
@@ -75,10 +57,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.z.shape[1]
-
-    def observation(self, i: int) -> Observation:
-        return Observation(z=self.z[i].copy(), d=float(self.d[i]), y=float(self.y[i]),
-                           delta=int(self.delta[i]))
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)

@@ -94,24 +94,9 @@ class MomentSpec:
         return cls(p=p, q=q, indices=tuple(idx))
 
 
-def eval_centered(z, zeta, spec: MomentSpec) -> np.ndarray:
-    """Centered interaction vector: component t is prod_{j in subset_t} (z_j - zeta_j)."""
-    z = np.asarray(z, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if z.shape != zeta.shape or z.shape != (spec.p,):
-        raise DomainError(f"z and zeta must both have length p={spec.p}")
-    zc = z - zeta
-    out = np.empty(spec.m)
-    for t, ix in enumerate(spec.indices):
-        v = 1.0
-        for j in ix.subset:
-            v *= zc[j - 1]
-        out[t] = v
-    return out
-
-
 def eval_centered_matrix(Z, zeta, spec: MomentSpec) -> np.ndarray:
-    """Row-wise eval_centered for an (n, p) instrument matrix; returns (n, m)."""
+    """Centered interaction vectors for an (n, p) instrument matrix; returns
+    (n, m), component t of row i being prod_{j in subset_t} (Z_ij - zeta_j)."""
     Z = np.asarray(Z, dtype=float)
     zc = Z - np.asarray(zeta, dtype=float)[None, :]
     out = np.empty((Z.shape[0], spec.m))

@@ -1,6 +1,6 @@
-"""Moment evaluation: the uncensored interaction moment g, its AIPCW
-transform psi with the discrete integral over training event times, stacked
-moment matrices, and mean/second-moment summaries.
+"""Moment evaluation: the AIPCW transform psi of the uncensored interaction
+moment g, with the discrete integral over training event times, and the
+cross-fitted moment matrix stacked from it.
 
 Every moment is affine in beta and is stored as an (intercept, slope) pair,
 so downstream beta searches reuse one construction pass.
@@ -33,26 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Observation
+from .data import Dataset
 from .errors import IllPosedError
-from .interactions import MomentSpec, build_Vk, eval_centered, vk_width
-from .nuisance import CondMoment, NuisanceFit, fold_g_values
+from .interactions import MomentSpec, vk_width
+from .nuisance import CondMoment, fold_g_values
 
 # A weighted risk-set mass S at or below this counts as an empty risk set.
 # Above it, 1/S times two factors 1/trunc_eps stays finite for trunc_eps
 # down to 1e-7; a subnormal S would make 1/S infinite.
 _MASS_FLOOR = 1e-290
-
-
-@dataclass(frozen=True)
-class AffineMoment:
-    """psi(beta) = a + b * beta, exactly."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __call__(self, beta: float) -> np.ndarray:
-        return self.a + beta * self.b
 
 
 @dataclass
@@ -83,24 +72,8 @@ class MomentMatrix:
     def m(self) -> int:
         return self.A.shape[1]
 
-    def row(self, i: int) -> AffineMoment:
-        return AffineMoment(self.A[i], self.B[i])
-
     def eval(self, beta: float) -> np.ndarray:
         return self.A + beta * self.B
-
-
-def eval_g(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMoment:
-    """Uncensored interaction moment for one observation."""
-    Ic = eval_centered(obs.z, nuis.zeta, spec)
-    a = np.empty(spec.m)
-    b = np.empty(spec.m)
-    for k in spec.orders:
-        cols = [t for t, ix in enumerate(spec.indices) if ix.order == k]
-        v = build_Vk(obs.z[None, :], k)[0]
-        a[cols] = Ic[cols] * (obs.y - v @ nuis.partials[k].theta_y)
-        b[cols] = Ic[cols] * (-(obs.d - v @ nuis.partials[k].theta_d))
-    return AffineMoment(a=a, b=b)
 
 
 def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
@@ -212,70 +185,6 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
     return psi_a, psi_b, stats
 
 
-def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMoment:
-    """AIPCW moment for one observation, written out literally.
-
-    ipcw * (g - xi(Y)) + xi(-inf) + sum_{u_t <= Y} dxi(u_t) / Ghat(u_t),
-    with u_t the training fold's distinct event times, xi carried forward
-    across empty weighted risk sets (mass at most _MASS_FLOOR), and xi(Y)
-    read at the largest u_t <= Y.
-    """
-    g = eval_g(obs, nuis, spec)
-    cm = nuis.censor_model
-    cond = nuis.cond_moment
-    eps = cm.cfg.trunc_eps
-    if obs.delta == 1 and cm.delta_s.min() == 1.0:
-        # uncensored training fold: Ghat is identically 1 and the
-        # augmentation telescopes away exactly
-        return g
-
-    tables = cm.tables(obs.z[None, :], [obs.d])
-    G_train = np.maximum(np.exp(tables.cumlog[0]), eps)
-    omega = tables.w[0] * cm.delta_s / G_train
-    suffix = np.cumsum(omega[::-1])[::-1]
-    S_total = suffix[0]
-
-    Gy = float(np.maximum(np.exp(cm._eval_logG(tables, np.array([obs.y]))[0]), eps))
-    ipcw = obs.delta / Gy
-
-    K = cm.grid_vals.size  # Dataset holds K >= 1 events
-    if S_total <= _MASS_FLOOR:
-        return AffineMoment(a=ipcw * g.a, b=ipcw * g.b)
-
-    num_rev_a = np.cumsum((omega[:, None] * cond.a)[::-1], axis=0)[::-1]
-    num_rev_b = np.cumsum((omega[:, None] * cond.b)[::-1], axis=0)[::-1]
-    xi_inf_a = num_rev_a[0] / S_total
-    xi_inf_b = num_rev_b[0] / S_total
-    num_a = num_rev_a[cm.grid_first]
-    num_b = num_rev_b[cm.grid_first]
-    S_grid = suffix[cm.grid_first]
-
-    xi_a = np.empty((K, spec.m))
-    xi_b = np.empty((K, spec.m))
-    prev_a, prev_b = xi_inf_a, xi_inf_b
-    for t in range(K):
-        if S_grid[t] > _MASS_FLOOR:
-            prev_a = num_a[t] / S_grid[t]
-            prev_b = num_b[t] / S_grid[t]
-        xi_a[t] = prev_a
-        xi_b[t] = prev_b
-
-    G_grid = np.maximum(np.exp(tables.cumlog[0, cm.grid_first]), eps)
-    T = int(np.searchsorted(cm.grid_vals, obs.y, side="right"))
-    int_a = np.zeros(spec.m)
-    int_b = np.zeros(spec.m)
-    pa, pb = xi_inf_a, xi_inf_b
-    for t in range(T):
-        int_a = int_a + (xi_a[t] - pa) / G_grid[t]
-        int_b = int_b + (xi_b[t] - pb) / G_grid[t]
-        pa, pb = xi_a[t], xi_b[t]
-    snap_a = xi_a[T - 1] if T >= 1 else xi_inf_a
-    snap_b = xi_b[T - 1] if T >= 1 else xi_inf_b
-
-    return AffineMoment(a=ipcw * (g.a - snap_a) + xi_inf_a + int_a,
-                        b=ipcw * (g.b - snap_b) + xi_inf_b + int_b)
-
-
 def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
                         spec: MomentSpec, chunk: int = 32) -> MomentMatrix:
     """Cross-fitted moment rows: row i is evaluated with the nuisance fit
@@ -305,12 +214,6 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
         A[idx] = pa
         B[idx] = pb
     return MomentMatrix(A=A, B=B, spec=spec, fold_tags=assign.copy(), stats=stats)
-
-
-def mean_and_cov(M: MomentMatrix, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean of psi(beta) and the uncentered second-moment matrix."""
-    psi = M.eval(beta)
-    return psi.mean(axis=0), psi.T @ psi / M.n
 
 
 def dump_moments(M: MomentMatrix, path) -> None:

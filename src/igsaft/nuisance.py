@@ -1,6 +1,6 @@
 """Nuisance estimation: instrument means, partialling regressions, the
-kernel-weighted local Kaplan-Meier censoring survival, and the conditional
-moment function evaluated on weighted risk sets.
+kernel-weighted local Kaplan-Meier censoring survival, and the training-fold
+g values that the AIPCW transform averages over weighted risk sets.
 
 All fitting happens on one fold; fitted objects are immutable and safe to
 evaluate concurrently. Training arrays are kept internally in sorted-time
@@ -150,22 +150,14 @@ def _conditioning_targets(z, d, mode: str) -> np.ndarray:
     return np.zeros((d.shape[0], 0))
 
 
-def kernel_weights(target, fold: Dataset, cfg: KernelConfig) -> np.ndarray:
-    """Weights B over the fold for one target point (z, d), in fold order."""
-    z, d = target
-    mode = cfg.resolve_conditioning(fold.p)
-    weigher = _KernelWeigher(_conditioning_targets(fold.z, fold.d, mode), cfg)
-    return weigher.weights(_conditioning_targets(np.asarray(z)[None, :], [d], mode))[0]
-
-
 @dataclass
 class KMTables:
     """Per-target arrays in sorted training order, produced by CensorModel.
 
     Ghat is constant on each censoring segment, so its log is kept once per
-    segment; cumlog expands it to every training row. mass comes from the
-    indicator product CensorModel.seg_sum @ w.T, each run summed in row
-    order; a run without event rows is exactly 0.
+    segment; seglog[:, seg_of] expands it to every training row. mass comes
+    from the indicator product CensorModel.seg_sum @ w.T, each run summed in
+    row order; a run without event rows is exactly 0.
     """
 
     w: np.ndarray        # (c, n) kernel weights
@@ -174,18 +166,14 @@ class KMTables:
     mass: np.ndarray     # (c, 2E) event weight of the two runs of each event segment
     seg_of: np.ndarray   # (n,) censoring segment of each sorted training row
 
-    @property
-    def cumlog(self) -> np.ndarray:
-        """(c, n) log Ghat at each sorted training time."""
-        return self.seglog[:, self.seg_of]
-
 
 class CensorModel:
     """Local Kaplan-Meier estimate of the censoring survival G(y | z, d).
 
     Censored observations contribute product-limit factors; the at-risk sums
-    use I(Y_j >= Y_i) with exact tie grouping. Evaluations are clipped below
-    at trunc_eps and equal 1 below the smallest censored training time.
+    use I(Y_j >= Y_i) with exact tie grouping. Ghat equals 1 below the
+    smallest censored training time; the AIPCW transform clips it below at
+    trunc_eps.
     """
 
     def __init__(self, fold: Dataset, cfg: KernelConfig):
@@ -279,29 +267,11 @@ class CensorModel:
         return KMTables(w=w, w_event=w * self.delta_s, seglog=seglog, mass=sums[:, S:],
                         seg_of=self.seg_of)
 
-    def _eval_logG(self, tables: KMTables, yq: np.ndarray) -> np.ndarray:
-        """log Ghat at query times, from the first table row."""
-        pos = np.searchsorted(self.ys, yq, side="right") - 1
-        out = np.zeros(pos.shape)
-        hit = pos >= 0
-        out[hit] = tables.cumlog[0, pos[hit]]
-        return out
-
-    def survival(self, yq, z, d) -> np.ndarray:
-        """Ghat(y | z, d) for a vector of query times and one target point."""
-        yq = np.atleast_1d(np.asarray(yq, dtype=float))
-        t = self.tables(np.asarray(z)[None, :], [d])
-        G = np.exp(self._eval_logG(t, yq))
-        return np.maximum(G, self.cfg.trunc_eps)
-
 
 class CondMoment:
-    """Weighted risk-set estimate of E[g(beta) | T >= u, z, d].
-
-    Evaluations are affine in beta: the intercept and slope parts of g are
-    averaged with identical weights. When the weighted risk set at u is
-    empty, the value at the largest u with a nonzero denominator is carried
-    forward.
+    """Training-fold g values in sorted training order, the parts of
+    E[g(beta) | T >= u, z, d] that the AIPCW transform averages over weighted
+    risk sets: a, the intercepts, and b, the slopes, which share the weights.
     """
 
     def __init__(self, censor: CensorModel, g_a: np.ndarray, g_b: np.ndarray):
@@ -311,27 +281,6 @@ class CondMoment:
         self.a = g_a[censor.order]
         self.b = g_b[censor.order]
         self.m = g_a.shape[1]
-
-    def _omega(self, tables: KMTables) -> np.ndarray:
-        G = np.maximum(np.exp(tables.cumlog), self.censor.cfg.trunc_eps)
-        return tables.w * self.censor.delta_s[None, :] / G
-
-    def evaluate(self, u: float, z, d) -> tuple[np.ndarray, np.ndarray]:
-        """xi_hat at a single (u, z, d); returns (a_part, b_part)."""
-        t = self.censor.tables(np.asarray(z)[None, :], [d])
-        omega = self._omega(t)[0]
-        j0 = np.searchsorted(self.censor.ys, u, side="left")
-        den = omega[j0:].sum()
-        if den <= 0.0:
-            # carry forward from the largest u with weighted mass
-            nz = np.flatnonzero(omega > 0)
-            if nz.size == 0:
-                return np.zeros(self.m), np.zeros(self.m)
-            j0 = int(nz[-1])
-            den = omega[j0:].sum()
-        wa = omega[j0:] @ self.a[j0:]
-        wb = omega[j0:] @ self.b[j0:]
-        return wa / den, wb / den
 
 
 @dataclass
@@ -343,7 +292,6 @@ class NuisanceFit:
     censor_model: CensorModel
     cond_moment: CondMoment
     training_ids: np.ndarray
-    fold: Dataset
 
     @property
     def ridge_fallbacks(self) -> int:
@@ -383,4 +331,4 @@ def fit_all(fold: Dataset, spec: MomentSpec, cfg: KernelConfig,
     cond = CondMoment(censor, g_a, g_b)
     ids = np.arange(fold.n) if training_ids is None else np.asarray(training_ids)
     return NuisanceFit(zeta=zeta, partials=partials, censor_model=censor,
-                       cond_moment=cond, training_ids=ids, fold=fold)
+                       cond_moment=cond, training_ids=ids)

@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 
 from .data import Dataset
 from .errors import CalibrationError, DomainError
-from .gel import FAMILIES
+from .gel import FAMILIES, _z_crit
 
 _PILOT_STREAM = 101
 _REP_STREAM = 202
@@ -80,7 +80,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """Everything an oracle test needs about one simulated replication."""
+    """The true parameters behind one simulated replication."""
 
     beta0: float
     theta: np.ndarray           # (p,)
@@ -92,31 +92,6 @@ class TruthRecord:
     case: int
     n: int
     p: int
-
-    @property
-    def eps_given_nu_var(self) -> float:
-        return _NOISE_COV[0, 0] - _NOISE_COV[0, 1] ** 2 / _NOISE_COV[1, 1]
-
-    @property
-    def eps_given_nu_slope(self) -> float:
-        return _NOISE_COV[0, 1] / _NOISE_COV[1, 1]
-
-    def exposure_mean(self, Z: np.ndarray) -> np.ndarray:
-        """theta'Z plus the raw pairwise interaction part."""
-        out = Z @ self.theta
-        nz = np.flatnonzero(self.phi_pairs)
-        for t in nz:
-            j, k = self.pairs[t]
-            out = out + self.phi_pairs[t] * Z[:, j - 1] * Z[:, k - 1]
-        return out
-
-    def censor_survival(self, u) -> np.ndarray:
-        """True G(u) = P(C > u); C is uniform on [tau1, tau2]."""
-        u = np.asarray(u, dtype=float)
-        if math.isinf(self.tau1):
-            return np.ones_like(u)
-        out = (self.tau2 - u) / (self.tau2 - self.tau1)
-        return np.clip(out, 0.0, 1.0)
 
 
 def _draw_coefficients(cfg: SimConfig, gen: np.random.Generator):
@@ -283,7 +258,7 @@ def _mc_one_rep(args):
     sim_cfg, fit_cfg, estimators, rep, taus = args
     from .pipeline import fit_families  # local import keeps workers light
 
-    dataset, truth = generate(sim_cfg, rep, taus=taus)
+    dataset, _ = generate(sim_cfg, rep, taus=taus)
     out = {}
     gel_families = [e for e in estimators if e in FAMILIES]
     if gel_families:
@@ -292,8 +267,8 @@ def _mc_one_rep(args):
             out[fam] = (fit.beta_hat, fit.se, fit.ci[0], fit.ci[1], fit.converged)
     if "aft" in estimators:
         b, se = aft_benchmark(dataset)
-        out["aft"] = (b, se, b - 1.959963984540054 * se,
-                      b + 1.959963984540054 * se, True)
+        z = _z_crit(fit_cfg.alpha)
+        out["aft"] = (b, se, b - z * se, b + z * se, True)
     return rep, out
 
 

@@ -19,6 +19,7 @@ from igsaft.moments import TransformStats, aipcw_transform, build_moment_matrix
 from igsaft.nuisance import CensorModel, CondMoment, KernelConfig, fit_all
 from igsaft.pipeline import _fold_assignment
 from igsaft.simulate import SimConfig, generate
+from scalar_reference import cumlog
 
 
 def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
@@ -27,7 +28,7 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
     eps = cm.cfg.trunc_eps
     stats = TransformStats()
 
-    G_train_raw = np.exp(tables.cumlog)
+    G_train_raw = np.exp(cumlog(tables))
     G_train = np.maximum(G_train_raw, eps)
     omega = tables.w * cm.delta_s[None, :] / G_train
     stats.clip_count += int(((G_train_raw < eps) & (cm.delta_s[None, :] == 1.0)
@@ -38,7 +39,7 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
 
     K = cm.grid_vals.size
     S_grid = suffix[:, cm.grid_first]
-    logG_grid = tables.cumlog[:, cm.grid_first]
+    logG_grid = cumlog(tables)[:, cm.grid_first]
     G_grid_raw = np.exp(logG_grid)
     G_grid = np.maximum(G_grid_raw, eps)
 
@@ -51,7 +52,7 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
 
     # Ghat at the evaluation row's own time
     pos = np.searchsorted(cm.ys, y_eval, side="right") - 1
-    logGy = np.where(pos >= 0, tables.cumlog[np.arange(len(y_eval)), np.maximum(pos, 0)], 0.0)
+    logGy = np.where(pos >= 0, cumlog(tables)[np.arange(len(y_eval)), np.maximum(pos, 0)], 0.0)
     Gy_raw = np.exp(logGy)
     Gy = np.maximum(Gy_raw, eps)
     stats.clip_count += int(((Gy_raw < eps) & (delta_eval == 1)).sum())

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from igsaft.data import ColumnConfig, Dataset, Observation, load_csv, write_csv
+from igsaft.data import ColumnConfig, Dataset, load_csv, write_csv
 from igsaft.errors import SchemaError
 from igsaft.simulate import SimConfig, generate
+from scalar_reference import Observation
 
 
 COLS = ColumnConfig(time="time", status="status", exposure="bmi",

@@ -11,10 +11,11 @@ from igsaft.errors import DomainError
 from igsaft.gel import (_GRID_POINTS, _INNER_MAX_ITER, FAMILIES, _grid_argmin, fit_gel,
                         inner_lambda, minimize_beta, q_derivatives, rho, variance)
 from igsaft.interactions import MomentSpec
-from igsaft.moments import MomentMatrix, TransformStats, build_moment_matrix, mean_and_cov
+from igsaft.moments import MomentMatrix, TransformStats, build_moment_matrix
 from igsaft.nuisance import KernelConfig, fit_all
 from igsaft.pipeline import FitConfig, _fold_assignment, _one_split
 from igsaft.simulate import SimConfig, generate
+from scalar_reference import mean_and_cov
 
 
 def random_matrix(rng, n, m, spread=1.0, slope=1.0):

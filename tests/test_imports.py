@@ -1,7 +1,10 @@
-"""Every module under src/igsaft uses each name it imports, and importing the
-package and its CLI leaves scipy.stats unloaded."""
+"""Every module under src/igsaft, and the tests' scalar reference helper,
+uses each name it imports. Importing the package and its CLI loads every
+module under src/igsaft, so none is dead, resolves every name in
+igsaft.__all__, and leaves scipy.stats unloaded."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "igsaft"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+HELPERS = [Path(__file__).with_name("scalar_reference.py")]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -27,16 +31,41 @@ def unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + HELPERS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def test_import_does_not_load_scipy_stats():
+FRESH_IMPORT = """
+import igsaft, igsaft.cli, json, sys
+print(json.dumps({
+    "modules": [m for m in sys.modules if m.startswith("igsaft")],
+    "unresolved": [n for n in igsaft.__all__ if not hasattr(igsaft, n)],
+    "scipy_stats": "scipy.stats" in sys.modules,
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_import():
+    """What `import igsaft, igsaft.cli` leaves behind in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+def test_import_does_not_load_scipy_stats(fresh_import):
     # scipy.stats costs about 0.5 s and 20 MB at import; the package takes its
     # chi-square tails and normal quantiles from scipy.special instead
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = "import igsaft, igsaft.cli, sys; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert fresh_import["scipy_stats"] is False
+
+
+def test_every_module_is_imported(fresh_import):
+    # a module that neither the package nor its CLI imports runs in no fit
+    expected = {f"igsaft.{p.stem}" for p in MODULES if p.name != "__main__.py"}
+    assert expected - set(fresh_import["modules"]) == set()
+
+
+def test_every_exported_name_resolves(fresh_import):
+    assert fresh_import["unresolved"] == []

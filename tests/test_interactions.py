@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from igsaft.errors import DomainError
 from igsaft.interactions import (InteractionIndex, MomentSpec, build_Vk, enumerate_subsets,
-                                 eval_centered, eval_centered_matrix, interaction_count,
-                                 vk_width)
+                                 eval_centered_matrix, interaction_count, vk_width)
+from scalar_reference import eval_centered
 
 
 def subsets(p, k):

@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from igsaft.data import Dataset, Observation
+from igsaft.data import Dataset
 from igsaft.interactions import MomentSpec
-from igsaft.moments import (aipcw_transform, build_moment_matrix, eval_g, eval_psi,
-                            mean_and_cov)
+from igsaft.moments import aipcw_transform, build_moment_matrix
 from igsaft.nuisance import CondMoment, KernelConfig, fit_all, fold_g_values
 from igsaft.pipeline import _fold_assignment
 from igsaft.simulate import SimConfig, generate
+from scalar_reference import (Observation, eval_g, eval_psi, evaluate, mean_and_cov,
+                              observation, row)
 
 KC = KernelConfig()
 
@@ -53,7 +54,7 @@ def test_eval_g_affinity():
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(4, 2)
     nu = fit_all(ds, spec, KC)
-    g = eval_g(ds.observation(11), nu, spec)
+    g = eval_g(observation(ds, 11), nu, spec)
     v0, v1, v2 = g(0.0), g(1.0), g(2.0)
     np.testing.assert_array_equal(v2 - 2 * v1 + v0, np.zeros(spec.m))
 
@@ -79,7 +80,7 @@ def test_censored_below_first_event_returns_xi_inf():
     first_event = nu.censor_model.grid_vals[0]
     obs = Observation(z=ds.z[3].copy(), d=float(ds.d[3]), y=first_event - 1.0, delta=0)
     am = eval_psi(obs, nu, spec)
-    a_inf, b_inf = nu.cond_moment.evaluate(-np.inf, obs.z, obs.d)
+    a_inf, b_inf = evaluate(nu.cond_moment, -np.inf, obs.z, obs.d)
     np.testing.assert_allclose(am.a, a_inf, rtol=1e-10)
     np.testing.assert_allclose(am.b, b_inf, rtol=1e-10)
 
@@ -91,7 +92,7 @@ def test_batch_matches_per_observation():
     assign, nuis = cross_fitted(ds, spec, seed=2)
     M = build_moment_matrix(ds, assign, nuis, spec, chunk=32)
     for i in range(0, ds.n, 13):
-        am = eval_psi(ds.observation(i), nuis[assign[i]], spec)
+        am = eval_psi(observation(ds, i), nuis[assign[i]], spec)
         np.testing.assert_allclose(M.A[i], am.a, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(M.B[i], am.b, rtol=1e-9, atol=1e-11)
 
@@ -110,7 +111,7 @@ def test_subnormal_risk_set_mass_counts_as_empty():
         M = build_moment_matrix(ds, assign, nuis, spec)
     assert np.isfinite(M.A).all() and np.isfinite(M.B).all()
     for i in range(ds.n):
-        am = eval_psi(ds.observation(i), nuis[assign[i]], spec)
+        am = eval_psi(observation(ds, i), nuis[assign[i]], spec)
         np.testing.assert_allclose(M.A[i], am.a, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(M.B[i], am.b, rtol=1e-9, atol=1e-11)
 
@@ -138,7 +139,7 @@ def test_cross_fitting_uses_opposite_fold():
         nuis[lab] = fit_all(ds.subset(aux), spec, KC, training_ids=aux)
     M = build_moment_matrix(ds, assign, nuis, spec)
     # row 0 evaluated with the fit trained on fold 1's rows
-    g0 = eval_g(ds.observation(0), nuis[0], spec)
+    g0 = eval_g(observation(ds, 0), nuis[0], spec)
     np.testing.assert_allclose(M.A[0], g0.a, rtol=1e-12)
     with pytest.raises(ValueError, match="trained on evaluation rows"):
         build_moment_matrix(ds, assign, {0: nuis[1], 1: nuis[0]}, spec)
@@ -252,7 +253,7 @@ def test_exact_affinity_of_psi_rows():
     assign, nuis = cross_fitted(ds, spec)
     M = build_moment_matrix(ds, assign, nuis, spec)
     for i in (0, 5, 17):
-        r = M.row(i)
+        r = row(M, i)
         np.testing.assert_allclose(r(2.0) - 2 * r(1.0) + r(0.0), np.zeros(spec.m),
                                    atol=1e-12)
 

@@ -1,12 +1,13 @@
 """Monte Carlo runs: estimator names are checked before any replication;
-censoring calibration hits its target rate; the summary does not depend on
-the worker count."""
+the AFT interval has the fit's level; censoring calibration hits its target
+rate; the summary does not depend on the worker count."""
 
 import gc
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from igsaft import simulate
 from igsaft.blas import bundled_openblas
@@ -32,6 +33,15 @@ def test_known_estimators_give_one_row_each():
     summary = run_monte_carlo(cfg, FitConfig(n_splits=1), ["cue", "aft"])
     assert [r.estimator for r in summary.rows] == ["cue", "aft"]
     assert all(r.n_used + r.n_excluded == 2 for r in summary.rows)
+
+
+def test_aft_interval_has_the_fit_level():
+    # the coverage column compares AFT and GEL intervals at one level
+    cfg = SimConfig(case=1, n=200, p=3, target_cr=0.0, reps=1, seed=4)
+    job = (cfg, FitConfig(alpha=0.1), ["aft"], 0, (np.inf, np.inf))
+    _, out = simulate._mc_one_rep(job)
+    b, se, lo, hi, _ = out["aft"]
+    np.testing.assert_allclose([b - lo, hi - b], ndtri(0.95) * se, rtol=1e-12)
 
 
 @pytest.mark.parametrize("target_cr", [0.2, 0.4])
