@@ -155,16 +155,15 @@ class KMTables:
     """Per-target arrays in sorted training order, produced by CensorModel.
 
     Ghat is constant on each censoring segment, so its log is kept once per
-    segment; seglog[:, seg_of] expands it to every training row. mass comes
-    from the indicator product CensorModel.seg_sum @ w.T, each run summed in
-    row order; a run without event rows is exactly 0.
+    segment; seglog[:, CensorModel.seg_of] expands it to every training row.
+    mass comes from the indicator product CensorModel.seg_sum @ w.T, each run
+    summed in row order; a run without event rows is exactly 0.
     """
 
     w: np.ndarray        # (c, n) kernel weights
     w_event: np.ndarray  # (c, n) kernel weights on event rows, 0 on censored rows
     seglog: np.ndarray   # (c, S + 1) log Ghat on each censoring segment
     mass: np.ndarray     # (c, 2E) event weight of the two runs of each event segment
-    seg_of: np.ndarray   # (n,) censoring segment of each sorted training row
 
 
 class CensorModel:
@@ -264,8 +263,7 @@ class CensorModel:
             with np.errstate(divide="ignore"):
                 logf_group = np.log1p(-np.minimum(frac, 1.0))
             np.cumsum(np.maximum(logf_group, _LOG_TINY), axis=1, out=seglog[:, 1:])
-        return KMTables(w=w, w_event=w * self.delta_s, seglog=seglog, mass=sums[:, S:],
-                        seg_of=self.seg_of)
+        return KMTables(w=w, w_event=w * self.delta_s, seglog=seglog, mass=sums[:, S:])
 
 
 class CondMoment:

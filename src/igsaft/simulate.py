@@ -18,7 +18,6 @@ from itertools import combinations
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .data import Dataset
 from .errors import CalibrationError, DomainError
@@ -147,8 +146,8 @@ def _draw_structural(cfg: SimConfig, gen, theta, phi, phi_pairs, pairs, n):
 
 def calibrate_censoring(cfg: SimConfig) -> tuple[float, float]:
     """Pick the uniform censoring support: width _WIDTH_SD * SD(T) from a pilot,
-    then bisect the left endpoint until the pilot censoring rate hits the
-    target within 0.005.
+    then find the left endpoint by Brent's method until the pilot censoring
+    rate hits the target within 0.005.
 
     The support must be wide enough that essentially no failure-time mass
     lies beyond tau2: events past the censoring horizon are never observed
@@ -165,16 +164,16 @@ def calibrate_censoring(cfg: SimConfig) -> tuple[float, float]:
     T = np.concatenate(ts)
     width = _WIDTH_SD * float(T.std())
     ugen = rng_stream(cfg.seed, _PILOT_STREAM, 999_983)
-    # passed as brentq's args, not closed over: brentq's wrapper of the
-    # function refers to itself, so what the function holds waits for a
-    # full garbage-collection pass
+    # the pilot draws sit in no reference cycle, so they are freed when this
+    # call returns, without a collector pass
     args = (T, ugen.random(T.size), width, cfg.target_cr)
     lo = float(T.min()) - width - 1.0
     hi = float(T.max()) + 1.0
     if _pilot_gap(lo, *args) < 0 or _pilot_gap(hi, *args) > 0:
         raise CalibrationError("target censoring rate cannot be bracketed")
-    tau1 = brentq(_pilot_gap, lo, hi, args=args, xtol=1e-10)
-    # brentq gives a sign change point of the step function; accept if within band
+    tau1 = _brentq(_pilot_gap, lo, hi, args, xtol=1e-10)
+    # Brent's method gives a sign change point of the step function; accept
+    # if within band
     gap = abs(_pilot_gap(tau1, *args))
     if gap > 0.005:
         raise CalibrationError(f"pilot censoring rate misses target by {gap:.4f} > 0.005")
@@ -184,6 +183,84 @@ def calibrate_censoring(cfg: SimConfig) -> tuple[float, float]:
 def _pilot_gap(tau1, T, U, width, target):
     """Share of pilot times T censored by tau1 + width * U, minus the target."""
     return float(np.mean(T > tau1 + width * U)) - target
+
+
+_BRENT_RTOL = 4 * math.ulp(1.0)  # scipy's default rtol, 4 * machine epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, args: tuple, xtol: float) -> float:
+    """A root of f(x, *args) in [xa, xb] by Brent's method (Brent 1973,
+    Algorithms for Minimization Without Derivatives, ch. 4).
+
+    A line-for-line port of scipy 1.17.1's optimize/Zeros/brentq.c with
+    brentq's default rtol and iteration cap, so it returns the same double as
+    scipy.optimize.brentq. The pilot gap is a step function whose zero is a
+    flat segment; another root finder would land elsewhere on it and move
+    every censored simulated time. f(xa) and f(xb) of the same sign, a
+    non-finite value of f, or no convergence raise CalibrationError. A
+    divisor can be zero only where a quotient or product underflows, which
+    the pilot gap's values, multiples of 1/N apart, rule out; there C would
+    bisect and Python raises ZeroDivisionError.
+    """
+
+    def fval(x):
+        fx = f(x, *args)
+        if not math.isfinite(fx):
+            raise CalibrationError(f"pilot censoring gap is {fx} at tau1 = {x}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = fval(xpre)
+    fcur = fval(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise CalibrationError("f(xa) and f(xb) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        # nonzero finite values, so (f < 0) is the C code's signbit(f)
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = abs(spre)
+            if 3 * abs(sbis) - delta < bound:  # the C macro MIN(a, b)
+                bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fval(xcur)
+    raise CalibrationError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
 def generate(cfg: SimConfig, rep: int, taus: tuple[float, float] | None = None

@@ -90,9 +90,9 @@ def kernel_weights(target, fold: Dataset, cfg: KernelConfig) -> np.ndarray:
     return weigher.weights(_conditioning_targets(np.asarray(z)[None, :], [d], mode))[0]
 
 
-def cumlog(tables: KMTables) -> np.ndarray:
+def cumlog(model: CensorModel, tables: KMTables) -> np.ndarray:
     """(c, n) log Ghat at each sorted training time."""
-    return tables.seglog[:, tables.seg_of]
+    return tables.seglog[:, model.seg_of]
 
 
 def _eval_logG(model: CensorModel, tables: KMTables, yq: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ def _eval_logG(model: CensorModel, tables: KMTables, yq: np.ndarray) -> np.ndarr
     pos = np.searchsorted(model.ys, yq, side="right") - 1
     out = np.zeros(pos.shape)
     hit = pos >= 0
-    out[hit] = cumlog(tables)[0, pos[hit]]
+    out[hit] = cumlog(model, tables)[0, pos[hit]]
     return out
 
 
@@ -113,7 +113,7 @@ def survival(model: CensorModel, yq, z, d) -> np.ndarray:
 
 
 def _omega(cond: CondMoment, tables: KMTables) -> np.ndarray:
-    G = np.maximum(np.exp(cumlog(tables)), cond.censor.cfg.trunc_eps)
+    G = np.maximum(np.exp(cumlog(cond.censor, tables)), cond.censor.cfg.trunc_eps)
     return tables.w * cond.censor.delta_s[None, :] / G
 
 
@@ -170,7 +170,7 @@ def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMom
         return g
 
     tables = cm.tables(obs.z[None, :], [obs.d])
-    G_train = np.maximum(np.exp(cumlog(tables)[0]), eps)
+    G_train = np.maximum(np.exp(cumlog(cm, tables)[0]), eps)
     omega = tables.w[0] * cm.delta_s / G_train
     suffix = np.cumsum(omega[::-1])[::-1]
     S_total = suffix[0]
@@ -200,7 +200,7 @@ def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMom
         xi_a[t] = prev_a
         xi_b[t] = prev_b
 
-    G_grid = np.maximum(np.exp(cumlog(tables)[0, cm.grid_first]), eps)
+    G_grid = np.maximum(np.exp(cumlog(cm, tables)[0, cm.grid_first]), eps)
     T = int(np.searchsorted(cm.grid_vals, obs.y, side="right"))
     int_a = np.zeros(spec.m)
     int_b = np.zeros(spec.m)

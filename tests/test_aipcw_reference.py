@@ -28,7 +28,7 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
     eps = cm.cfg.trunc_eps
     stats = TransformStats()
 
-    G_train_raw = np.exp(cumlog(tables))
+    G_train_raw = np.exp(cumlog(cm, tables))
     G_train = np.maximum(G_train_raw, eps)
     omega = tables.w * cm.delta_s[None, :] / G_train
     stats.clip_count += int(((G_train_raw < eps) & (cm.delta_s[None, :] == 1.0)
@@ -39,7 +39,7 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
 
     K = cm.grid_vals.size
     S_grid = suffix[:, cm.grid_first]
-    logG_grid = cumlog(tables)[:, cm.grid_first]
+    logG_grid = cumlog(cm, tables)[:, cm.grid_first]
     G_grid_raw = np.exp(logG_grid)
     G_grid = np.maximum(G_grid_raw, eps)
 
@@ -52,7 +52,7 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
 
     # Ghat at the evaluation row's own time
     pos = np.searchsorted(cm.ys, y_eval, side="right") - 1
-    logGy = np.where(pos >= 0, cumlog(tables)[np.arange(len(y_eval)), np.maximum(pos, 0)], 0.0)
+    logGy = np.where(pos >= 0, cumlog(cm, tables)[np.arange(len(y_eval)), np.maximum(pos, 0)], 0.0)
     Gy_raw = np.exp(logGy)
     Gy = np.maximum(Gy_raw, eps)
     stats.clip_count += int(((Gy_raw < eps) & (delta_eval == 1)).sum())

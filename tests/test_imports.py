@@ -1,7 +1,7 @@
 """Every module under src/igsaft, and the tests' scalar reference helper,
 uses each name it imports. Importing the package and its CLI loads every
 module under src/igsaft, so none is dead, resolves every name in
-igsaft.__all__, and leaves scipy.stats unloaded."""
+igsaft.__all__, and leaves scipy.stats and scipy.optimize unloaded."""
 
 import ast
 import json
@@ -42,6 +42,7 @@ print(json.dumps({
     "modules": [m for m in sys.modules if m.startswith("igsaft")],
     "unresolved": [n for n in igsaft.__all__ if not hasattr(igsaft, n)],
     "scipy_stats": "scipy.stats" in sys.modules,
+    "scipy_optimize": "scipy.optimize" in sys.modules,
 }))
 """
 
@@ -59,6 +60,13 @@ def test_import_does_not_load_scipy_stats(fresh_import):
     # scipy.stats costs about 0.5 s and 20 MB at import; the package takes its
     # chi-square tails and normal quantiles from scipy.special instead
     assert fresh_import["scipy_stats"] is False
+
+
+def test_import_does_not_load_scipy_optimize(fresh_import):
+    # scipy.optimize (with HiGHS, scipy.fft and scipy.sparse.linalg) costs
+    # about 0.2 s and 15 MB at import; censoring calibration ports its
+    # Brent root finder instead
+    assert fresh_import["scipy_optimize"] is False
 
 
 def test_every_module_is_imported(fresh_import):

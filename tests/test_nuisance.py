@@ -196,7 +196,7 @@ def test_cond_moment_minus_inf_formula():
     # direct evaluation of the displayed ratio
     cm = nu.censor_model
     t = cm.tables(z[None, :], [d])
-    G = np.maximum(np.exp(cumlog(t)[0]), 0.01)
+    G = np.maximum(np.exp(cumlog(cm, t)[0]), 0.01)
     om = t.w[0] * cm.delta_s / G
     np.testing.assert_allclose(a_inf, om @ nu.cond_moment.a / om.sum(), rtol=1e-12)
     np.testing.assert_allclose(b_inf, om @ nu.cond_moment.b / om.sum(), rtol=1e-12)
@@ -248,7 +248,7 @@ def test_xi_affine_in_beta():
     a, b = evaluate(nu.cond_moment, u, z, d)
     cm = nu.censor_model
     t = cm.tables(z[None, :], [d])
-    om = t.w[0] * cm.delta_s / np.maximum(np.exp(cumlog(t)[0]), cm.cfg.trunc_eps)
+    om = t.w[0] * cm.delta_s / np.maximum(np.exp(cumlog(cm, t)[0]), cm.cfg.trunc_eps)
     om[cm.ys < u] = 0.0  # risk set I(Y_j >= u)
     np.testing.assert_allclose(a, om @ nu.cond_moment.a / om.sum(), rtol=1e-13)
     np.testing.assert_allclose(b, om @ nu.cond_moment.b / om.sum(), rtol=1e-13)
@@ -335,9 +335,9 @@ def test_censored_group_product_limit_matches_all_groups():
     t = cm.tables(rng.normal(size=(20, 2)), rng.normal(size=20))
     assert np.all(t.w.max(axis=1) > 5 * t.w.min(axis=1))  # non-uniform weights
     ref = all_groups_cumlog(cm, t.w)
-    np.testing.assert_allclose(cumlog(t), ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(cumlog(cm, t), ref, rtol=0, atol=1e-14)
     last = np.searchsorted(cm.ys, cm.ys, side="right") - 1
-    np.testing.assert_allclose(cumlog(t), ref[:, last], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(cumlog(cm, t), ref[:, last], rtol=0, atol=1e-14)
 
 
 def test_no_censored_rows_give_zero_log_survival():
@@ -346,8 +346,8 @@ def test_no_censored_rows_give_zero_log_survival():
     ds = Dataset(ds.z, ds.d, np.round(ds.y, 1), ds.delta)
     cm = CensorModel(ds, KernelConfig(fixed_h=0.5, km_conditioning="full"))
     t = cm.tables(rng.normal(size=(7, 2)), rng.normal(size=7))
-    assert cumlog(t).shape == (7, 80)
-    assert not cumlog(t).any()
+    assert cumlog(cm, t).shape == (7, 80)
+    assert not cumlog(cm, t).any()
 
 
 def test_fit_all_requires_enough_rows():

@@ -1,17 +1,20 @@
 """Monte Carlo runs: estimator names are checked before any replication;
 the AFT interval has the fit's level; censoring calibration hits its target
-rate; the summary does not depend on the worker count."""
+rate with a root finder that returns scipy's brentq root bit for bit; the
+summary does not depend on the worker count."""
 
 import gc
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from igsaft import simulate
 from igsaft.blas import bundled_openblas
-from igsaft.errors import DomainError
+from igsaft.errors import CalibrationError, DomainError
 from igsaft.pipeline import FitConfig
 from igsaft.simulate import SimConfig, calibrate_censoring, generate, run_monte_carlo
 
@@ -81,8 +84,9 @@ def test_monte_carlo_on_the_paper_design_does_not_depend_on_the_worker_count():
 
 
 def test_calibration_frees_its_pilot_draws_without_a_gc_pass():
-    # brentq's wrapper of the bisected function sits in a reference cycle;
-    # the 100,000 pilot draws must not wait in it for a full collection
+    # reference counting must free the 100,000 pilot draws when the call
+    # returns; held in a reference cycle by the root finder or its function,
+    # they would wait for a full collection
     cfg = SimConfig(case=1, n=400, p=4, target_cr=0.2, seed=5)
     gc.collect()
     gc.disable()
@@ -94,3 +98,56 @@ def test_calibration_frees_its_pilot_draws_without_a_gc_pass():
         tracemalloc.stop()
         gc.enable()
     assert held < 100_000
+
+
+def test_brent_port_returns_the_scipy_brentq_root(monkeypatch):
+    # the pilot gap is zero on a flat segment, and every censored simulated
+    # time depends on where in it tau1 lands, so equality is exact
+    problems = []
+
+    def both(f, lo, hi, args, xtol):
+        problems.append((f, lo, hi, args, xtol))
+        return brentq(f, lo, hi, args=args, xtol=xtol)
+
+    monkeypatch.setattr(simulate, "_brentq", both)
+    monkeypatch.setattr(simulate, "_PILOT_SETS", 2)
+    monkeypatch.setattr(simulate, "_PILOT_N", 1500)
+    for case in (1, 2, 3, 4):
+        for target_cr, seed in ((0.1, 0), (0.2, 1), (0.4, 2)):
+            calibrate_censoring(SimConfig(case=case, n=400, p=10, target_cr=target_cr,
+                                          seed=seed))
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(8)
+    for _ in range(300):  # decreasing step functions, some with repeated steps
+        cuts = np.sort(rng.normal(size=rng.integers(1, 30)))
+        vals = np.sort(rng.uniform(-1.0, 1.0, cuts.size + 1))[::-1]
+        if rng.random() < 0.3:
+            vals = np.round(vals, 1)
+        lo, hi = -1.0 - 4.0 * rng.random(), 1.0 + 4.0 * rng.random()
+        f = lambda x, cuts, vals: float(vals[np.searchsorted(cuts, x)])  # noqa: E731
+        if f(lo, cuts, vals) > 0 > f(hi, cuts, vals):
+            problems.append((f, lo, hi, (cuts, vals), 1e-10))
+    smooth = [(math.cos, (), 0.0, 3.0), (lambda x, c: x ** 3 - c, (2.0,), -1.0, 4.0),
+              (lambda x, s: math.tanh(s * (x - 0.3)) + 0.05 * x, (7.0,), -5.0, 2.0),
+              (lambda x: math.exp(x) - 10.0, (), -20.0, 20.0)]
+    problems += [(f, lo, hi, args, xtol) for f, args, lo, hi in smooth
+                 for xtol in (1e-10, 2e-12, 1e-4)]
+    # a root at either end returns that end
+    problems += [(lambda x: x - 1.0, 1.0, 3.0, (), 1e-10), (lambda x: 2.0 - x, -1.0, 2.0, (), 1e-10)]
+
+    assert len(problems) > 150
+    for f, lo, hi, args, xtol in problems:
+        assert simulate._brentq(f, lo, hi, args, xtol) == brentq(f, lo, hi, args=args, xtol=xtol)
+
+
+def test_brent_port_raises_typed_errors():
+    with pytest.raises(CalibrationError, match="gap is nan"):
+        simulate._brentq(lambda x: x if x in (-1.0, 1.0) else math.nan, -1.0, 1.0, (), 1e-10)
+    with pytest.raises(CalibrationError, match="gap is inf"):
+        simulate._brentq(lambda x: math.inf, -1.0, 1.0, (), 1e-10)
+    # a sign flip only bisects, and 100 halvings cannot shrink 2e30 to 1e-10
+    with pytest.raises(CalibrationError, match="did not converge"):
+        simulate._brentq(lambda x: 1.0 if x < 0.5 else -1.0, -1e30, 1e30, (), 1e-10)
+    with pytest.raises(CalibrationError, match="different signs"):
+        simulate._brentq(lambda x: x * x + 1.0, -1.0, 1.0, (), 1e-10)
