@@ -57,7 +57,7 @@ def _expand_ivs(text: str) -> list[str]:
 
 
 def _merge_config(args) -> dict:
-    """flags > config file; defaults are applied where the values are read.
+    """flags > config file; an option set by neither takes its config dataclass's default.
 
     The config file may set only the options the subcommand's flags define,
     under their destination names (e.g. "n_splits").
@@ -120,23 +120,30 @@ def _manifest(command: str, cfg: dict, started: float, input_path=None) -> dict:
     return man
 
 
-def _kernel_config(cfg: dict) -> KernelConfig:
-    return KernelConfig(fixed_h=cfg.get("bandwidth"),
-                        trunc_eps=cfg.get("trunc_eps", 0.01),
-                        km_conditioning=cfg.get("km_conditioning", "auto"))
+# option -> (config field, type); only the options the user set are passed,
+# so KernelConfig, FitConfig and SimConfig hold the only copy of each default
+_KERNEL_FIELDS = {"bandwidth": ("fixed_h", float), "trunc_eps": ("trunc_eps", float),
+                  "km_conditioning": ("km_conditioning", str)}
+_FIT_FIELDS = {"q": ("q", int), "gel": ("gel", str), "max_keep": ("max_keep", int),
+               "alpha": ("alpha", float), "seed": ("seed", int), "n_splits": ("n_splits", int)}
+_SIM_FIELDS = {"p": ("p", int), "cr": ("target_cr", float), "c_weak": ("c_weak", float),
+               "beta0": ("beta0", float), "reps": ("reps", int), "seed": ("seed", int),
+               "nonzero_frac": ("nonzero_frac", float), "fix_support": ("fix_support", bool)}
+
+
+def _given(cfg: dict, fields: dict) -> dict:
+    return {name: kind(cfg[key]) for key, (name, kind) in fields.items()
+            if cfg.get(key) is not None}
 
 
 def _fit_config(cfg: dict) -> FitConfig:
-    return FitConfig(q=int(cfg.get("q", 2)),
-                     gel=cfg.get("gel", "el"),
-                     kernel=_kernel_config(cfg),
-                     screen=not cfg.get("no_screen", False),
-                     max_keep=int(cfg.get("max_keep", 100)),
-                     search=(float(cfg.get("search_lo", -10.0)),
-                             float(cfg.get("search_hi", 10.0))),
-                     alpha=float(cfg.get("alpha", 0.05)),
-                     seed=int(cfg.get("seed", 0)),
-                     n_splits=int(cfg.get("n_splits", 5)))
+    kwargs = _given(cfg, _FIT_FIELDS)
+    if cfg.get("no_screen"):
+        kwargs["screen"] = False
+    if "search_lo" in cfg or "search_hi" in cfg:
+        lo, hi = FitConfig.search
+        kwargs["search"] = (float(cfg.get("search_lo", lo)), float(cfg.get("search_hi", hi)))
+    return FitConfig(kernel=KernelConfig(**_given(cfg, _KERNEL_FIELDS)), **kwargs)
 
 
 def _load_dataset(cfg: dict):
@@ -188,12 +195,7 @@ def cmd_fit(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     started = time.time()
     sim = SimConfig(case=int(cfg.get("case", 1)), n=int(cfg.get("n", 10000)),
-                    p=int(cfg.get("p", 10)), target_cr=float(cfg.get("cr", 0.2)),
-                    c_weak=float(cfg.get("c_weak", 4.0)),
-                    beta0=float(cfg.get("beta0", 1.0)),
-                    reps=int(cfg.get("reps", 500)), seed=int(cfg.get("seed", 0)),
-                    nonzero_frac=float(cfg.get("nonzero_frac", 0.4)),
-                    fix_support=bool(cfg.get("fix_support", False)))
+                    **_given(cfg, _SIM_FIELDS))
     estimators = [e.strip() for e in cfg.get("estimators", "el,aft").split(",") if e.strip()]
     fit_cfg = _fit_config(cfg)
     summary = run_monte_carlo(sim, fit_cfg, estimators,

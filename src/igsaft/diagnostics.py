@@ -1,6 +1,7 @@
 """Model diagnosis: the heteroskedasticity-robust relevance test for the
-interaction block of the exposure regression, and the overidentification
-test based on the scaled GEL objective.
+interaction block of the exposure regression, from one QR factorization of
+its design [1, Z, interactions] that also checks its rank, and the
+overidentification test based on the scaled GEL objective.
 
 Both p-values are chi-square upper tails from ``scipy.special.chdtrc``, the
 function that ``scipy.stats.chi2.sf`` itself evaluates; importing
@@ -13,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 from scipy.special import chdtrc
 
 from .data import Dataset
 from .errors import DomainError, EstimationError, IllPosedError
 from .gel import GelFit
 from .interactions import MomentSpec, eval_centered_matrix
+from .spd import solve_spd
+
+_DEPENDENT = 1e-7  # share of a design column's norm; see design_q
 
 
 def _chi2_sf(stat: float, df: int) -> float:
@@ -43,6 +46,23 @@ class TestResult:
                 "p_value": self.p_value, "kind": self.kind}
 
 
+def design_q(X: np.ndarray, spec: MomentSpec | None = None) -> np.ndarray:
+    """Q of the reduced QR of the exposure design X, [1, Z] or [1, Z,
+    interactions of spec]. IllPosedError names the first column with at most
+    _DEPENDENT of its norm (|R_jj|) outside the span of the columns before it."""
+    Q, R = np.linalg.qr(X)
+    dependent = np.abs(R.diagonal()) <= _DEPENDENT * np.linalg.norm(X, axis=0)
+    if dependent.any():
+        j = int(np.argmax(dependent))
+        p = X.shape[1] - 1 - (spec.m if spec else 0)
+        column = (f"instrument column {j} (1-based)" if j <= p
+                  else f"interaction {spec.indices[j - 1 - p].subset}")
+        raise IllPosedError(f"{column} is a linear combination of the intercept and the "
+                            "columns before it; the exposure regression needs linearly "
+                            "independent columns")
+    return Q
+
+
 def relevance_f_test(dataset: Dataset, spec: MomentSpec) -> TestResult:
     """Robust Wald test that every interaction coefficient in the exposure
     regression is zero; the statistic is referred to chi-square(m), an
@@ -59,7 +79,11 @@ def relevance_f_test(dataset: Dataset, spec: MomentSpec) -> TestResult:
     the test needs n > 2k rows; below that it raises ``IllPosedError``. At
     n <= 2k the mean leverage k/n is at least 1/2 and the usual high-leverage
     cutoff 2k/n (Belsley, Kuh & Welsch 1980) is at least 1, so the
-    covariance rests on residuals that carry little of the error variance."""
+    covariance rests on residuals that carry little of the error variance.
+
+    With X = QR, c = Q'D and M = Q' diag(e2) Q, the interaction block has
+    coefficients R_22^-1 c_2 and covariance R_22^-1 M_22 R_22^-T, so the
+    statistic is c_2' M_22^-1 c_2; the leverages are h_ii = |Q_i|^2."""
     n, p, m = dataset.n, dataset.p, spec.m
     min_rows = 2 * (1 + p + m)
     if n <= min_rows:
@@ -68,30 +92,13 @@ def relevance_f_test(dataset: Dataset, spec: MomentSpec) -> TestResult:
     zeta = dataset.z.mean(axis=0)
     X = np.column_stack([np.ones(n), dataset.z,
                          eval_centered_matrix(dataset.z, zeta, spec)])
-    XtX = X.T @ X
-    try:
-        c_low = linalg.cho_factor(XtX, check_finite=False)
-    except linalg.LinAlgError:
-        try:
-            c_low = linalg.cho_factor(XtX + 1e-8 * np.eye(X.shape[1]), check_finite=False)
-        except linalg.LinAlgError:
-            raise EstimationError("relevance test design is singular") from None
-    beta = linalg.cho_solve(c_low, X.T @ dataset.d, check_finite=False)
-    e = dataset.d - X @ beta
-    # leverage h_ii = |R^-T x_i|^2, with R the upper Cholesky factor of X'X
-    W = linalg.solve_triangular(c_low[0], X.T, trans="T", check_finite=False)
-    lever = np.einsum("ij,ij->j", W, W)
+    Q = design_q(X, spec)
+    c = Q.T @ dataset.d
+    e = dataset.d - Q @ c
+    lever = np.einsum("ij,ij->i", Q, Q)
     e2 = e ** 2 / np.maximum(1.0 - lever, 1e-8) ** 2
-    meat = (X * e2[:, None]).T @ X
-    bread = linalg.cho_solve(c_low, np.eye(X.shape[1]), check_finite=False)
-    V = bread @ meat @ bread
-    sl = slice(1 + p, 1 + p + m)
-    theta_i = beta[sl]
-    V_ii = V[sl, sl]
-    try:
-        stat = float(theta_i @ linalg.solve(V_ii, theta_i, assume_a="pos"))
-    except linalg.LinAlgError:
-        stat = float(theta_i @ linalg.lstsq(V_ii, theta_i)[0])
+    Q2, c2 = Q[:, 1 + p:], c[1 + p:]
+    stat = float(c2 @ solve_spd((Q2 * e2[:, None]).T @ Q2, c2)[0])
     return TestResult(statistic=stat, df=(m, n - X.shape[1]),
                       p_value=_chi2_sf(stat, m), kind="relevance_F")
 

@@ -30,11 +30,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 from scipy.special import ndtri
 
 from .errors import DomainError, EstimationError
 from .moments import MomentMatrix
+from .spd import cholesky, solve_spd
 
 FAMILIES = ("el", "et", "cue")
 _EL_GUARD = 1e-6
@@ -105,22 +105,6 @@ class GelFit:
         }
 
 
-def _solve_spd(Hneg, g, jitter_scale):
-    """Solve the (positive definite up to jitter) Newton system."""
-    try:
-        c, low = linalg.cho_factor(Hneg, check_finite=False)
-        return linalg.cho_solve((c, low), g, check_finite=False)
-    except linalg.LinAlgError:
-        jit = jitter_scale * np.eye(Hneg.shape[0])
-        for _ in range(3):
-            try:
-                c, low = linalg.cho_factor(Hneg + jit, check_finite=False)
-                return linalg.cho_solve((c, low), g, check_finite=False)
-            except linalg.LinAlgError:
-                jit = jit * 1e4
-        return np.linalg.lstsq(Hneg, g, rcond=None)[0]
-
-
 def inner_lambda(M: MomentMatrix, beta: float, family: str,
                  lam0: np.ndarray | None = None, cap: float = math.inf):
     """Maximize the inner tilting problem at fixed beta.
@@ -186,8 +170,7 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
         if P > cap or idle == _INNER_IDLE_STEPS:
             break
         Hneg = (u * (-d2)[:, None]).T @ u / n
-        jitter = 1e-10 * max(np.trace(Hneg) / m, 1.0)
-        step = _solve_spd(Hneg, grad, jitter)
+        step = solve_spd(Hneg, grad)[0]
         s = 1.0
         accepted = False
         for _ in range(60):
@@ -224,25 +207,23 @@ def q_derivatives(M: MomentMatrix, beta: float, lam: np.ndarray, family: str):
     n = M.n
     c = (u.T @ (d2 * bl) + M.B.T @ d1) / n
     Hneg = (u * (-d2)[:, None]).T @ u / n
-    x = _solve_spd(Hneg, c, 1e-10 * max(np.trace(Hneg) / M.m, 1.0))
+    x = solve_spd(Hneg, c)[0]
     return float(d1 @ bl) / n, float(d2 @ (bl * bl)) / n + float(c @ x), x
 
 
 def _cue_grid(M: MomentMatrix, grid: np.ndarray) -> np.ndarray:
     """Closed-form CUE objective 1/2 psibar' Omega(beta)^{-1} psibar on the
-    grid, Omega uncentred; +inf where Omega is singular."""
+    grid, Omega uncentred; +inf where `spd.cholesky` finds Omega singular."""
     n = M.n
     abar, bbar = M.A.mean(axis=0), M.B.mean(axis=0)
     AA, AB, BB = M.A.T @ M.A / n, M.A.T @ M.B / n, M.B.T @ M.B / n
     AB = AB + AB.T
     out = np.full(grid.size, np.inf)
     for i, b in enumerate(grid):
-        psibar = abar + b * bbar
-        try:
-            c = linalg.cho_factor(AA + b * AB + (b * b) * BB, check_finite=False)
-        except linalg.LinAlgError:
-            continue
-        out[i] = 0.5 * psibar @ linalg.cho_solve(c, psibar, check_finite=False)
+        L = cholesky(AA + b * AB + (b * b) * BB)
+        if L is not None:
+            half = np.linalg.solve(L, abar + b * bbar)
+            out[i] = 0.5 * half @ half
     return out
 
 
@@ -345,9 +326,7 @@ def variance(M: MomentMatrix, fit: GelFit, alpha: float = 0.05) -> GelFit:
     u = M.eval(beta)
     _, d1, _ = rho(u @ fit.lambda_hat, fit.family)
     D = (M.B * d1[:, None]).sum(axis=0) / d1.sum()
-    Omega = u.T @ u / M.n
-    jitter = 1e-10 * max(np.trace(Omega) / M.m, 1.0)
-    x = _solve_spd(Omega, D, jitter)
+    x = solve_spd(u.T @ u / M.n, D)[0]
     V1 = float(D @ x) / (H * H)
     fit.v_hat = V1
     fit.se = math.sqrt(V1 / M.n)

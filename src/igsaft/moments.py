@@ -97,8 +97,9 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
     P and Q sit interleaved in one (chunk, C, 2) table, so the flat index of
     W_ij is a per-transform base index of P[i, class of j] plus the flag
     j >= J0_i: one comparison, one add and one gather per chunk. The live
-    event count of a row with zero kernel weights (for the clip count) is
-    the indicator product CensorModel.seg_sum applied to w > 0.
+    event count of a row with zero kernel weights (for the clip count) is a
+    np.bincount of w > 0 over CensorModel.seg_index, which the chunk's tables
+    share; like pq_index, it is built once per transform.
     """
     cm = cond.censor
     K, E, n = cm.grid_vals.size, cm.ev_seg.size, cm.n  # Dataset holds K >= 1 events
@@ -111,11 +112,12 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
     # flat index of P[i, class of j] in a chunk's PQ; Q's is one more
     train_rows = np.arange(n)
     pq_index = 2 * cm.cls_of + 2 * C * np.arange(min(chunk, len(eval_y)))[:, None]
+    seg_index = cm.seg_index(min(chunk, len(eval_y)))
 
     for start in range(0, len(eval_y), chunk):
         sl = slice(start, start + chunk)
         y_c, delta_c = eval_y[sl], eval_delta[sl].astype(float)
-        t = cm.tables(eval_z[sl], eval_d[sl])
+        t = cm.tables(eval_z[sl], eval_d[sl], seg_index)
         rows = np.arange(len(y_c))
         G_raw = np.exp(t.seglog)
         invG = 1.0 / np.maximum(G_raw[:, cm.ev_seg], eps)
@@ -133,7 +135,9 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         live_ev = np.tile(cm.ev_count, (len(rows), 1))
         zero = np.flatnonzero(t.w.min(axis=1) == 0.0)
         if zero.size:  # count per event run, then add the two runs of each segment
-            live = (cm.seg_sum @ (t.w[zero] > 0).T).T[:, -2 * E:]
+            live = np.bincount(seg_index[:zero.size].ravel(), weights=(t.w[zero] > 0).ravel(),
+                               minlength=zero.size * cm.n_sums)
+            live = live.reshape(zero.size, cm.n_sums)[:, -2 * E:]
             live_ev[zero] = live[:, 0::2] + live[:, 1::2]
         # S is nonincreasing along the grid, so the usable grid is cut short
         # only in rows whose last grid point holds at most _MASS_FLOOR

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
 
 from .data import Dataset
 from .errors import DomainError, IllPosedError
 from .interactions import MomentSpec, build_Vk, eval_centered_matrix, vk_width
+from .spd import solve_spd
 
 _LOG_TINY = -745.0  # below this exp() underflows to 0
 
@@ -68,36 +68,13 @@ class PartialFit:
             raise ValueError("partialling coefficients must be finite")
 
 
-def _solve_normal(XtX, Xty):
-    """Cholesky solve with escalating ridge jitter; final fallback lstsq."""
-    eig = np.linalg.eigvalsh(XtX)
-    if eig[0] > 1e-12 * max(eig[-1], 1.0):
-        try:
-            c, low = linalg.cho_factor(XtX, check_finite=False)
-            return linalg.cho_solve((c, low), Xty, check_finite=False), False
-        except linalg.LinAlgError:
-            pass
-    jitter = 1e-8
-    eye = np.eye(XtX.shape[0])
-    for _ in range(4):
-        try:
-            c, low = linalg.cho_factor(XtX + jitter * eye, check_finite=False)
-            return linalg.cho_solve((c, low), Xty, check_finite=False), True
-        except linalg.LinAlgError:
-            jitter *= 100
-    sol, *_ = np.linalg.lstsq(XtX, Xty, rcond=None)
-    return sol, True
-
-
 def fit_partials(fold: Dataset, k: int) -> PartialFit:
     """Regress Y on V_k and D on V_k; deterministic given the fold."""
     V = build_Vk(fold.z, k)
     if V.shape[1] >= fold.n:
         raise IllPosedError(
             f"V_{k} width {V.shape[1]} >= fold size {fold.n}; cannot partial out")
-    XtX = V.T @ V
-    Xty = V.T @ np.column_stack([fold.y, fold.d])
-    coefs, fb = _solve_normal(XtX, Xty)
+    coefs, fb = solve_spd(V.T @ V, V.T @ np.column_stack([fold.y, fold.d]))
     return PartialFit(k=k, theta_y=coefs[:, 0], theta_d=coefs[:, 1], ridge_fallback=fb)
 
 
@@ -156,7 +133,7 @@ class KMTables:
 
     Ghat is constant on each censoring segment, so its log is kept once per
     segment; seglog[:, CensorModel.seg_of] expands it to every training row.
-    mass comes from the indicator product CensorModel.seg_sum @ w.T, each run
+    mass comes from one np.bincount of w over CensorModel.seg_index, each run
     summed in row order; a run without event rows is exactly 0.
     """
 
@@ -222,20 +199,24 @@ class CensorModel:
         self.cls_of = np.full(self.n, 2 * self.ev_seg.size)
         self.cls_of[ev_rows] = 2 * ev_of + (ev_rows >= self.last_first[ev_of])
         self.ev_count = np.bincount(ev_of, minlength=self.ev_seg.size)
-        # indicator (S + 2E, n) with one 1 per training row: a censored row
-        # sums into its censored tie group (the group starting its segment),
-        # an event row into its event run; an empty run has no entries
+        # the sum of S + 2E each row adds to: a censored row its censored tie
+        # group (the group starting its segment), an event row its event run
         S = self.cens_starts.size
-        seg_row = np.where(cens, self.seg_of - 1, S + self.cls_of)
-        self.seg_sum = sparse.csr_matrix((np.ones(self.n), (seg_row, np.arange(self.n))),
-                                         shape=(S + 2 * self.ev_seg.size, self.n))
+        self.seg_row = np.where(cens, self.seg_of - 1, S + self.cls_of)
+        self.n_sums = S + 2 * self.ev_seg.size
 
     @property
     def bandwidth(self) -> np.ndarray:
         return self.weigher.h
 
-    def tables(self, z, d) -> KMTables:
-        """Compute weight and survival tables for a batch of targets.
+    def seg_index(self, c: int) -> np.ndarray:
+        """(c, n) flat index seg_row[j] + (S + 2E) i of entry (i, j) in the
+        (c, S + 2E) sums of `tables`; build it once for the largest batch."""
+        return self.seg_row + self.n_sums * np.arange(c)[:, None]
+
+    def tables(self, z, d, index: np.ndarray) -> KMTables:
+        """Compute weight and survival tables for a batch of c targets;
+        index is `seg_index(k)` for some k >= c.
 
         Tied censored observations are grouped: each tie group contributes a
         single product-limit factor 1 - (censored mass in group) / (at-risk
@@ -244,18 +225,18 @@ class CensorModel:
         than 1, so log Ghat is one value per censoring segment (seglog; all
         zeros without censored rows). The censored mass of each group and
         mass, the event weight of each event segment over two runs (before
-        and from its last event group), come from one product with the
-        indicator seg_sum, which sums each group and run in row order; a run
-        without event rows sums to exactly 0. The at-risk masses stay a
-        reduceat from each censored group start on.
+        and from its last event group), come from one np.bincount of w over
+        index, which sums each group and run in row order; a run without
+        event rows sums to exactly 0. The at-risk masses stay a reduceat
+        from each censored group start on.
         """
         targets = _conditioning_targets(z, d, self.conditioning)
         w = self.weigher.weights(targets)
-        S = self.cens_starts.size
-        # (c, S + 2E): censored groups, then event runs; rows contiguous for
-        # the cumulative sums along them
-        sums = np.ascontiguousarray((self.seg_sum @ w.T).T)
-        seglog = np.zeros((len(w), S + 1))
+        c, S = len(w), self.cens_starts.size
+        # (c, S + 2E): censored groups, then event runs
+        sums = np.bincount(index[:c].ravel(), weights=w.ravel(),
+                           minlength=c * self.n_sums).reshape(c, self.n_sums)
+        seglog = np.zeros((c, S + 1))
         if S:
             between = np.add.reduceat(w, self.cens_starts, axis=1)  # from the first start on
             risk_at_start = np.cumsum(between[:, ::-1], axis=1)[:, ::-1]
@@ -290,10 +271,6 @@ class NuisanceFit:
     censor_model: CensorModel
     cond_moment: CondMoment
     training_ids: np.ndarray
-
-    @property
-    def ridge_fallbacks(self) -> int:
-        return sum(pf.ridge_fallback for pf in self.partials.values())
 
 
 def fold_g_values(fold: Dataset, zeta: np.ndarray, partials: dict[int, PartialFit],

@@ -126,7 +126,7 @@ def _one_split(dataset: Dataset, config: FitConfig, spec: MomentSpec, split: int
                                  training_ids=aux)
     M = build_moment_matrix(dataset, assign, nuisances, spec)
     for lab in (0, 1):
-        if nuisances[lab].ridge_fallbacks:
+        if any(pf.ridge_fallback for pf in nuisances[lab].partials.values()):
             warnings.append(f"split {split}, fold {lab}: partialling used a ridge fallback")
     bandwidths = tuple([float(h) for h in nuisances[lab].censor_model.bandwidth]
                        for lab in (0, 1))

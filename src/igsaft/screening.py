@@ -8,6 +8,9 @@ piecewise-linear path of the interaction coefficients, and BIC picks one of
 50 penalties read off that path. Exact support recovery is not required
 downstream, only that at least one informative interaction survives, so the
 defaults favor determinism and speed over selection consistency.
+
+`diagnostics.design_q` refuses linearly dependent instruments before the
+Gram solves, so G_uu, the Gram matrix of [1, Z], is positive definite.
 """
 
 from __future__ import annotations
@@ -15,15 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .data import Dataset
+from .diagnostics import design_q
 from .errors import DomainError, IllPosedError
 from .interactions import MomentSpec, eval_centered_matrix
+from .spd import solve_spd
 
 _TIE = 1e-12        # path events closer than this share of λ happen together
-_DEPENDENT = 1e-7   # an instrument with less than this share of its norm
-                    # outside the span of [1, earlier instruments] is dependent
 _NO_SIGNAL = 1e-10  # largest interaction covariance with the residual of D on
                     # [1, Z], as a share of its Cauchy-Schwarz bound, that
                     # counts as rounding noise
@@ -68,7 +70,7 @@ def _lasso_path(S, r, w, lams):
     g = int(np.count_nonzero(lams >= lam))  # b = 0 at and above lam
     while g < lams.size:
         A = np.flatnonzero(sign)
-        ab = np.linalg.solve(S[np.ix_(A, A)], np.column_stack([r[A], sign[A]]))
+        ab = solve_spd(S[np.ix_(A, A)], np.column_stack([r[A], sign[A]]))[0]
         a, beta = ab[:, 0], ab[:, 1]
         u = r - S[:, A] @ a
         v = S[:, A] @ beta
@@ -94,19 +96,6 @@ def _lasso_path(S, r, w, lams):
     return out / w
 
 
-def _check_instruments(xu: np.ndarray) -> None:
-    """IllPosedError naming the first instrument that is, to rounding, a
-    linear combination of the intercept and the instruments before it."""
-    R = np.linalg.qr(xu, mode="r")
-    dependent = np.abs(R.diagonal()) <= _DEPENDENT * np.linalg.norm(xu, axis=0)
-    if dependent.any():
-        j = int(np.argmax(dependent))
-        raise IllPosedError(
-            f"instrument column {j} (1-based) is a linear combination of the "
-            "intercept and the instruments before it; screening needs "
-            "linearly independent instruments")
-
-
 def _check_signal(resid_corr: np.ndarray, sq_means: np.ndarray, d2: float) -> None:
     """IllPosedError when the exposure is, to rounding, a linear function of
     [1, Z]: then every interaction's covariance with the residual of D on
@@ -128,7 +117,7 @@ def screen_interactions(dataset: Dataset, candidates: MomentSpec,
     Ic = eval_centered_matrix(dataset.z, zeta, candidates)
     X = np.column_stack([np.ones(n), dataset.z, Ic])
     n_unpen = 1 + p
-    _check_instruments(X[:, :n_unpen])
+    design_q(X[:, :n_unpen])
     d = dataset.d
 
     G = X.T @ X / n
@@ -137,21 +126,21 @@ def screen_interactions(dataset: Dataset, candidates: MomentSpec,
     # ridge pilot; the intercept stays unpenalized
     pen = np.full(X.shape[1], 1e-4)
     pen[0] = 0.0
-    pilot = linalg.solve(G + np.diag(pen), c, assume_a="pos")
+    pilot = solve_spd(G + np.diag(pen), c)[0]
     pilot_cand = pilot[n_unpen:]
     w_pen = 1.0 / (np.abs(pilot_cand) + 1e-8)
 
     # unpenalized baseline (D on [1, Z]) fixes the top of the path
     G_uu, G_up = G[:n_unpen, :n_unpen], G[:n_unpen, n_unpen:]
-    base = linalg.solve(G_uu, c[:n_unpen], assume_a="pos")
+    # with M for profiling [1, Z] out below: theta_U = base - M theta_P
+    base_M = solve_spd(G_uu, np.column_stack([c[:n_unpen], G_up]))[0]
+    base, M = base_M[:, 0], base_M[:, 1:]
     resid_corr = c[n_unpen:] - G[n_unpen:, :n_unpen] @ base
     d2 = float(d @ d / n)
     _check_signal(resid_corr, np.diag(G)[n_unpen:], d2)
     lam_max = float(np.max(np.abs(resid_corr) / w_pen))
     lams = np.geomspace(lam_max * 0.999, lam_max * 1e-3, 50)
 
-    # [1, Z] profiled out: theta_U = base - M theta_P
-    M = linalg.solve(G_uu, G_up, assume_a="pos")
     coefs = _lasso_path(G[n_unpen:, n_unpen:] - G_up.T @ M, resid_corr, w_pen, lams)
     thetas = np.hstack([base - coefs @ M.T, coefs])
     rss = np.maximum(d2 - 2 * thetas @ c + np.einsum("ij,ij->i", thetas @ G, thetas), 1e-300)

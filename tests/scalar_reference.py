@@ -107,7 +107,7 @@ def _eval_logG(model: CensorModel, tables: KMTables, yq: np.ndarray) -> np.ndarr
 def survival(model: CensorModel, yq, z, d) -> np.ndarray:
     """Ghat(y | z, d) for a vector of query times and one target point."""
     yq = np.atleast_1d(np.asarray(yq, dtype=float))
-    t = model.tables(np.asarray(z)[None, :], [d])
+    t = model.tables(np.asarray(z)[None, :], [d], model.seg_index(1))
     G = np.exp(_eval_logG(model, t, yq))
     return np.maximum(G, model.cfg.trunc_eps)
 
@@ -123,7 +123,7 @@ def evaluate(cond: CondMoment, u: float, z, d) -> tuple[np.ndarray, np.ndarray]:
     When the weighted risk set at u is empty, the value at the largest u
     with a nonzero denominator is carried forward.
     """
-    t = cond.censor.tables(np.asarray(z)[None, :], [d])
+    t = cond.censor.tables(np.asarray(z)[None, :], [d], cond.censor.seg_index(1))
     omega = _omega(cond, t)[0]
     j0 = np.searchsorted(cond.censor.ys, u, side="left")
     den = omega[j0:].sum()
@@ -169,7 +169,7 @@ def eval_psi(obs: Observation, nuis: NuisanceFit, spec: MomentSpec) -> AffineMom
         # augmentation telescopes away exactly
         return g
 
-    tables = cm.tables(obs.z[None, :], [obs.d])
+    tables = cm.tables(obs.z[None, :], [obs.d], cm.seg_index(1))
     G_train = np.maximum(np.exp(cumlog(cm, tables)[0]), eps)
     omega = tables.w[0] * cm.delta_s / G_train
     suffix = np.cumsum(omega[::-1])[::-1]

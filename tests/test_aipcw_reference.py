@@ -77,7 +77,7 @@ def dense_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         sl = slice(start, min(start + chunk, n_eval))
         y_c = eval_y[sl]
         delta_c = eval_delta[sl].astype(float)
-        tables = cm.tables(eval_z[sl], eval_d[sl])
+        tables = cm.tables(eval_z[sl], eval_d[sl], cm.seg_index(len(y_c)))
         omega, S_total, S_grid, G_grid, T_eff, ipcw, st = _grid_tables(
             cond, tables, y_c, delta_c)
         stats.merge(st)
@@ -170,7 +170,7 @@ def test_segment_transform_matches_dense_reference(name, monkeypatch):
         assert M.stats.empty_risk_sets > 0
     if "zero_weights" in branches:
         cm = fit_all(ds.subset(np.flatnonzero(assign == 1)), M.spec, kc).censor_model
-        assert (cm.tables(ds.z[:50], ds.d[:50]).w == 0).any()
+        assert (cm.tables(ds.z[:50], ds.d[:50], cm.seg_index(50)).w == 0).any()
 
 
 def test_uncensored_training_fold_with_censored_evaluation_rows(monkeypatch):
@@ -248,10 +248,11 @@ def test_segment_metadata_matches_brute_force():
 @pytest.mark.parametrize("delta, empty_runs", [(HAND_DELTA, [6]), (HAND_DELTA_EVENT_FIRST, [0, 2, 8])],
                          ids=["hand", "event_first"])
 def test_segment_sums_match_loop_sums(delta, empty_runs):
-    # censored tie-group sums and event-run masses from the indicator product
+    # censored tie-group sums and event-run masses from one np.bincount over seg_index
     # against sums in a loop over the rows of each group and run
     ds, cm = hand_model(delta=delta)
-    t = cm.tables(np.random.default_rng(32).normal(size=(9, 2)), np.linspace(-2.0, 2.0, 9))
+    t = cm.tables(np.random.default_rng(32).normal(size=(9, 2)), np.linspace(-2.0, 2.0, 9),
+                  cm.seg_index(9))
     ys, dl, n, S = cm.ys, cm.delta_s, cm.n, cm.cens_starts.size
     group_start = [min(i for i in range(n) if ys[i] == ys[j]) for j in range(n)]
     cens_groups = sorted({group_start[j] for j in range(n) if dl[j] == 0})
@@ -271,7 +272,8 @@ def test_segment_sums_match_loop_sums(delta, empty_runs):
     run_ref = [loop_sum(j for j in range(n) if dl[j] == 1 and seg_of[j] == s
                         and (group_start[j] == last_group[s]) == last)
                for s in event_segs for last in (False, True)]
-    cens_got = (cm.seg_sum @ t.w.T).T[:, :S]
+    sums = np.bincount(cm.seg_index(9).ravel(), weights=t.w.ravel(), minlength=9 * cm.n_sums)
+    cens_got = sums.reshape(9, cm.n_sums)[:, :S]
     for got, ref in ((cens_got, np.column_stack(cens_ref)), (t.mass, np.column_stack(run_ref))):
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))

@@ -9,12 +9,12 @@ import pytest
 import scipy
 
 from igsaft.blas import bundled_openblas
-from igsaft.cli import main
+from igsaft.cli import _fit_config, main
 from igsaft.data import ColumnConfig, load_csv, write_csv
 from igsaft.interactions import MomentSpec
 from igsaft.moments import build_moment_matrix
 from igsaft.nuisance import KernelConfig, fit_all
-from igsaft.pipeline import _fold_assignment
+from igsaft.pipeline import FitConfig, _fold_assignment
 from igsaft.simulate import SimConfig, generate
 
 COLS = ColumnConfig(time="time", status="status", exposure="d",
@@ -73,6 +73,16 @@ def test_flag_beats_config_file_beats_default(csv_path, tmp_path):
 
 
 SIM_ARGS = ["--n", "200", "--p", "3", "--cr", "0", "--reps", "1", "--estimators", "aft"]
+
+
+def test_unset_options_take_the_dataclass_defaults():
+    # the CLI restates no default: an option set neither by flag nor by file
+    # is left out of the config it builds
+    assert _fit_config({}) == FitConfig()
+    assert _fit_config({}).kernel == KernelConfig()
+    fit = _fit_config({"search_hi": 4, "no_screen": True, "bandwidth": 0.3})
+    assert fit == FitConfig(search=(FitConfig.search[0], 4.0), screen=False,
+                            kernel=KernelConfig(fixed_h=0.3))
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -91,6 +91,22 @@ def test_relevance_needs_enough_rows():
     assert res.df == (spec.m, n - k)
 
 
+@pytest.mark.parametrize("j, make_dependent, column", [
+    (1, lambda z: z[:, 0], "instrument column 2 "),
+    # a product of two instruments: centered, the interaction (1, 2) is
+    # z1 z2 - zeta2 z1 - zeta1 z2 + zeta1 zeta2, linear in [1, Z]
+    (2, lambda z: z[:, 0] * z[:, 1], r"interaction \(1, 2\) "),
+], ids=["duplicate", "product"])
+def test_relevance_rejects_a_dependent_column(j, make_dependent, column):
+    from igsaft.errors import IllPosedError
+
+    ds = null_dataset(9, n=400, p=4)
+    z = ds.z.copy()
+    z[:, j] = make_dependent(z)
+    with pytest.raises(IllPosedError, match=column):
+        relevance_f_test(Dataset(z, ds.d, ds.y, ds.delta), MomentSpec.full(4, 2))
+
+
 def test_relevance_size_small_n():
     # HC0 rejected 23.5% of these null datasets at 5%; HC3 keeps the size
     pvals = [relevance_f_test(null_dataset(seed, n=100, p=4), MomentSpec.full(4, 2)).p_value

@@ -355,7 +355,7 @@ def test_inner_solve_stops_when_a_step_no_longer_raises_the_value(monkeypatch):
         M = _one_split(ds, FitConfig(gel="el", seed=5, screen=False, n_splits=1),
                        MomentSpec.full(5, 2), 0)[0]
         steps = {}
-        solve_spd, inner = gel._solve_spd, gel.inner_lambda
+        solve_spd, inner = gel.solve_spd, gel.inner_lambda
 
         def counted_solve(*args):  # one Newton system per inner iteration
             steps[beta] += 1
@@ -368,7 +368,7 @@ def test_inner_solve_stops_when_a_step_no_longer_raises_the_value(monkeypatch):
             return inner(M, b, *args, **kwargs)
 
         beta = None
-        monkeypatch.setattr(gel, "_solve_spd", counted_solve)
+        monkeypatch.setattr(gel, "solve_spd", counted_solve)
         monkeypatch.setattr(gel, "inner_lambda", counted_inner)
         fit = fit_gel(M, "el")
     assert steps[-3.0] <= 15

@@ -1,7 +1,9 @@
 """Every module under src/igsaft, and the tests' scalar reference helper,
 uses each name it imports. Importing the package and its CLI loads every
 module under src/igsaft, so none is dead, resolves every name in
-igsaft.__all__, and leaves scipy.stats and scipy.optimize unloaded."""
+igsaft.__all__, and leaves scipy.stats, scipy.optimize, scipy.linalg and
+scipy.sparse unloaded: of scipy's submodules the package imports only
+scipy.special."""
 
 import ast
 import json
@@ -43,6 +45,8 @@ print(json.dumps({
     "unresolved": [n for n in igsaft.__all__ if not hasattr(igsaft, n)],
     "scipy_stats": "scipy.stats" in sys.modules,
     "scipy_optimize": "scipy.optimize" in sys.modules,
+    "scipy_linalg": "scipy.linalg" in sys.modules,
+    "scipy_sparse": "scipy.sparse" in sys.modules,
 }))
 """
 
@@ -67,6 +71,12 @@ def test_import_does_not_load_scipy_optimize(fresh_import):
     # about 0.2 s and 15 MB at import; censoring calibration ports its
     # Brent root finder instead
     assert fresh_import["scipy_optimize"] is False
+
+
+def test_import_does_not_load_scipy_linalg_or_scipy_sparse(fresh_import):
+    # positive-definite solves use numpy.linalg (igsaft.spd) and the censoring
+    # group sums one np.bincount; the two modules cost about 0.1 s and 8 MB
+    assert (fresh_import["scipy_linalg"], fresh_import["scipy_sparse"]) == (False, False)
 
 
 def test_every_module_is_imported(fresh_import):

@@ -104,7 +104,8 @@ def test_subnormal_risk_set_mass_counts_as_empty():
     ds, _ = generate(cfg, 0, taus=(-2.0, 15.0))
     spec = MomentSpec.full(4, 2)
     assign, nuis = cross_fitted(ds, spec, KernelConfig(km_conditioning="full", fixed_h=0.05))
-    w = nuis[assign[83]].censor_model.tables(ds.z[[83]], ds.d[[83]]).w_event
+    cm = nuis[assign[83]].censor_model
+    w = cm.tables(ds.z[[83]], ds.d[[83]], cm.seg_index(1)).w_event
     assert 0.0 < w[w > 0].min() < np.finfo(float).tiny
     with warnings.catch_warnings():
         warnings.simplefilter("error")

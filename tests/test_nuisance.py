@@ -195,7 +195,7 @@ def test_cond_moment_minus_inf_formula():
     a_inf, b_inf = evaluate(nu.cond_moment, -np.inf, z, d)
     # direct evaluation of the displayed ratio
     cm = nu.censor_model
-    t = cm.tables(z[None, :], [d])
+    t = cm.tables(z[None, :], [d], cm.seg_index(1))
     G = np.maximum(np.exp(cumlog(cm, t)[0]), 0.01)
     om = t.w[0] * cm.delta_s / G
     np.testing.assert_allclose(a_inf, om @ nu.cond_moment.a / om.sum(), rtol=1e-12)
@@ -247,7 +247,7 @@ def test_xi_affine_in_beta():
     z, d, u = ds.z[5], float(ds.d[5]), float(np.median(ds.y))
     a, b = evaluate(nu.cond_moment, u, z, d)
     cm = nu.censor_model
-    t = cm.tables(z[None, :], [d])
+    t = cm.tables(z[None, :], [d], cm.seg_index(1))
     om = t.w[0] * cm.delta_s / np.maximum(np.exp(cumlog(cm, t)[0]), cm.cfg.trunc_eps)
     om[cm.ys < u] = 0.0  # risk set I(Y_j >= u)
     np.testing.assert_allclose(a, om @ nu.cond_moment.a / om.sum(), rtol=1e-13)
@@ -269,7 +269,7 @@ def test_gaussian_weights_match_difference_reference(conditioning, h):
     cm = CensorModel(ds, cfg)
     zt = rng.normal(size=(30, p)) * 3.0 + 1.0
     dt = rng.normal(size=30)
-    w = cm.tables(zt, dt).w
+    w = cm.tables(zt, dt, cm.seg_index(len(dt))).w
 
     X = np.column_stack([ds.z, ds.d]) if conditioning == "full" else ds.d[:, None]
     T = np.column_stack([zt, dt]) if conditioning == "full" else dt[:, None]
@@ -295,7 +295,7 @@ def test_gaussian_weights_match_the_matmul_then_shift_formula(conditioning, dim)
                  rng.normal(size=n), np.ones(n, dtype=int))
     cm = CensorModel(ds, KernelConfig(km_conditioning=conditioning))
     zt, dt = rng.normal(size=(32, 5)) * 2.0 + 1.0, rng.normal(size=32) * 0.5
-    w = cm.tables(zt, dt).w
+    w = cm.tables(zt, dt, cm.seg_index(len(dt))).w
 
     X = (np.column_stack([ds.z, ds.d]) if dim == 6 else ds.d[:, None])[cm.order]
     T = np.column_stack([zt, dt]) if dim == 6 else dt[:, None]
@@ -332,7 +332,7 @@ def test_censored_group_product_limit_matches_all_groups():
     shared = [v for v in np.unique(y) if {0, 1} <= set(delta[y == v])]
     assert len(shared) > 5  # censored and event rows share these times
     cm = CensorModel(ds, KernelConfig(fixed_h=0.5, km_conditioning="full"))
-    t = cm.tables(rng.normal(size=(20, 2)), rng.normal(size=20))
+    t = cm.tables(rng.normal(size=(20, 2)), rng.normal(size=20), cm.seg_index(20))
     assert np.all(t.w.max(axis=1) > 5 * t.w.min(axis=1))  # non-uniform weights
     ref = all_groups_cumlog(cm, t.w)
     np.testing.assert_allclose(cumlog(cm, t), ref, rtol=0, atol=1e-14)
@@ -345,7 +345,7 @@ def test_no_censored_rows_give_zero_log_survival():
     ds = make_dataset(rng, 80, 2)
     ds = Dataset(ds.z, ds.d, np.round(ds.y, 1), ds.delta)
     cm = CensorModel(ds, KernelConfig(fixed_h=0.5, km_conditioning="full"))
-    t = cm.tables(rng.normal(size=(7, 2)), rng.normal(size=7))
+    t = cm.tables(rng.normal(size=(7, 2)), rng.normal(size=7), cm.seg_index(7))
     assert cumlog(cm, t).shape == (7, 80)
     assert not cumlog(cm, t).any()
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import norm
 
 import igsaft.pipeline
+from igsaft.data import Dataset
 from igsaft.errors import IllPosedError
 from igsaft.gel import GelFit, _z_crit
 from igsaft.pipeline import FitConfig, combine_split_fits, fit_igsaft
@@ -48,3 +49,14 @@ def test_too_small_design_is_refused_before_any_fitting(monkeypatch):
     # p = 4 with all 6 pairs: 22 = 2 (1 + p + m) rows are one too few
     with pytest.raises(IllPosedError, match="rows"):
         fit_igsaft(ds.subset(range(22)), FitConfig(n_splits=5, screen=False))
+
+
+def test_dependent_instrument_is_refused_without_screening():
+    # screening checks [1, Z]; with it off, the relevance test's rank check on
+    # [1, Z, interactions] refuses the design, where it once reported a
+    # meaningless statistic and fitted on with ridged partialling
+    ds = generate(SimConfig(case=1, n=400, p=4, target_cr=0.2, seed=0, reps=1), 0)[0]
+    z = ds.z.copy()
+    z[:, 1] = z[:, 0]
+    with pytest.raises(IllPosedError, match="instrument column 2 "):
+        fit_igsaft(Dataset(z, ds.d, ds.y, ds.delta), FitConfig(n_splits=1, screen=False))

@@ -7,6 +7,7 @@ from igsaft.errors import DomainError, IllPosedError
 from igsaft.interactions import MomentSpec, eval_centered_matrix
 from igsaft.screening import _lasso_path, screen_interactions
 from igsaft.simulate import SimConfig, generate, rng_stream, std_normal
+from igsaft.spd import solve_spd
 
 _CD_TOL = 1e-10  # largest scaled coordinate step that ends a sweep loop
 _CD_MAX_SWEEPS = 1000
@@ -156,9 +157,9 @@ def _lasso_problem(ds, candidates):
     G, c = X.T @ X / n, X.T @ ds.d / n
     pen = np.full(X.shape[1], 1e-4)
     pen[0] = 0.0
-    pilot = linalg.solve(G + np.diag(pen), c, assume_a="pos")
+    pilot = solve_spd(G + np.diag(pen), c)[0]
     w_pen = 1.0 / (np.abs(pilot[n_unpen:]) + 1e-8)
-    base = linalg.solve(G[:n_unpen, :n_unpen], c[:n_unpen], assume_a="pos")
+    base = solve_spd(G[:n_unpen, :n_unpen], c[:n_unpen])[0]
     resid_corr = c[n_unpen:] - G[n_unpen:, :n_unpen] @ base
     lam_max = float(np.max(np.abs(resid_corr) / w_pen))
     if lam_max <= 0.0 or not np.isfinite(lam_max):
