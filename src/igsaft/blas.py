@@ -7,10 +7,10 @@ More cores are used through worker processes (`run_monte_carlo(threads=)`).
 Pinning also makes a fit independent of the caller's BLAS thread count,
 which otherwise moves the last bits of the estimates.
 
-The OpenBLAS libraries that the numpy and scipy wheels bundle (in
-``numpy.libs`` and ``scipy.libs``) are looked up once, at the first fit,
-through their ``*_get_num_threads`` and ``*_set_num_threads`` symbols. Where
-none is found, the pin does nothing.
+Every BLAS call of a fit goes through numpy, so the pin covers the OpenBLAS
+that the numpy wheel bundles (in ``numpy.libs``). It is looked up once, at
+the first fit, through its ``*_get_num_threads`` and ``*_set_num_threads``
+symbols. Where none is found, the pin does nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from functools import cache
 from pathlib import Path
 
 import numpy
-import scipy
 
 _SYMBOLS = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}")
 
@@ -40,23 +39,22 @@ class OpenBlas:
 
 @cache
 def bundled_openblas() -> tuple[OpenBlas, ...]:
-    """The OpenBLAS libraries bundled with numpy and scipy; empty if none."""
+    """The OpenBLAS libraries bundled with numpy; empty if none."""
     found = []
-    for mod in (numpy, scipy):
-        folder = Path(mod.__file__).parent.parent / f"{mod.__name__}.libs"
-        for path in sorted(folder.glob("lib*openblas*.so*")):
-            try:
-                cdll = ctypes.CDLL(str(path))
-            except OSError:
-                continue
-            for name in _SYMBOLS:
-                get = getattr(cdll, name.format("get_num_threads"), None)
-                set_ = getattr(cdll, name.format("set_num_threads"), None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = (), ctypes.c_int
-                    set_.argtypes, set_.restype = (ctypes.c_int,), None
-                    found.append(OpenBlas(mod.__name__, get, set_))
-                    break
+    folder = Path(numpy.__file__).parent.parent / "numpy.libs"
+    for path in sorted(folder.glob("lib*openblas*.so*")):
+        try:
+            cdll = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in _SYMBOLS:
+            get = getattr(cdll, name.format("get_num_threads"), None)
+            set_ = getattr(cdll, name.format("set_num_threads"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                found.append(OpenBlas("numpy", get, set_))
+                break
     return tuple(found)
 
 

@@ -19,7 +19,6 @@ import sys
 import time
 
 import numpy
-import scipy
 
 from . import __version__
 from .blas import blas_threads, one_blas_thread
@@ -110,7 +109,6 @@ def _manifest(command: str, cfg: dict, started: float, input_path=None) -> dict:
         "wall_time_s": round(time.time() - started, 3),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
         # per bundled OpenBLAS; empty when none was found to pin
         "fit_blas_threads": fit_blas_threads,

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
+from .cephes import ndtri
 from .errors import DomainError, EstimationError
 from .moments import MomentMatrix
 from .spd import cholesky, solve_spd
@@ -300,9 +300,8 @@ def minimize_beta(M: MomentMatrix, family: str, search=(-10.0, 10.0)) -> GelFit:
 
 
 def _z_crit(alpha: float) -> float:
-    """The 1 - alpha/2 standard normal quantile from ``scipy.special.ndtri``,
-    the function ``scipy.stats.norm.ppf`` evaluates, without the half second
-    that importing ``scipy.stats`` costs."""
+    """The 1 - alpha/2 standard normal quantile, ``scipy.stats.norm.ppf``'s
+    value, from the port of Cephes ``ndtri`` (`cephes.ndtri`)."""
     return float(ndtri(1.0 - alpha / 2.0))
 
 

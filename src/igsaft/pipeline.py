@@ -10,7 +10,8 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .data import Dataset
-from .diagnostics import TestResult, overid_test, relevance_f_test
+from .diagnostics import (TestResult, check_rank, exposure_design, overid_test,
+                          relevance_f_test)
 from .errors import DomainError
 from .gel import FAMILIES, GelFit, _z_crit, fit_gel
 from .interactions import MomentSpec
@@ -227,6 +228,9 @@ def fit_igsaft(dataset: Dataset, config: FitConfig,
 @one_blas_thread
 def fit_families(dataset: Dataset, config: FitConfig, families) -> dict[str, GelFit]:
     """Fit several GEL families on one shared moment construction, with one
-    BLAS thread."""
-    mats, *_ = _prepare_splits(dataset, config, _screen_once(dataset, config)[0])
+    BLAS thread. The rank check of the exposure design [1, Z, interactions]
+    that `fit_igsaft` gets from the relevance test runs here on its own."""
+    spec = _screen_once(dataset, config)[0]
+    check_rank(exposure_design(dataset, spec), spec)
+    mats, *_ = _prepare_splits(dataset, config, spec)
     return {fam: _fit_family(mats, fam, config) for fam in families}

@@ -9,7 +9,7 @@ piecewise-linear path of the interaction coefficients, and BIC picks one of
 downstream, only that at least one informative interaction survives, so the
 defaults favor determinism and speed over selection consistency.
 
-`diagnostics.design_q` refuses linearly dependent instruments before the
+`diagnostics.check_rank` refuses linearly dependent instruments before the
 Gram solves, so G_uu, the Gram matrix of [1, Z], is positive definite.
 """
 
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .diagnostics import design_q
+from .diagnostics import check_rank, exposure_design
 from .errors import DomainError, IllPosedError
-from .interactions import MomentSpec, eval_centered_matrix
+from .interactions import MomentSpec
 from .spd import solve_spd
 
 _TIE = 1e-12        # path events closer than this share of λ happen together
@@ -112,12 +112,10 @@ def screen_interactions(dataset: Dataset, candidates: MomentSpec,
     """Select informative interactions; never returns an empty set."""
     if candidates.m < 1:
         raise DomainError("screening needs at least one candidate")
-    n, p = dataset.n, dataset.p
-    zeta = dataset.z.mean(axis=0)
-    Ic = eval_centered_matrix(dataset.z, zeta, candidates)
-    X = np.column_stack([np.ones(n), dataset.z, Ic])
-    n_unpen = 1 + p
-    design_q(X[:, :n_unpen])
+    n = dataset.n
+    X = exposure_design(dataset, candidates)
+    n_unpen = 1 + dataset.p
+    check_rank(X[:, :n_unpen])
     d = dataset.d
 
     G = X.T @ X / n

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import special
 
+from .cephes import ndtri
 from .data import Dataset
 from .errors import CalibrationError, DomainError
 from .gel import FAMILIES, _z_crit
@@ -43,9 +43,11 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def std_normal(gen: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via inverse CDF of the uniform stream."""
+    """Standard normals via inverse CDF of the uniform stream, through the
+    port of Cephes ``ndtri`` (`cephes.ndtri`), which returns
+    ``scipy.special.ndtri``'s doubles without importing scipy."""
     u = gen.random(shape)
-    return special.ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+    return ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
 
 
 @dataclass(frozen=True)

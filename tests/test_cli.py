@@ -6,7 +6,6 @@ import platform
 
 import numpy as np
 import pytest
-import scipy
 
 from igsaft.blas import bundled_openblas
 from igsaft.cli import _fit_config, main
@@ -45,7 +44,7 @@ def test_fit_writes_report_and_exits_0(csv_path, tmp_path, capsys):
     assert report["converged"] and report["fold_sizes"] == [150, 150]
     manifest = report["manifest"]
     assert len(manifest["input_sha256"]) == 64
-    assert (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
+    assert manifest["numpy"] == np.__version__
     assert manifest["python"] == platform.python_version()
     assert manifest["platform"] == platform.platform()
     # fits run with one thread in every bundled OpenBLAS that was found
@@ -117,7 +116,7 @@ def test_simulate_accepts_threads(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("Method,Bias,SD,SE,CP\nAFT,")
     payload = json.loads(sidecar.read_text())
     assert payload["manifest"]["resolved_config"]["threads"] == 1
-    assert {"python", "numpy", "scipy", "platform", "fit_blas_threads"} <= set(payload["manifest"])
+    assert {"python", "numpy", "platform", "fit_blas_threads"} <= set(payload["manifest"])
     assert [r["n_used"] for r in payload["rows"]] == [2]
 
 

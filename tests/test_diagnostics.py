@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import linalg
 from scipy.stats import chi2, kstest
 
 from igsaft.data import Dataset
-from igsaft.diagnostics import _chi2_sf, overid_test, relevance_f_test
+from igsaft.diagnostics import _chi2_sf, check_rank, overid_test, relevance_f_test
 from igsaft.errors import DomainError, EstimationError
 from igsaft.gel import GelFit
 from igsaft.interactions import MomentSpec, eval_centered_matrix
@@ -107,6 +109,16 @@ def test_relevance_rejects_a_dependent_column(j, make_dependent, column):
         relevance_f_test(Dataset(z, ds.d, ds.y, ds.delta), MomentSpec.full(4, 2))
 
 
+def test_rank_check_with_more_columns_than_rows():
+    # R alone has one diagonal entry per row; the columns past them lie in
+    # the span of those before
+    from igsaft.errors import IllPosedError
+
+    z = std_normal(rng_stream(4, 902), (3, 4))
+    with pytest.raises(IllPosedError, match="instrument column 3 "):
+        check_rank(np.column_stack([np.ones(3), z]))
+
+
 def test_relevance_size_small_n():
     # HC0 rejected 23.5% of these null datasets at 5%; HC3 keeps the size
     pvals = [relevance_f_test(null_dataset(seed, n=100, p=4), MomentSpec.full(4, 2)).p_value
@@ -143,15 +155,40 @@ def test_p_values_monotone_in_statistic():
     assert all(p1 > p2 for p1, p2 in zip(ps, ps[1:]))
 
 
+# _chi2_sf's closed form against scipy's chdtrc: the worst measured relative
+# error is 2.5e-13 (df 63, p = 5e-268), from rounding in the exponent
+CHI2_RTOL = 1e-12
+
+
 def test_p_values_equal_scipy_stats_chi2():
     for seed, p in ((0, 4), (1, 5), (2, 6)):
         ds = null_dataset(seed, n=600, p=p)
         spec = MomentSpec.full(p, 2)
         res = relevance_f_test(ds, spec)
-        assert res.p_value == float(chi2.sf(res.statistic, spec.m))
+        np.testing.assert_allclose(res.p_value, chi2.sf(res.statistic, spec.m),
+                                   rtol=CHI2_RTOL, atol=0)
     for q_hat, m, n in ((0.0, 5, 1000), (0.0007, 6, 2000), (0.002, 4, 5000), (0.05, 45, 2000)):
         res = overid_test(make_fit(q_hat, m=m, n=n), n, m)
-        assert res.p_value == float(chi2.sf(res.statistic, m - 1))
+        np.testing.assert_allclose(res.p_value, chi2.sf(res.statistic, m - 1),
+                                   rtol=CHI2_RTOL, atol=0)
+
+
+def test_chi2_tail_with_two_degrees_of_freedom_is_exp():
+    # df 2 is the exponential law with mean 2: one term, no rounding of its own
+    for stat in np.geomspace(1e-300, 1e300, 601):
+        assert _chi2_sf(float(stat), 2) == math.exp(-stat / 2.0)
+
+
+def test_chi2_tail_matches_scipy_on_a_grid():
+    # out to statistics where e^(-stat/2) underflows long before the tail does
+    stats = np.concatenate([np.geomspace(1e-8, 1e4, 301), [2e5, 1e300]])
+    for df in range(1, 101):
+        want = chi2.sf(stats, df)
+        got = np.array([_chi2_sf(float(s), df) for s in stats])
+        tiny = want < 1e-300
+        np.testing.assert_allclose(got[~tiny], want[~tiny], rtol=CHI2_RTOL, atol=0,
+                                   err_msg=f"df {df}")
+        assert np.all(got[tiny] < 1e-290), f"df {df}"
 
 
 @pytest.mark.parametrize("stat, expected", [(0.0, 1.0), (-1e-12, 1.0), (-5.0, 1.0),

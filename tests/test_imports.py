@@ -1,9 +1,9 @@
 """Every module under src/igsaft, and the tests' scalar reference helper,
 uses each name it imports. Importing the package and its CLI loads every
 module under src/igsaft, so none is dead, resolves every name in
-igsaft.__all__, and leaves scipy.stats, scipy.optimize, scipy.linalg and
-scipy.sparse unloaded: of scipy's submodules the package imports only
-scipy.special."""
+igsaft.__all__, and loads no scipy module: the package runs on numpy alone,
+and a fit, a Monte Carlo replication and the CLI manifest complete where
+scipy cannot be imported."""
 
 import ast
 import json
@@ -43,10 +43,7 @@ import igsaft, igsaft.cli, json, sys
 print(json.dumps({
     "modules": [m for m in sys.modules if m.startswith("igsaft")],
     "unresolved": [n for n in igsaft.__all__ if not hasattr(igsaft, n)],
-    "scipy_stats": "scipy.stats" in sys.modules,
-    "scipy_optimize": "scipy.optimize" in sys.modules,
-    "scipy_linalg": "scipy.linalg" in sys.modules,
-    "scipy_sparse": "scipy.sparse" in sys.modules,
+    "scipy": [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")],
 }))
 """
 
@@ -61,22 +58,30 @@ def fresh_import():
 
 
 def test_import_does_not_load_scipy_stats(fresh_import):
-    # scipy.stats costs about 0.5 s and 20 MB at import; the package takes its
-    # chi-square tails and normal quantiles from scipy.special instead
-    assert fresh_import["scipy_stats"] is False
+    # scipy.stats costs about 0.5 s and 20 MB at import
+    assert "scipy.stats" not in fresh_import["scipy"]
 
 
 def test_import_does_not_load_scipy_optimize(fresh_import):
     # scipy.optimize (with HiGHS, scipy.fft and scipy.sparse.linalg) costs
     # about 0.2 s and 15 MB at import; censoring calibration ports its
     # Brent root finder instead
-    assert fresh_import["scipy_optimize"] is False
+    assert "scipy.optimize" not in fresh_import["scipy"]
 
 
 def test_import_does_not_load_scipy_linalg_or_scipy_sparse(fresh_import):
     # positive-definite solves use numpy.linalg (igsaft.spd) and the censoring
     # group sums one np.bincount; the two modules cost about 0.1 s and 8 MB
-    assert (fresh_import["scipy_linalg"], fresh_import["scipy_sparse"]) == (False, False)
+    assert {"scipy.linalg", "scipy.sparse"} & set(fresh_import["scipy"]) == set()
+
+
+def test_import_loads_no_scipy_module(fresh_import):
+    # scipy.special alone, through its array-API layer, cost about 0.3 s and
+    # 20 MB at import; normal quantiles come from the Cephes port
+    # (igsaft.cephes), chi-square tails from their closed form
+    # (diagnostics._chi2_sf), solves from numpy.linalg (igsaft.spd) and the
+    # censoring root from a port of Brent's method
+    assert fresh_import["scipy"] == []
 
 
 def test_every_module_is_imported(fresh_import):
@@ -87,3 +92,46 @@ def test_every_module_is_imported(fresh_import):
 
 def test_every_exported_name_resolves(fresh_import):
     assert fresh_import["unresolved"] == []
+
+
+WITHOUT_SCIPY = """
+import importlib.abc, json, sys, time
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not installed")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy  # noqa: F401
+    sys.exit("the finder let scipy through")
+except ImportError:
+    pass
+
+from igsaft import FitConfig, SimConfig, fit_igsaft, generate, run_monte_carlo
+from igsaft.cli import _manifest
+
+ds = generate(SimConfig(case=1, n=300, p=4, seed=3, reps=1), 0, taus=(-2.0, 14.0))[0]
+report = fit_igsaft(ds, FitConfig(n_splits=1)).to_dict()
+mc = run_monte_carlo(SimConfig(case=1, n=200, p=3, target_cr=0.2, reps=1, seed=4),
+                     FitConfig(n_splits=1), ["el", "aft"])
+manifest = _manifest("simulate", {}, time.time())
+print(json.dumps({"p_F": report["p_F"], "p_overid": report["p_overid"],
+                  "mc_rows": [(r.estimator, r.n_used + r.n_excluded) for r in mc.rows],
+                  "manifest": sorted(manifest)}))
+"""
+
+
+def test_fit_monte_carlo_and_manifest_run_without_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert 0.0 <= got["p_F"] <= 1.0 and 0.0 <= got["p_overid"] <= 1.0
+    assert got["mc_rows"] == [["el", 1], ["aft", 1]]
+    assert {"numpy", "python", "platform", "fit_blas_threads"} <= set(got["manifest"])

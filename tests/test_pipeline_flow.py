@@ -9,7 +9,7 @@ import igsaft.pipeline
 from igsaft.data import Dataset
 from igsaft.errors import IllPosedError
 from igsaft.gel import GelFit, _z_crit
-from igsaft.pipeline import FitConfig, combine_split_fits, fit_igsaft
+from igsaft.pipeline import FitConfig, combine_split_fits, fit_families, fit_igsaft
 from igsaft.simulate import SimConfig, generate
 
 
@@ -60,3 +60,15 @@ def test_dependent_instrument_is_refused_without_screening():
     z[:, 1] = z[:, 0]
     with pytest.raises(IllPosedError, match="instrument column 2 "):
         fit_igsaft(Dataset(z, ds.d, ds.y, ds.delta), FitConfig(n_splits=1, screen=False))
+
+
+def test_dependent_instrument_is_refused_on_the_monte_carlo_path():
+    # fit_families runs no relevance test, so it checks the rank of
+    # [1, Z, interactions] itself; without the check it fitted this design to
+    # the search boundary and reported convergence
+    ds = generate(SimConfig(case=1, n=400, p=4, target_cr=0.2, seed=0, reps=1), 0)[0]
+    z = ds.z.copy()
+    z[:, 1] = z[:, 0]
+    with pytest.raises(IllPosedError, match="instrument column 2 "):
+        fit_families(Dataset(z, ds.d, ds.y, ds.delta), FitConfig(n_splits=1, screen=False),
+                     ("el",))
