@@ -80,32 +80,32 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
                     cond: CondMoment, chunk: int = 32):
     """Apply the censoring adjustment to evaluation-fold g values.
 
-    Returns (psi_a, psi_b, stats), with W built from the censoring-segment
-    tables of the module docstring. Evaluation rows go through in chunks;
-    each chunk makes a few (chunk, n_train) temporaries, so a small chunk
-    keeps them in cache and peak memory low. Rows do not interact across a
-    chunk, so the chunk size moves the output only through rounding: the
-    BLAS products W @ a and W @ b may round a row differently with the
-    chunk's row count (and with the BLAS thread count). On the m = 6 test
-    design the output is the same bit for bit at chunks 16, 32 and 256; on
-    the m = 45 one A and B agree within 1e-15 of each column's largest
-    magnitude and the stats are equal (tests/test_moments.py). W @ a and
-    W @ b stay two products, each of width m: one product on [a | b] rounds
-    differently from them at some widths (m = 10 with one BLAS thread),
-    which would move the last bits of A and B.
+    Writes psi over the float (n_eval, m) arrays ge_a and ge_b and returns
+    them as (psi_a, psi_b, stats), so a caller that needs g after the call
+    passes copies. W is built from the censoring-segment tables of the module
+    docstring. Evaluation rows go through in chunks; each chunk makes a few
+    (chunk, n_train) temporaries, so a small chunk keeps them in cache and
+    peak memory low. Rows do not interact across a chunk, so the chunk size
+    moves the output only through rounding: the BLAS products W @ a and W @ b
+    may round a row differently with the chunk's row count (and with the BLAS
+    thread count). On the m = 6 test design the output is the same bit for bit
+    at chunks 16, 32 and 256; on the m = 45 one A and B agree within 1e-15 of
+    each column's largest magnitude and the stats are equal
+    (tests/test_moments.py). W @ a and W @ b stay two products, each of width
+    m: one product on [a | b] rounds differently from them at some widths
+    (m = 10 with one BLAS thread), which would move the last bits of A and B.
 
     P and Q sit interleaved in one (chunk, C, 2) table, so the flat index of
     W_ij is a per-transform base index of P[i, class of j] plus the flag
-    j >= J0_i: one comparison, one add and one gather per chunk. The live
-    event count of a row with zero kernel weights (for the clip count) is a
-    np.bincount of w > 0 over CensorModel.seg_index, which the chunk's tables
-    share; like pq_index, it is built once per transform.
+    j >= J0_i: one comparison, one add and one gather per chunk. The clip
+    count is kept only for rows with a clipped event segment; the live event
+    count of such a row with zero kernel weights is a np.bincount of w > 0
+    over CensorModel.seg_index, which the chunk's tables share; like
+    pq_index, it is built once per transform.
     """
     cm = cond.censor
     K, E, n = cm.grid_vals.size, cm.ev_seg.size, cm.n  # Dataset holds K >= 1 events
     eps = cm.cfg.trunc_eps
-    psi_a = np.empty((len(eval_y), cond.m))
-    psi_b = np.empty_like(psi_a)
     stats = TransformStats()
     C = 2 * E + 1  # columns of P and of Q; the last is the censored rows' zero
     F_col = (np.arange(2 * E) + 1) // 2  # class 2k + l reads F[:, k + l]
@@ -122,23 +122,16 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         G_raw = np.exp(t.seglog)
         invG = 1.0 / np.maximum(G_raw[:, cm.ev_seg], eps)
         clipped = G_raw[:, cm.ev_seg] < eps
+        invG2 = np.repeat(invG, 2, axis=1)
         Gy_raw = G_raw[rows, np.searchsorted(cm.cens_times, y_c, side="right")]
         stats.clip_count += int(((Gy_raw < eps) & (delta_c == 1)).sum())
         ipcw = delta_c / np.maximum(Gy_raw, eps)
 
         # S, the weighted event mass from a row on, at every run start
-        suf = np.cumsum((t.mass * np.repeat(invG, 2, axis=1))[:, ::-1], axis=1)[:, ::-1]
+        suf = np.cumsum((t.mass * invG2)[:, ::-1], axis=1)[:, ::-1]
         S_total, S_last = suf[:, 0], suf[:, 1::2]
         ok = S_total > _MASS_FLOOR  # else W is 0: the IPCW term alone
 
-        # event rows with w > 0, for the clip count
-        live_ev = np.tile(cm.ev_count, (len(rows), 1))
-        zero = np.flatnonzero(t.w.min(axis=1) == 0.0)
-        if zero.size:  # count per event run, then add the two runs of each segment
-            live = np.bincount(seg_index[:zero.size].ravel(), weights=(t.w[zero] > 0).ravel(),
-                               minlength=zero.size * cm.n_sums)
-            live = live.reshape(zero.size, cm.n_sums)[:, -2 * E:]
-            live_ev[zero] = live[:, 0::2] + live[:, 1::2]
         # S is nonincreasing along the grid, so the usable grid is cut short
         # only in rows whose last grid point holds at most _MASS_FLOOR
         last_valid = np.full(len(rows), K)
@@ -151,8 +144,18 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         T = np.searchsorted(cm.grid_vals, y_c, side="right")
         T_eff = np.minimum(T, last_valid)
         stats.empty_risk_sets += int((T_eff < T).sum() + (~ok).sum())
-        below = np.clip(T_eff[:, None], cm.grid_start, cm.bnd_grid + 1) - cm.grid_start
-        stats.clip_count += int((clipped * (live_ev + below)).sum())
+        hit = np.flatnonzero(clipped.any(axis=1))  # other rows add 0 to the clip count
+        if hit.size:  # a clipped event segment counts its live event rows and used grid points
+            live_ev = np.tile(cm.ev_count, (hit.size, 1))
+            w_hit = t.w[hit]
+            zero = np.flatnonzero(w_hit.min(axis=1) == 0.0)
+            if zero.size:  # count per event run, then add the two runs of each segment
+                live = np.bincount(seg_index[:zero.size].ravel(), weights=(w_hit[zero] > 0).ravel(),
+                                   minlength=zero.size * cm.n_sums)
+                live = live.reshape(zero.size, cm.n_sums)[:, -2 * E:]
+                live_ev[zero] = live[:, 0::2] + live[:, 1::2]
+            below = np.clip(T_eff[hit, None], cm.grid_start, cm.bnd_grid + 1) - cm.grid_start
+            stats.clip_count += int((clipped[hit] * (live_ev + below)).sum())
 
         # S at grid point T_eff - 1 (S_total when T_eff = 0): from the last
         # event group of its segment on, plus a partial sum up to there
@@ -177,22 +180,24 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         head = np.where(has_grid, F[rows, k0] + invG[rows, k0] / np.where(has_grid, S_T, 1.0), 0.0)
         const = (head - ipcw * invS_T) + coef_inf
 
-        invG2 = np.repeat(invG, 2, axis=1)
         PQ = np.zeros((len(rows), C, 2))  # P and Q interleaved per row
         PQ[:, :-1, 0] = invG2 * (F[:, F_col] + coef_inf[:, None])
         PQ[:, :-1, 1] = invG2 * const[:, None]
         W = np.take(PQ, pq_index[:len(rows)] + (train_rows >= J0[:, None]))
         W *= t.w
 
-        psi_a[sl] = ipcw[:, None] * ge_a[sl] + W @ cond.a
-        psi_b[sl] = ipcw[:, None] * ge_b[sl] + W @ cond.b
-    return psi_a, psi_b, stats
+        for psi, train in ((ge_a[sl], cond.a), (ge_b[sl], cond.b)):
+            psi *= ipcw[:, None]
+            psi += W @ train
+    return ge_a, ge_b, stats
 
 
 def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
                         spec: MomentSpec, chunk: int = 32) -> MomentMatrix:
     """Cross-fitted moment rows: row i is evaluated with the nuisance fit
-    trained on the fold not containing i; rows stay in dataset order."""
+    trained on the fold not containing i; rows stay in dataset order. A fold's
+    g becomes its psi in place and is freed once copied into A and B, before
+    the next fold starts."""
     assign = np.asarray(fold_assignment)
     labels = np.unique(assign)
     if assign.shape != (dataset.n,) or len(labels) != 2:
@@ -210,13 +215,11 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
         if overlap.size:
             raise ValueError(f"fold {label}: nuisance fit was trained on evaluation rows")
         eval_fold = dataset.subset(idx)
-        ge_a, ge_b = fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec)
-        pa, pb, st = aipcw_transform(eval_fold.z, eval_fold.d, eval_fold.y,
-                                     eval_fold.delta, ge_a, ge_b,
-                                     nuis.cond_moment, chunk=chunk)
+        A[idx], B[idx], st = aipcw_transform(
+            eval_fold.z, eval_fold.d, eval_fold.y, eval_fold.delta,
+            *fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec),
+            nuis.cond_moment, chunk=chunk)
         stats.merge(st)
-        A[idx] = pa
-        B[idx] = pb
     return MomentMatrix(A=A, B=B, spec=spec, fold_tags=assign.copy(), stats=stats)
 
 

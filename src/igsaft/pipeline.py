@@ -1,5 +1,7 @@
-"""Top-level estimation flow: fold split, cross-fitted nuisances, moment
-construction, screening, GEL estimation, variance, and diagnostics."""
+"""Top-level estimation flow: screening and the relevance test, then per
+repeated two-fold split the cross-fitted nuisances, moment matrix and GEL
+fits, median-aggregated, and the overidentification test. Splits go through
+one at a time, so memory does not grow with the split count."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from .diagnostics import (TestResult, check_rank, exposure_design, overid_test,
 from .errors import DomainError
 from .gel import FAMILIES, GelFit, _z_crit, fit_gel
 from .interactions import MomentSpec
-from .moments import build_moment_matrix
+from .moments import TransformStats, build_moment_matrix, dump_moments
 from .nuisance import KernelConfig, fit_all
 from .screening import ScreenResult, screen_interactions
 from .simulate import rng_stream
@@ -135,22 +137,6 @@ def _one_split(dataset: Dataset, config: FitConfig, spec: MomentSpec, split: int
     return M, fold_sizes, bandwidths, warnings
 
 
-def _prepare_splits(dataset: Dataset, config: FitConfig, spec: MomentSpec):
-    """One moment matrix per repeated split."""
-    warnings = []
-    if dataset.n < 200:
-        warnings.append(f"n = {dataset.n} is small; local censoring estimates may be noisy")
-    mats = []
-    fold_sizes = bandwidths = None
-    for split in range(config.n_splits):
-        M, fs, bw, warn = _one_split(dataset, config, spec, split)
-        mats.append(M)
-        warnings.extend(warn)
-        if split == 0:
-            fold_sizes, bandwidths = fs, bw
-    return mats, fold_sizes, bandwidths, warnings
-
-
 def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
     """Median-aggregate repeated-split fits.
 
@@ -188,10 +174,30 @@ def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
     return out
 
 
-def _fit_family(mats, family: str, config: FitConfig) -> GelFit:
-    """GEL fit of one family on every split, median-aggregated."""
-    fits = [fit_gel(M, family, search=config.search, alpha=config.alpha) for M in mats]
-    return combine_split_fits(fits, config.alpha)
+def _fit_splits(dataset: Dataset, config: FitConfig, spec: MomentSpec, families,
+                dump_moments_path=None):
+    """Each family's fits on the repeated splits, median-aggregated, with the
+    summed stats, split 0's fold sizes and bandwidths, and the warnings. Each
+    split's moment matrix is fitted by every family (and dumped if it is split
+    0) and dropped before the next split is built."""
+    warnings = []
+    if dataset.n < 200:
+        warnings.append(f"n = {dataset.n} is small; local censoring estimates may be noisy")
+    fits = {fam: [] for fam in families}
+    stats = TransformStats()
+    for split in range(config.n_splits):
+        M, fs, bw, warn = _one_split(dataset, config, spec, split)
+        warnings.extend(warn)
+        stats.merge(M.stats)
+        if split == 0:
+            fold_sizes, bandwidths = fs, bw
+            if dump_moments_path:
+                dump_moments(M, dump_moments_path)
+        for fam, fam_fits in fits.items():
+            fam_fits.append(fit_gel(M, fam, search=config.search, alpha=config.alpha))
+        del M  # else it stays alive through the next split's construction
+    return ({fam: combine_split_fits(f, config.alpha) for fam, f in fits.items()},
+            stats, fold_sizes, bandwidths, warnings)
 
 
 @one_blas_thread
@@ -202,35 +208,32 @@ def fit_igsaft(dataset: Dataset, config: FitConfig,
 
     The relevance test runs right after screening: it needs only the data
     and the spec, and it refuses designs too small to fit before any
-    nuisance or GEL work is spent on them.
+    nuisance or GEL work is spent on them. One split's moment matrix is held
+    at a time; split 0's is written to dump_moments_path as CSV if given.
     """
     spec, screen = _screen_once(dataset, config)
     relevance = relevance_f_test(dataset, spec)
-    mats, fold_sizes, bandwidths, warnings = _prepare_splits(dataset, config, spec)
-    if dump_moments_path:
-        from .moments import dump_moments
-
-        dump_moments(mats[0], dump_moments_path)
-    gel_fit = _fit_family(mats, config.gel, config)
+    fits, stats, fold_sizes, bandwidths, warnings = _fit_splits(
+        dataset, config, spec, (config.gel,), dump_moments_path)
+    gel_fit = fits[config.gel]
     over = None
     if spec.m >= 2 and gel_fit.converged:
-        over = overid_test(gel_fit, mats[0].n, mats[0].m)
+        over = overid_test(gel_fit, dataset.n, spec.m)
     elif spec.m >= 2:
         warnings.append("overidentification test skipped: fit did not converge")
     return FitReport(gel_fit=gel_fit, screen=screen, relevance=relevance,
                      over_id=over, spec=spec, fold_sizes=fold_sizes,
                      fold_seed=config.seed, bandwidths=bandwidths,
-                     clip_count=sum(M.stats.clip_count for M in mats),
-                     empty_risk_sets=sum(M.stats.empty_risk_sets for M in mats),
+                     clip_count=stats.clip_count, empty_risk_sets=stats.empty_risk_sets,
                      warnings=warnings)
 
 
 @one_blas_thread
 def fit_families(dataset: Dataset, config: FitConfig, families) -> dict[str, GelFit]:
     """Fit several GEL families on one shared moment construction, with one
-    BLAS thread. The rank check of the exposure design [1, Z, interactions]
-    that `fit_igsaft` gets from the relevance test runs here on its own."""
+    BLAS thread, holding one split's moment matrix at a time. The rank check
+    of the exposure design [1, Z, interactions] that `fit_igsaft` gets from
+    the relevance test runs here on its own."""
     spec = _screen_once(dataset, config)[0]
     check_rank(exposure_design(dataset, spec), spec)
-    mats, *_ = _prepare_splits(dataset, config, spec)
-    return {fam: _fit_family(mats, fam, config) for fam in families}
+    return _fit_splits(dataset, config, spec, families)[0]

@@ -16,7 +16,7 @@ from igsaft import moments
 from igsaft.data import Dataset
 from igsaft.interactions import MomentSpec
 from igsaft.moments import TransformStats, aipcw_transform, build_moment_matrix
-from igsaft.nuisance import CensorModel, CondMoment, KernelConfig, fit_all
+from igsaft.nuisance import CensorModel, CondMoment, KernelConfig, fit_all, fold_g_values
 from igsaft.pipeline import _fold_assignment
 from igsaft.simulate import SimConfig, generate
 from scalar_reference import cumlog
@@ -217,10 +217,25 @@ def test_hand_made_fold_matches_dense_reference(kc):
     args = (rng.normal(size=(n_eval, 2)), rng.normal(size=n_eval), y_eval,
             np.tile([1, 0], n_eval // 2), rng.normal(size=(n_eval, 3)),
             rng.normal(size=(n_eval, 3)), cond)
-    *got, st = aipcw_transform(*args, chunk=7)
+    *got, st = aipcw_transform(*args[:4], args[4].copy(), args[5].copy(), cond, chunk=7)
     *ref, st_ref = dense_transform(*args, chunk=7)
     assert_close_to_reference(got, ref)
     assert st == st_ref
+
+
+def test_transform_writes_psi_over_the_g_arrays_it_is_given():
+    ds = simulated()
+    spec = MomentSpec.full(ds.p, 2)
+    assign = _fold_assignment(ds.n, 0)
+    train, ev = (ds.subset(np.flatnonzero(assign == lab)) for lab in (1, 0))
+    nu = fit_all(train, spec, KernelConfig(trunc_eps=0.2))
+    ge_a, ge_b = fold_g_values(ev, nu.zeta, nu.partials, spec)
+    args = (ev.z, ev.d, ev.y, ev.delta)
+    *ref, st_ref = dense_transform(*args, ge_a.copy(), ge_b.copy(), nu.cond_moment, chunk=7)
+    psi_a, psi_b, st = aipcw_transform(*args, ge_a, ge_b, nu.cond_moment, chunk=7)
+    assert psi_a is ge_a and psi_b is ge_b
+    assert_close_to_reference((psi_a, psi_b), ref)
+    assert st == st_ref and st.clip_count > 0
 
 
 def test_segment_metadata_matches_brute_force():

@@ -1,5 +1,8 @@
 """Pipeline flow around the GEL fits: how repeated-split fits are combined,
-and what runs before the first nuisance fit."""
+what runs before the first nuisance fit, and that the splits' moment
+matrices are not held at once."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import igsaft.pipeline
 from igsaft.data import Dataset
 from igsaft.errors import IllPosedError
 from igsaft.gel import GelFit, _z_crit
+from igsaft.interactions import MomentSpec
 from igsaft.pipeline import FitConfig, combine_split_fits, fit_families, fit_igsaft
 from igsaft.simulate import SimConfig, generate
 
@@ -72,3 +76,23 @@ def test_dependent_instrument_is_refused_on_the_monte_carlo_path():
     with pytest.raises(IllPosedError, match="instrument column 2 "):
         fit_families(Dataset(z, ds.d, ds.y, ds.delta), FitConfig(n_splits=1, screen=False),
                      ("el",))
+
+
+@pytest.mark.parametrize("fit", [fit_igsaft, lambda ds, cfg: fit_families(ds, cfg, ("el",))],
+                         ids=["fit_igsaft", "fit_families"])
+def test_peak_memory_does_not_grow_with_the_split_count(fit):
+    # the splits go through one at a time: more splits must not hold more
+    # than one split's moment pair (A, B) at once
+    ds = generate(SimConfig(case=1, n=800, p=6, target_cr=0.2, seed=0, reps=1), 0)[0]
+
+    def peak(n_splits):
+        tracemalloc.start()
+        try:
+            fit(ds, FitConfig(n_splits=n_splits, screen=False))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the first fit's one-time allocations (np.unique imports numpy.ma) are no split's
+    one_pair = 2 * ds.n * MomentSpec.full(ds.p, 2).m * 8
+    assert peak(4) - peak(1) < one_pair
