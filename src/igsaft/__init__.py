@@ -9,8 +9,7 @@ effect by generalized empirical likelihood with weak-moment-aware inference.
 from .data import ColumnConfig, Dataset, load_csv, write_csv
 from .diagnostics import TestResult, overid_test, relevance_f_test
 from .gel import GelFit, fit_gel, inner_lambda, minimize_beta, rho, variance
-from .interactions import (InteractionIndex, MomentSpec, build_Vk, enumerate_subsets,
-                           interaction_count)
+from .interactions import InteractionIndex, MomentSpec, build_Vk, enumerate_subsets
 from .moments import MomentMatrix, build_moment_matrix
 from .nuisance import CensorModel, KernelConfig, NuisanceFit, PartialFit, fit_all, fit_partials
 from .pipeline import FitConfig, FitReport, fit_families, fit_igsaft
@@ -26,7 +25,7 @@ __all__ = [
     "NuisanceFit", "PartialFit", "ScreenResult", "SimConfig", "TestResult", "TruthRecord",
     "aft_benchmark", "build_Vk", "build_moment_matrix", "calibrate_censoring",
     "enumerate_subsets", "fit_all", "fit_families", "fit_gel", "fit_igsaft", "fit_partials",
-    "generate", "inner_lambda", "interaction_count", "load_csv", "minimize_beta",
-    "overid_test", "relevance_f_test", "rho", "run_monte_carlo", "screen_interactions",
-    "variance", "write_csv",
+    "generate", "inner_lambda", "load_csv", "minimize_beta", "overid_test",
+    "relevance_f_test", "rho", "run_monte_carlo", "screen_interactions", "variance",
+    "write_csv",
 ]

@@ -4,7 +4,9 @@ The censoring model always uses a Gaussian product kernel; --bandwidth,
 --trunc-eps and --km-conditioning set its bandwidth, clip and coordinates.
 Exit codes: 0 success, 1 schema or usage problems, 2 estimation failures.
 Every run writes a manifest sufficient for exact replay; config precedence
-is flags > config file > defaults.
+is flags > config file > defaults, and config values are parsed like the
+flags they name. The fit report (diagnose writes four of its keys) and the
+simulate sidecar are strict JSON: a non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -22,19 +24,18 @@ import numpy
 
 from . import __version__
 from .blas import blas_threads, one_blas_thread
-from .data import ColumnConfig, load_csv
-from .errors import CalibrationError, DomainError, EstimationError, IllPosedError, SchemaError
-from .nuisance import KernelConfig
+from .data import TIME_SCALES, ColumnConfig, load_csv
+from .errors import CalibrationError, EstimationError, IllPosedError
+from .gel import FAMILIES
+from .nuisance import CONDITIONINGS, KernelConfig
 from .pipeline import FitConfig, fit_igsaft
 from .simulate import SimConfig, run_monte_carlo
 
 SCHEMA_VERSION = 1
 
 
-class CliError(Exception):
-    def __init__(self, message, code=1):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A usage problem: a bad option, config file or instrument list."""
 
 
 def _expand_ivs(text: str) -> list[str]:
@@ -55,32 +56,46 @@ def _expand_ivs(text: str) -> list[str]:
     return out
 
 
-def _merge_config(args) -> dict:
+def _merge_config(args, parser: argparse.ArgumentParser) -> dict:
     """flags > config file; an option set by neither takes its config dataclass's default.
 
     The config file may set only the options the subcommand's flags define,
-    under their destination names (e.g. "n_splits").
+    under their destination names (e.g. "n_splits"). The subcommand's parser
+    reads each value as the flag --key=value: true sets a switch, false and
+    null leave the option unset, and a list or an object is refused.
     """
-    merged = {}
     known = set(vars(args)) - {"command", "config"}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
+    merged = {}
+    path = args.config
+    if path:
         try:
-            with open(cfg_path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config file {cfg_path}: {exc}") from exc
+            raise CliError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise CliError(f"config file {cfg_path} must hold a JSON object")
+            raise CliError(f"config file {path} must hold a JSON object")
         unknown = sorted(set(loaded) - known)
         if unknown:
-            raise CliError(f"config file {cfg_path}: unknown key(s) "
+            raise CliError(f"config file {path}: unknown key(s) "
                            f"{', '.join(map(repr, unknown))} for {args.command}")
-        merged.update(loaded)
-    for key, value in vars(args).items():
-        if value is not None and key in known:
-            merged[key] = value
-    return merged
+        argv = []
+        for key, value in loaded.items():
+            if isinstance(value, (list, dict)):
+                raise CliError(f"config file {path}: {key!r} must be a string, "
+                               "a number or a boolean")
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif value is not None and value is not False:
+                argv.append(f"{flag}={value}")
+        parser.exit_on_error = False  # the flags are parsed; a bad value now raises
+        try:
+            merged = vars(parser.parse_args(argv))
+        except argparse.ArgumentError as exc:
+            raise CliError(f"config file {path}: {exc}") from exc
+    merged.update((key, value) for key, value in vars(args).items() if value is not None)
+    return {key: value for key, value in merged.items() if value is not None and key in known}
 
 
 def _require(cfg: dict, names: list[str]):
@@ -118,30 +133,27 @@ def _manifest(command: str, cfg: dict, started: float, input_path=None) -> dict:
     return man
 
 
-# option -> (config field, type); only the options the user set are passed,
-# so KernelConfig, FitConfig and SimConfig hold the only copy of each default
-_KERNEL_FIELDS = {"bandwidth": ("fixed_h", float), "trunc_eps": ("trunc_eps", float),
-                  "km_conditioning": ("km_conditioning", str)}
-_FIT_FIELDS = {"q": ("q", int), "gel": ("gel", str), "max_keep": ("max_keep", int),
-               "alpha": ("alpha", float), "seed": ("seed", int), "n_splits": ("n_splits", int)}
-_SIM_FIELDS = {"p": ("p", int), "cr": ("target_cr", float), "c_weak": ("c_weak", float),
-               "beta0": ("beta0", float), "reps": ("reps", int), "seed": ("seed", int),
-               "nonzero_frac": ("nonzero_frac", float), "fix_support": ("fix_support", bool)}
+# only the options the user set are passed, so KernelConfig, FitConfig and
+# SimConfig hold the only copy of each default; _FIELD maps the options that
+# a config field names otherwise
+_FIELD = {"bandwidth": "fixed_h", "cr": "target_cr"}
+_KERNEL_OPTIONS = ("bandwidth", "trunc_eps", "km_conditioning")
+_FIT_OPTIONS = ("q", "gel", "max_keep", "alpha", "seed", "n_splits")
+_SIM_OPTIONS = ("p", "cr", "c_weak", "beta0", "reps", "seed", "nonzero_frac", "fix_support")
 
 
-def _given(cfg: dict, fields: dict) -> dict:
-    return {name: kind(cfg[key]) for key, (name, kind) in fields.items()
-            if cfg.get(key) is not None}
+def _given(cfg: dict, options: tuple) -> dict:
+    return {_FIELD.get(key, key): cfg[key] for key in options if key in cfg}
 
 
 def _fit_config(cfg: dict) -> FitConfig:
-    kwargs = _given(cfg, _FIT_FIELDS)
+    kwargs = _given(cfg, _FIT_OPTIONS)
     if cfg.get("no_screen"):
         kwargs["screen"] = False
     if "search_lo" in cfg or "search_hi" in cfg:
         lo, hi = FitConfig.search
-        kwargs["search"] = (float(cfg.get("search_lo", lo)), float(cfg.get("search_hi", hi)))
-    return FitConfig(kernel=KernelConfig(**_given(cfg, _KERNEL_FIELDS)), **kwargs)
+        kwargs["search"] = (cfg.get("search_lo", lo), cfg.get("search_hi", hi))
+    return FitConfig(kernel=KernelConfig(**_given(cfg, _KERNEL_OPTIONS)), **kwargs)
 
 
 def _load_dataset(cfg: dict):
@@ -153,33 +165,49 @@ def _load_dataset(cfg: dict):
     return load_csv(cfg["data"], columns)
 
 
-def _write_out(report: dict, out_path: str | None):
-    text = json.dumps(report, indent=2, default=_json_default)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _plain(value):
+    """value with every tuple as a list and every non-finite float as None:
+    JSON has no number for NaN or infinity."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(command: str, body: dict, cfg: dict, started: float, path: str | None,
+                input_path=None) -> str:
+    """{schema_version, **body, manifest} as JSON text, also written to path
+    if one is given. allow_nan=False refuses a non-finite number that _plain
+    did not reach."""
+    payload = {"schema_version": SCHEMA_VERSION, **body,
+               "manifest": _manifest(command, cfg, started, input_path)}
+    text = json.dumps(_plain(payload), indent=2, allow_nan=False)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return text
 
 
-def _json_default(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"not JSON-serializable: {type(value)}")
+# the keys of fit's report that diagnose writes, in this order
+_DIAGNOSE_KEYS = ("relevance_F", "p_F", "over_id", "p_overid")
 
 
-def cmd_fit(cfg: dict) -> int:
+def cmd_fit(cfg: dict, command: str = "fit") -> int:
+    """fit writes the whole report of `fit_igsaft`, diagnose its _DIAGNOSE_KEYS."""
     started = time.time()
     dataset = _load_dataset(cfg)
     report = fit_igsaft(dataset, _fit_config(cfg),
                         dump_moments_path=cfg.get("dump_moments"))
-    payload = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
-    payload["manifest"] = _manifest("fit", cfg, started, cfg["data"])
-    text = _write_out(payload, cfg.get("out"))
+    body = report.to_dict()
+    if command == "diagnose":
+        body = {key: body[key] for key in _DIAGNOSE_KEYS}
+    text = _write_json(command, body, cfg, started, cfg.get("out"), cfg["data"])
     if not cfg.get("out"):
         print(text)
-    else:
+    elif command == "fit":
         g = report.gel_fit
         print(f"beta_hat = {g.beta_hat:.6f}  se = {g.se:.6f}  "
               f"ci = [{g.ci[0]:.6f}, {g.ci[1]:.6f}]")
@@ -192,50 +220,21 @@ def cmd_fit(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     started = time.time()
-    sim = SimConfig(case=int(cfg.get("case", 1)), n=int(cfg.get("n", 10000)),
-                    **_given(cfg, _SIM_FIELDS))
+    sim = SimConfig(case=cfg.get("case", 1), n=cfg.get("n", 10000), **_given(cfg, _SIM_OPTIONS))
     estimators = [e.strip() for e in cfg.get("estimators", "el,aft").split(",") if e.strip()]
-    fit_cfg = _fit_config(cfg)
-    summary = run_monte_carlo(sim, fit_cfg, estimators,
-                              threads=int(cfg.get("threads", 1)))
+    summary = run_monte_carlo(sim, _fit_config(cfg), estimators, threads=cfg.get("threads", 1))
     table = summary.to_table()
     print(table, end="")
     if cfg.get("out"):
         with open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write(table)
-    sidecar = cfg.get("json")
-    if sidecar:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "rows": [vars(r) for r in summary.rows],
-            "manifest": _manifest("simulate", cfg, started),
-        }
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, default=_json_default) + "\n")
+    if cfg.get("json"):
+        _write_json("simulate", {"rows": [vars(r) for r in summary.rows]}, cfg, started,
+                    cfg["json"])
     return 0
 
 
-def cmd_diagnose(cfg: dict) -> int:
-    started = time.time()
-    dataset = _load_dataset(cfg)
-    fit_cfg = _fit_config(cfg)
-    report = fit_igsaft(dataset, fit_cfg, dump_moments_path=cfg.get("dump_moments"))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "relevance_F": report.relevance.to_dict(),
-        "p_F": report.relevance.p_value,
-        "over_id": (report.over_id.to_dict() if report.over_id
-                    else {"not_applicable": "just identified (m = 1)"}),
-        "p_overid": report.over_id.p_value if report.over_id else None,
-        "manifest": _manifest("diagnose", cfg, started, cfg["data"]),
-    }
-    text = _write_out(payload, cfg.get("out"))
-    if not cfg.get("out"):
-        print(text)
-    return 0
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     parser = argparse.ArgumentParser(prog="igsaft",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -243,13 +242,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags take precedence")
         p.add_argument("--seed", type=int)
-        p.add_argument("--gel", choices=("el", "et", "cue"))
+        p.add_argument("--gel", choices=FAMILIES)
         p.add_argument("--alpha", type=float)
         p.add_argument("--q", type=int)
         p.add_argument("--bandwidth", type=float)
         p.add_argument("--trunc-eps", dest="trunc_eps", type=float)
-        p.add_argument("--km-conditioning", dest="km_conditioning",
-                       choices=("auto", "full", "d_only", "marginal"))
+        p.add_argument("--km-conditioning", dest="km_conditioning", choices=CONDITIONINGS)
         p.add_argument("--no-screen", dest="no_screen", action="store_const", const=True)
         p.add_argument("--max-keep", dest="max_keep", type=int)
         p.add_argument("--n-splits", dest="n_splits", type=int,
@@ -264,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--status")
         p.add_argument("--exposure")
         p.add_argument("--iv", help="comma list; z1..z10 expands")
-        p.add_argument("--time-scale", dest="time_scale", choices=("raw", "log"))
+        p.add_argument("--time-scale", dest="time_scale", choices=TIME_SCALES)
         p.add_argument("--dump-moments", dest="dump_moments")
 
     p_fit = sub.add_parser("fit", help="estimate the exposure effect from a CSV")
@@ -291,25 +289,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="relevance and overidentification tests")
     add_common(p_diag)
     add_data(p_diag)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    handlers = {"fit": cmd_fit, "simulate": cmd_simulate, "diagnose": cmd_diagnose}
     try:
-        return handlers[args.command](_merge_config(args))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (SchemaError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        cfg = _merge_config(args, commands[args.command])
+        if args.command == "simulate":
+            return cmd_simulate(cfg)
+        return cmd_fit(cfg, args.command)
+    except ValueError as exc:  # CliError, SchemaError and DomainError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EstimationError, IllPosedError, CalibrationError) as exc:

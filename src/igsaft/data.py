@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import SchemaError
 
+TIME_SCALES = ("raw", "log")
+
 
 class Dataset:
     """Immutable column-major sample of n observations.
@@ -83,7 +85,7 @@ class ColumnConfig:
     time_scale: str = "raw"  # "raw" applies log at the boundary, "log" is passed through
 
     def __post_init__(self):
-        if self.time_scale not in ("raw", "log"):
+        if self.time_scale not in TIME_SCALES:
             raise SchemaError(f"time_scale must be 'raw' or 'log', got {self.time_scale!r}")
         object.__setattr__(self, "instruments", tuple(self.instruments))
         if not self.instruments:

@@ -80,7 +80,6 @@ class GelFit:
     ci: tuple[float, float] = (math.nan, math.nan)
     exp_scale: tuple[float, float] = (math.nan, math.nan)
     alpha: float = 0.05
-    clip_count: int = 0
     boundary_warning: bool = False
     warnings: list[str] = field(default_factory=list)
 
@@ -99,7 +98,6 @@ class GelFit:
             "m": self.m,
             "alpha": self.alpha,
             "converged": self.converged,
-            "clip_count": self.clip_count,
             "boundary_warning": self.boundary_warning,
             "warnings": self.warnings,
         }
@@ -291,8 +289,7 @@ def minimize_beta(M: MomentMatrix, family: str, search=(-10.0, 10.0)) -> GelFit:
 
     lam, qval, conv = inner_lambda(M, beta, family, lam0=lam)
     fit = GelFit(family=family, beta_hat=float(beta), lambda_hat=lam,
-                 q_hat=float(qval), n=M.n, m=M.m, converged=conv,
-                 clip_count=M.stats.clip_count)
+                 q_hat=float(qval), n=M.n, m=M.m, converged=conv)
     if min(beta - lo, hi - beta) < 1e-3:
         fit.boundary_warning = True
         fit.warnings.append(f"beta_hat {beta:.6f} within 1e-3 of the search boundary")
@@ -305,10 +302,21 @@ def _z_crit(alpha: float) -> float:
     return float(ndtri(1.0 - alpha / 2.0))
 
 
+def wald_interval(beta: float, se: float, alpha: float):
+    """The level 1 - alpha interval beta -/+ z se, with z from `_z_crit`, and
+    the exp-scale delta-method report (e^beta, e^beta se); e^beta is inf
+    where it overflows a double (beta > 709.78)."""
+    z = _z_crit(alpha)
+    try:
+        e = math.exp(beta)
+    except OverflowError:
+        e = math.inf
+    return (beta - z * se, beta + z * se), (e, e * se)
+
+
 def variance(M: MomentMatrix, fit: GelFit, alpha: float = 0.05) -> GelFit:
-    """Fill in H_hat, V1_hat, se, the interval beta_hat -/+ z se with z the
-    1 - alpha/2 standard normal quantile (`_z_crit`), and the exp-scale
-    delta-method report."""
+    """Fill in H_hat, V1_hat, se, and the interval and exp-scale report of
+    `wald_interval`."""
     fit.alpha = alpha
     if not fit.converged:
         fit.warnings.append("inner maximization did not converge; no variance computed")
@@ -329,9 +337,7 @@ def variance(M: MomentMatrix, fit: GelFit, alpha: float = 0.05) -> GelFit:
     V1 = float(D @ x) / (H * H)
     fit.v_hat = V1
     fit.se = math.sqrt(V1 / M.n)
-    z = _z_crit(alpha)
-    fit.ci = (beta - z * fit.se, beta + z * fit.se)
-    fit.exp_scale = (math.exp(beta), math.exp(beta) * fit.se)
+    fit.ci, fit.exp_scale = wald_interval(beta, fit.se, alpha)
     return fit
 
 

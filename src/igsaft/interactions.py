@@ -36,13 +36,6 @@ def enumerate_subsets(p: int, k: int) -> list[InteractionIndex]:
     return [InteractionIndex(s) for s in combinations(range(1, p + 1), k)]
 
 
-def interaction_count(p: int, q: int) -> int:
-    """Number of interaction terms of orders 2..q among p instruments."""
-    if not 2 <= q <= p:
-        raise DomainError(f"need 2 <= q <= p, got q={q}, p={p}")
-    return sum(comb(p, k) for k in range(2, q + 1))
-
-
 @dataclass(frozen=True)
 class MomentSpec:
     """An ordered collection of interaction index sets defining the moment

@@ -138,7 +138,7 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         cut = np.flatnonzero(S_last[:, -1] <= _MASS_FLOOR)
         if cut.size:
             seg = np.minimum(cm.cls_of // 2, E - 1)  # event segment of each event row
-            omega = t.w_event[cut] * invG[cut][:, seg]
+            omega = t.w[cut] * cm.delta_s * invG[cut][:, seg]
             S_grid = np.cumsum(omega[:, ::-1], axis=1)[:, ::-1][:, cm.grid_first]
             last_valid[cut] = (S_grid > _MASS_FLOOR).sum(axis=1)
         T = np.searchsorted(cm.grid_vals, y_c, side="right")
@@ -164,8 +164,9 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         J0 = np.where(has_grid, cm.grid_first[np.maximum(T_eff - 1, 0)], 0)
         S_T = np.where(has_grid, S_last[rows, k0], S_total)
         mid = np.flatnonzero(has_grid & (J0 < cm.last_first[k0]))
-        ends = np.column_stack([J0[mid], cm.last_first[k0[mid]]]) + n * mid[:, None]
-        S_T[mid] += np.add.reduceat(t.w_event.ravel(), ends.ravel())[::2] * invG[mid, k0[mid]]
+        ends = np.column_stack([J0[mid], cm.last_first[k0[mid]]]) + n * np.arange(mid.size)[:, None]
+        w_event = (t.w[mid] * cm.delta_s).ravel()  # delta is 0 or 1: 0 on censored rows
+        S_T[mid] += np.add.reduceat(w_event, ends.ravel())[::2] * invG[mid, k0[mid]]
         live_T = has_grid | ok  # S_T > _MASS_FLOOR: T_eff <= last_valid, or S_T is S_total
         invS_T = np.where(live_T, 1.0 / np.where(live_T, S_T, 1.0), 0.0)
         invS_tot = np.where(ok, 1.0 / np.where(ok, S_total, 1.0), 0.0)
@@ -199,8 +200,8 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
     g becomes its psi in place and is freed once copied into A and B, before
     the next fold starts."""
     assign = np.asarray(fold_assignment)
-    labels = np.unique(assign)
-    if assign.shape != (dataset.n,) or len(labels) != 2:
+    labels = (assign.min(), assign.max()) if assign.size else ()
+    if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
         raise ValueError("fold_assignment must put every row in one of two folds")
     min_n = vk_width(dataset.p, max(spec.orders)) + 2
     A = np.empty((dataset.n, spec.m))
@@ -211,8 +212,7 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
         if idx.size < min_n:
             raise IllPosedError(f"fold {label} has {idx.size} rows; need >= {min_n}")
         nuis = nuisances[label]
-        overlap = np.intersect1d(nuis.training_ids, idx)
-        if overlap.size:
+        if np.isin(nuis.training_ids, idx).any():
             raise ValueError(f"fold {label}: nuisance fit was trained on evaluation rows")
         eval_fold = dataset.subset(idx)
         A[idx], B[idx], st = aipcw_transform(

@@ -19,6 +19,7 @@ from .interactions import MomentSpec, build_Vk, eval_centered_matrix, vk_width
 from .spd import solve_spd
 
 _LOG_TINY = -745.0  # below this exp() underflows to 0
+CONDITIONINGS = ("auto", "full", "d_only", "marginal")
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class KernelConfig:
             raise DomainError(f"fixed bandwidth must be > 0, got {self.fixed_h}")
         if not 0 < self.trunc_eps < 1:
             raise DomainError("trunc_eps must lie in (0, 1)")
-        if self.km_conditioning not in ("auto", "full", "d_only", "marginal"):
+        if self.km_conditioning not in CONDITIONINGS:
             raise DomainError(f"unknown km_conditioning {self.km_conditioning!r}")
 
     def resolve_conditioning(self, p: int) -> str:
@@ -56,7 +57,6 @@ class KernelConfig:
 class PartialFit:
     """Least-squares coefficients of Y and D on the order-k design V_k."""
 
-    k: int
     theta_y: np.ndarray
     theta_d: np.ndarray
     ridge_fallback: bool = False
@@ -75,7 +75,7 @@ def fit_partials(fold: Dataset, k: int) -> PartialFit:
         raise IllPosedError(
             f"V_{k} width {V.shape[1]} >= fold size {fold.n}; cannot partial out")
     coefs, fb = solve_spd(V.T @ V, V.T @ np.column_stack([fold.y, fold.d]))
-    return PartialFit(k=k, theta_y=coefs[:, 0], theta_d=coefs[:, 1], ridge_fallback=fb)
+    return PartialFit(theta_y=coefs[:, 0], theta_d=coefs[:, 1], ridge_fallback=fb)
 
 
 class _KernelWeigher:
@@ -137,10 +137,9 @@ class KMTables:
     summed in row order; a run without event rows is exactly 0.
     """
 
-    w: np.ndarray        # (c, n) kernel weights
-    w_event: np.ndarray  # (c, n) kernel weights on event rows, 0 on censored rows
-    seglog: np.ndarray   # (c, S + 1) log Ghat on each censoring segment
-    mass: np.ndarray     # (c, 2E) event weight of the two runs of each event segment
+    w: np.ndarray       # (c, n) kernel weights
+    seglog: np.ndarray  # (c, S + 1) log Ghat on each censoring segment
+    mass: np.ndarray    # (c, 2E) event weight of the two runs of each event segment
 
 
 class CensorModel:
@@ -164,22 +163,19 @@ class CensorModel:
         self.weigher = _KernelWeigher(X, cfg)
 
         # tie groups over the sorted times
-        new_group = np.diff(self.ys, prepend=-np.inf) != 0
-        starts = np.flatnonzero(new_group)
-        group = np.cumsum(new_group) - 1
+        starts = np.flatnonzero(np.diff(self.ys, prepend=-np.inf) != 0)
 
         # tie groups with a censored row, the only ones with a factor other
         # than 1: where each begins in sorted order
         cens = self.delta_s == 0.0
-        self.cens_starts = starts[np.unique(group[cens])]
+        self.cens_starts = starts[np.logical_or.reduceat(cens, starts)]
         self.cens_times = self.ys[self.cens_starts]
         # censoring segment s: the rows from the s-th censored group start to
         # the next (segment 0 may be empty); Ghat is constant on each
         self.seg_of = np.searchsorted(self.cens_starts, np.arange(self.n), side="right")
 
         # distinct event times; ties merge into one grid point
-        event_groups = np.unique(group[~cens])
-        self.grid_first = starts[event_groups]
+        self.grid_first = starts[~np.logical_and.reduceat(cens, starts)]
         self.grid_vals = self.ys[self.grid_first]
 
         # event segments (segments with an event), in order: grid_ev maps each
@@ -244,7 +240,7 @@ class CensorModel:
             with np.errstate(divide="ignore"):
                 logf_group = np.log1p(-np.minimum(frac, 1.0))
             np.cumsum(np.maximum(logf_group, _LOG_TINY), axis=1, out=seglog[:, 1:])
-        return KMTables(w=w, w_event=w * self.delta_s, seglog=seglog, mass=sums[:, S:])
+        return KMTables(w=w, seglog=seglog, mass=sums[:, S:])
 
 
 class CondMoment:

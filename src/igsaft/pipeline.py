@@ -15,7 +15,7 @@ from .data import Dataset
 from .diagnostics import (TestResult, check_rank, exposure_design, overid_test,
                           relevance_f_test)
 from .errors import DomainError
-from .gel import FAMILIES, GelFit, _z_crit, fit_gel
+from .gel import FAMILIES, GelFit, fit_gel, wald_interval
 from .interactions import MomentSpec
 from .moments import TransformStats, build_moment_matrix, dump_moments
 from .nuisance import KernelConfig, fit_all
@@ -90,6 +90,7 @@ class FitReport:
             "fold_sizes": list(self.fold_sizes),
             "fold_seed": self.fold_seed,
             "bandwidths": [list(b) for b in self.bandwidths],
+            "clip_count": self.clip_count,
             "empty_risk_sets": self.empty_risk_sets,
             "pipeline_warnings": self.warnings,
         })
@@ -137,6 +138,16 @@ def _one_split(dataset: Dataset, config: FitConfig, spec: MomentSpec, split: int
     return M, fold_sizes, bandwidths, warnings
 
 
+def _median(values) -> float:
+    """np.median's value, NaN if any value is NaN, from a sorted copy: the
+    NaN check of np.median imports numpy.ma."""
+    s = np.sort(np.asarray(values, dtype=float))
+    k = (s.size - 1) // 2
+    if np.isnan(s[-1]):
+        return math.nan
+    return float(s[k] if s.size % 2 else (s[k] + s[k + 1]) / 2)
+
+
 def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
     """Median-aggregate repeated-split fits.
 
@@ -150,8 +161,8 @@ def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
     if len(usable) == 1 and len(fits) == 1:
         return fits[0]
     betas = np.array([f.beta_hat for f in usable])
-    med = float(np.median(betas))
-    se = float(np.sqrt(np.median([f.se ** 2 + (f.beta_hat - med) ** 2 for f in usable])))
+    med = _median(betas)
+    se = math.sqrt(_median([f.se ** 2 + (f.beta_hat - med) ** 2 for f in usable]))
     # by rank, not by distance to the median: with an even count both middle
     # splits are equally near it and the distance pick turns on rounding
     pick = usable[np.argsort(betas, kind="stable")[(len(usable) - 1) // 2]]
@@ -159,13 +170,10 @@ def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
                  q_hat=pick.q_hat, n=pick.n, m=pick.m,
                  converged=all(f.converged for f in fits),
                  h_hat=pick.h_hat, v_hat=pick.v_hat, se=se, alpha=alpha,
-                 clip_count=sum(f.clip_count for f in fits),
                  boundary_warning=any(f.boundary_warning for f in fits),
                  warnings=sorted({w for f in fits for w in f.warnings}))
     if math.isfinite(se):
-        z = _z_crit(alpha)
-        out.ci = (med - z * se, med + z * se)
-        out.exp_scale = (math.exp(med), math.exp(med) * se)
+        out.ci, out.exp_scale = wald_interval(med, se, alpha)
     if not out.converged and len(usable) >= max(1, len(fits) // 2 + 1):
         # a minority of bad splits does not invalidate the median fit
         out.converged = True

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .diagnostics import check_rank, exposure_design
-from .errors import DomainError, IllPosedError
+from .errors import IllPosedError
 from .interactions import MomentSpec
 from .spd import solve_spd
 
@@ -110,8 +110,6 @@ def _check_signal(resid_corr: np.ndarray, sq_means: np.ndarray, d2: float) -> No
 def screen_interactions(dataset: Dataset, candidates: MomentSpec,
                         max_keep: int = 100) -> ScreenResult:
     """Select informative interactions; never returns an empty set."""
-    if candidates.m < 1:
-        raise DomainError("screening needs at least one candidate")
     n = dataset.n
     X = exposure_design(dataset, candidates)
     n_unpen = 1 + dataset.p

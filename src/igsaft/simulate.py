@@ -21,7 +21,7 @@ import numpy as np
 from .cephes import ndtri
 from .data import Dataset
 from .errors import CalibrationError, DomainError
-from .gel import FAMILIES, _z_crit
+from .gel import FAMILIES, wald_interval
 
 _PILOT_STREAM = 101
 _REP_STREAM = 202
@@ -346,8 +346,7 @@ def _mc_one_rep(args):
             out[fam] = (fit.beta_hat, fit.se, fit.ci[0], fit.ci[1], fit.converged)
     if "aft" in estimators:
         b, se = aft_benchmark(dataset)
-        z = _z_crit(fit_cfg.alpha)
-        out["aft"] = (b, se, b - z * se, b + z * se, True)
+        out["aft"] = (b, se, *wald_interval(b, se, fit_cfg.alpha)[0], True)
     return rep, out
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from igsaft.blas import bundled_openblas
 from igsaft.cli import _fit_config, main
-from igsaft.data import ColumnConfig, load_csv, write_csv
+from igsaft.data import ColumnConfig, Dataset, load_csv, write_csv
 from igsaft.interactions import MomentSpec
 from igsaft.moments import build_moment_matrix
 from igsaft.nuisance import KernelConfig, fit_all
@@ -34,6 +34,47 @@ def write_design(path, rows):
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     return write_design(tmp_path_factory.mktemp("cli") / "d.csv", 300)
+
+
+def strict_json(path):
+    """The file's JSON, refusing NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.fixture(scope="module")
+def large_effect_csv(tmp_path_factory):
+    # y += 749 d moves beta_hat to about 750, where e^beta overflows a double
+    ds, _ = generate(SimConfig(case=1, n=600, p=4, seed=3, reps=1), 0, taus=(-2.0, 14.0))
+    path = tmp_path_factory.mktemp("cli") / "large.csv"
+    write_csv(path, Dataset(ds.z, ds.d, ds.y + 749.0 * ds.d, ds.delta), COLS)
+    return path
+
+
+LARGE_SEARCH = ["--search-lo", "-1000", "--search-hi", "1000", "--n-splits", "2"]
+
+
+def test_overflowing_exp_scale_is_written_as_null(large_effect_csv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["fit", *data_args(large_effect_csv), *LARGE_SEARCH, "--out", str(out)]) == 0
+    report = strict_json(out)
+    assert report["converged"] and 749.0 < report["beta_hat"] < 751.0
+    assert report["ci"][0] < report["beta_hat"] < report["ci"][1]
+    assert report["exp_beta"] == {"point": None, "se": None}
+    assert "exp(beta) = inf" in capsys.readouterr().out
+
+
+def test_diagnose_writes_four_keys_of_the_fit_report(large_effect_csv, tmp_path):
+    fit_out, diag_out = tmp_path / "fit.json", tmp_path / "diag.json"
+    for command, out in (("fit", fit_out), ("diagnose", diag_out)):
+        assert main([command, *data_args(large_effect_csv), *LARGE_SEARCH,
+                     "--out", str(out)]) == 0
+    fit, diag = strict_json(fit_out), strict_json(diag_out)
+    keys = ["relevance_F", "p_F", "over_id", "p_overid"]
+    assert list(diag) == ["schema_version", *keys, "manifest"]
+    assert {k: diag[k] for k in keys} == {k: fit[k] for k in keys}
+    assert diag["manifest"]["command"] == "diagnose"
 
 
 def test_fit_writes_report_and_exits_0(csv_path, tmp_path, capsys):
@@ -141,6 +182,32 @@ def test_config_file_must_hold_an_object(csv_path, tmp_path, capsys):
     cfg.write_text("[[\"seed\", 1]]")
     assert main(["fit", *data_args(csv_path), "--config", str(cfg)]) == 1
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys, named", [
+    ({"estimators": ["el"]}, "'estimators'"),
+    ({"no_screen": "false"}, "--no-screen"),
+    ({"seed": 1.7}, "--seed"),
+])
+def test_config_values_are_parsed_like_flags(keys, named, tmp_path, capsys):
+    # once a traceback, or a value the fit did not use: screening off for
+    # "false", seed 1 run while the manifest recorded 1.7
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(keys))
+    assert main(["simulate", *SIM_ARGS, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+def test_true_sets_a_switch_and_null_or_false_leaves_an_option_unset(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"search_lo": None, "fix_support": False, "no_screen": True,
+                               "seed": 2}))
+    sidecar = tmp_path / "mc.json"
+    assert main(["simulate", *SIM_ARGS, "--config", str(cfg), "--json", str(sidecar)]) == 0
+    resolved = strict_json(sidecar)["manifest"]["resolved_config"]
+    assert (resolved["seed"], resolved["no_screen"]) == (2, True)
+    assert not {"search_lo", "fix_support"} & set(resolved)
 
 
 def test_config_keys_follow_the_subcommand(tmp_path, capsys):

@@ -3,7 +3,7 @@ uses each name it imports. Importing the package and its CLI loads every
 module under src/igsaft, so none is dead, resolves every name in
 igsaft.__all__, and loads no scipy module: the package runs on numpy alone,
 and a fit, a Monte Carlo replication and the CLI manifest complete where
-scipy cannot be imported."""
+scipy cannot be imported. Fits over repeated splits do not load numpy.ma."""
 
 import ast
 import json
@@ -40,17 +40,24 @@ def test_no_unused_imports(path):
 
 FRESH_IMPORT = """
 import igsaft, igsaft.cli, json, sys
-print(json.dumps({
+after_import = {
     "modules": [m for m in sys.modules if m.startswith("igsaft")],
     "unresolved": [n for n in igsaft.__all__ if not hasattr(igsaft, n)],
     "scipy": [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")],
-}))
+}
+ds = igsaft.generate(igsaft.SimConfig(case=1, n=300, p=4, seed=3, reps=1), 0, taus=(-2.0, 14.0))[0]
+igsaft.fit_igsaft(ds, igsaft.FitConfig(n_splits=2))
+igsaft.run_monte_carlo(igsaft.SimConfig(case=1, n=200, p=3, target_cr=0.2, reps=1, seed=4),
+                       igsaft.FitConfig(n_splits=2), ["el", "aft"])
+print(json.dumps({**after_import, "numpy_ma_after_fits": "numpy.ma" in sys.modules}))
 """
 
 
 @pytest.fixture(scope="module")
 def fresh_import():
-    """What `import igsaft, igsaft.cli` leaves behind in a new interpreter."""
+    """What `import igsaft, igsaft.cli` leaves behind in a new interpreter,
+    and whether a fit and a Monte Carlo replication, both over 2 splits,
+    then load numpy.ma."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
@@ -92,6 +99,12 @@ def test_every_module_is_imported(fresh_import):
 
 def test_every_exported_name_resolves(fresh_import):
     assert fresh_import["unresolved"] == []
+
+
+def test_fits_do_not_load_numpy_ma(fresh_import):
+    # numpy.ma costs about 1 MB of peak resident memory on first use;
+    # np.unique, np.intersect1d and np.median load it
+    assert not fresh_import["numpy_ma_after_fits"]
 
 
 WITHOUT_SCIPY = """

@@ -1,10 +1,12 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from igsaft.errors import DomainError
 from igsaft.interactions import (InteractionIndex, MomentSpec, build_Vk, enumerate_subsets,
-                                 eval_centered_matrix, interaction_count, vk_width)
+                                 eval_centered_matrix, vk_width)
 from scalar_reference import eval_centered
 
 
@@ -32,13 +34,13 @@ def test_enumerate_domain_errors(p, k):
 
 @pytest.mark.parametrize("p,q,expected", [(3, 3, 4), (10, 2, 45), (20, 2, 190)])
 def test_interaction_count(p, q, expected):
-    assert interaction_count(p, q) == expected
+    assert MomentSpec.full(p, q).m == expected
 
 
 @pytest.mark.parametrize("p,q", [(5, 1), (5, 6)])
 def test_interaction_count_domain(p, q):
     with pytest.raises(DomainError):
-        interaction_count(p, q)
+        MomentSpec.full(p, q)
 
 
 def test_centered_at_own_mean_is_zero():
@@ -105,7 +107,7 @@ def test_vk_deterministic():
 
 def test_spec_full_counts_and_order():
     spec = MomentSpec.full(5, 3)
-    assert spec.m == interaction_count(5, 3)
+    assert spec.m == 20  # C(5, 2) + C(5, 3)
     orders = [ix.order for ix in spec.indices]
     assert orders == sorted(orders)
     for k in (2, 3):
@@ -127,7 +129,7 @@ def test_spec_rejects_bad_indices():
 def test_spec_property_counts(pq):
     p, q = pq
     spec = MomentSpec.full(p, q)
-    assert spec.m == interaction_count(p, q)
+    assert spec.m == sum(comb(p, k) for k in range(2, q + 1))
     z = np.linspace(-1.0, 1.0, p)
     assert eval_centered(z, np.zeros(p), spec).shape == (spec.m,)
 

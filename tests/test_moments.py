@@ -105,7 +105,7 @@ def test_subnormal_risk_set_mass_counts_as_empty():
     spec = MomentSpec.full(4, 2)
     assign, nuis = cross_fitted(ds, spec, KernelConfig(km_conditioning="full", fixed_h=0.05))
     cm = nuis[assign[83]].censor_model
-    w = cm.tables(ds.z[[83]], ds.d[[83]], cm.seg_index(1)).w_event
+    w = cm.tables(ds.z[[83]], ds.d[[83]], cm.seg_index(1)).w * cm.delta_s
     assert 0.0 < w[w > 0].min() < np.finfo(float).tiny
     with warnings.catch_warnings():
         warnings.simplefilter("error")

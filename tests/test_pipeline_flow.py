@@ -2,6 +2,7 @@
 what runs before the first nuisance fit, and that the splits' moment
 matrices are not held at once."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,14 @@ def test_split_interval_uses_the_normal_quantile(alpha):
     assert _z_crit(alpha) == z
     out = combine_split_fits([split_fit(b, b) for b in (1.2, 0.8, 1.0)], alpha=alpha)
     assert out.ci == (out.beta_hat - z * out.se, out.beta_hat + z * out.se)
+
+
+def test_split_interval_does_not_overflow():
+    # e^beta overflows a double above beta = 709.78; the interval itself is finite
+    out = combine_split_fits([split_fit(b, b) for b in (749.9, 750.1)], alpha=0.05)
+    z = _z_crit(0.05)
+    assert out.ci == (out.beta_hat - z * out.se, out.beta_hat + z * out.se)
+    assert out.exp_scale == (math.inf, math.inf)
 
 
 def test_too_small_design_is_refused_before_any_fitting(monkeypatch):

@@ -56,6 +56,24 @@ def test_calibrated_censoring_hits_target(case, target_cr):
     assert abs(np.mean(shares) - target_cr) <= 0.01
 
 
+@pytest.mark.parametrize("nonzero_frac", [0.25, 0.4])
+def test_pair_support_above_p_10(nonzero_frac):
+    # nonzero_frac and fix_support act only when p > 10: each replication
+    # keeps round(nonzero_frac * C(12, 2)) of the 66 pairs, and only with
+    # fix_support do the replications share them
+    supports = {}
+    for fix in (False, True):
+        cfg = SimConfig(case=1, n=100, p=12, target_cr=0.0, reps=3, seed=7,
+                        nonzero_frac=nonzero_frac, fix_support=fix)
+        masks = [generate(cfg, rep)[1].phi_pairs != 0.0 for rep in range(cfg.reps)]
+        assert [int(m.sum()) for m in masks] == [round(nonzero_frac * 66)] * 3
+        supports[fix] = {tuple(np.flatnonzero(m)) for m in masks}
+    assert (len(supports[False]), len(supports[True])) == (3, 1)
+    cfg = SimConfig(case=1, n=100, p=10, target_cr=0.0, reps=1, nonzero_frac=nonzero_frac,
+                    fix_support=True)
+    assert np.count_nonzero(generate(cfg, 0)[1].phi_pairs) == 45
+
+
 def test_monte_carlo_does_not_depend_on_the_worker_count():
     cfg = SimConfig(case=1, n=400, p=4, target_cr=0.2, seed=5, reps=4)
     serial = run_monte_carlo(cfg, FitConfig(), ("el", "aft"), threads=1)
