@@ -112,12 +112,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _manifest(command: str, cfg: dict, started: float, input_path=None) -> dict:
+def _manifest(command: str, cfg: dict, started: float, input_path=None, argv=()) -> dict:
+    """The replay manifest; argv is the argument list the command was run
+    with, so that `igsaft *argv` runs it again."""
     with one_blas_thread:
         fit_blas_threads = blas_threads()
     man = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": list(argv),
         "resolved_config": {k: v for k, v in sorted(cfg.items())},
         "software_version": __version__,
         "schema_version": SCHEMA_VERSION,
@@ -177,13 +179,13 @@ def _plain(value):
     return value
 
 
-def _write_json(command: str, body: dict, cfg: dict, started: float, path: str | None,
-                input_path=None) -> str:
+def _write_json(command: str, body: dict, cfg: dict, started: float, argv,
+                path: str | None, input_path=None) -> str:
     """{schema_version, **body, manifest} as JSON text, also written to path
     if one is given. allow_nan=False refuses a non-finite number that _plain
     did not reach."""
     payload = {"schema_version": SCHEMA_VERSION, **body,
-               "manifest": _manifest(command, cfg, started, input_path)}
+               "manifest": _manifest(command, cfg, started, input_path, argv)}
     text = json.dumps(_plain(payload), indent=2, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -195,7 +197,7 @@ def _write_json(command: str, body: dict, cfg: dict, started: float, path: str |
 _DIAGNOSE_KEYS = ("relevance_F", "p_F", "over_id", "p_overid")
 
 
-def cmd_fit(cfg: dict, command: str = "fit") -> int:
+def cmd_fit(cfg: dict, argv, command: str = "fit") -> int:
     """fit writes the whole report of `fit_igsaft`, diagnose its _DIAGNOSE_KEYS."""
     started = time.time()
     dataset = _load_dataset(cfg)
@@ -204,7 +206,7 @@ def cmd_fit(cfg: dict, command: str = "fit") -> int:
     body = report.to_dict()
     if command == "diagnose":
         body = {key: body[key] for key in _DIAGNOSE_KEYS}
-    text = _write_json(command, body, cfg, started, cfg.get("out"), cfg["data"])
+    text = _write_json(command, body, cfg, started, argv, cfg.get("out"), cfg["data"])
     if not cfg.get("out"):
         print(text)
     elif command == "fit":
@@ -218,7 +220,7 @@ def cmd_fit(cfg: dict, command: str = "fit") -> int:
     return 0
 
 
-def cmd_simulate(cfg: dict) -> int:
+def cmd_simulate(cfg: dict, argv) -> int:
     started = time.time()
     sim = SimConfig(case=cfg.get("case", 1), n=cfg.get("n", 10000), **_given(cfg, _SIM_OPTIONS))
     estimators = [e.strip() for e in cfg.get("estimators", "el,aft").split(",") if e.strip()]
@@ -230,12 +232,13 @@ def cmd_simulate(cfg: dict) -> int:
             fh.write(table)
     if cfg.get("json"):
         _write_json("simulate", {"rows": [vars(r) for r in summary.rows]}, cfg, started,
-                    cfg["json"])
+                    argv, cfg["json"])
     return 0
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="igsaft",
+    # no prefix abbreviations: a flag must be spelt out, as a config key must
+    parser = argparse.ArgumentParser(prog="igsaft", allow_abbrev=False,
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -265,11 +268,13 @@ def _build_parser():
         p.add_argument("--time-scale", dest="time_scale", choices=TIME_SCALES)
         p.add_argument("--dump-moments", dest="dump_moments")
 
-    p_fit = sub.add_parser("fit", help="estimate the exposure effect from a CSV")
+    p_fit = sub.add_parser("fit", help="estimate the exposure effect from a CSV",
+                           allow_abbrev=False)
     add_common(p_fit)
     add_data(p_fit)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo performance table")
+    p_sim = sub.add_parser("simulate", help="Monte Carlo performance table",
+                           allow_abbrev=False)
     add_common(p_sim)
     p_sim.add_argument("--case", type=int)
     p_sim.add_argument("--n", type=int)
@@ -286,13 +291,17 @@ def _build_parser():
                             "BLAS thread, so more workers are how more cores get used")
     p_sim.add_argument("--json", help="JSON sidecar path")
 
-    p_diag = sub.add_parser("diagnose", help="relevance and overidentification tests")
+    p_diag = sub.add_parser("diagnose", help="relevance and overidentification tests",
+                            allow_abbrev=False)
     add_common(p_diag)
     add_data(p_diag)
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    """Run one command; argv defaults to sys.argv[1:] and is recorded in the
+    replay manifest of the JSON the command writes."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -301,8 +310,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args, commands[args.command])
         if args.command == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_fit(cfg, args.command)
+            return cmd_simulate(cfg, argv)
+        return cmd_fit(cfg, argv, args.command)
     except ValueError as exc:  # CliError, SchemaError and DomainError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,8 @@
 """Model diagnosis: the heteroskedasticity-robust relevance test for the
-interaction block of the exposure regression, from one QR factorization of
-its design [1, Z, interactions] that also checks its rank, and the
-overidentification test based on the scaled GEL objective.
+interaction block of the exposure regression, from a QR factorization of its
+design [1, Z, interactions] by row blocks that also checks its rank, and the
+overidentification test based on the scaled GEL objective. The relevance
+test holds one block of _BLOCK design rows at a time, and no n x k array.
 
 Both p-values are chi-square upper tails with integer degrees of freedom,
 which have a closed form (`_chi2_sf`); they agree with ``scipy.stats.chi2.sf``
@@ -22,6 +23,7 @@ from .interactions import MomentSpec, eval_centered_matrix
 from .spd import solve_spd
 
 _DEPENDENT = 1e-7  # share of a design column's norm; see check_rank
+_BLOCK = 512       # rows of the exposure design held at a time
 
 
 def _chi2_sf(stat: float, df: int) -> float:
@@ -66,29 +68,53 @@ class TestResult:
                 "p_value": self.p_value, "kind": self.kind}
 
 
+def _design(z: np.ndarray, zeta: np.ndarray, spec: MomentSpec) -> np.ndarray:
+    """Rows [1, z, interactions of spec centered at zeta]."""
+    return np.column_stack([np.ones(len(z)), z, eval_centered_matrix(z, zeta, spec)])
+
+
 def exposure_design(dataset: Dataset, spec: MomentSpec) -> np.ndarray:
     """The exposure regression's design [1, Z, interactions of spec centered
     at the mean of Z]."""
+    return _design(dataset.z, dataset.z.mean(axis=0), spec)
+
+
+def _design_blocks(dataset: Dataset, spec: MomentSpec):
+    """The rows of `exposure_design` in blocks of _BLOCK, with the exposure's
+    matching rows; one block is held at a time."""
     zeta = dataset.z.mean(axis=0)
-    return np.column_stack([np.ones(dataset.n), dataset.z,
-                            eval_centered_matrix(dataset.z, zeta, spec)])
+    for start in range(0, dataset.n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        yield _design(dataset.z[rows], zeta, spec), dataset.d[rows]
 
 
-def check_rank(X: np.ndarray, spec: MomentSpec | None = None,
-               R: np.ndarray | None = None) -> None:
-    """IllPosedError naming the first column of the exposure design X, [1, Z]
-    or [1, Z, interactions of spec], with at most _DEPENDENT of its norm
-    (|R_jj|) outside the span of the columns before it. R is that of X's
-    reduced QR; without it only R is factored."""
-    if R is None:
-        R = np.linalg.qr(X, mode="r")
+def factor_exposure(dataset: Dataset, spec: MomentSpec):
+    """(R, column norms, X'D) of the exposure design X = [1, Z, interactions],
+    factored by row blocks as in TSQR (Demmel, Grigori, Hoemmen & Langou
+    2012): R of [R; X_b] is the R of the rows seen so far, so no n x k design
+    and no Q are formed. R is that of X's reduced QR up to the signs of its
+    rows."""
+    k = 1 + dataset.p + spec.m
+    R, sq, xtd = np.zeros((0, k)), np.zeros(k), np.zeros(k)
+    for X, d in _design_blocks(dataset, spec):
+        R = np.linalg.qr(np.vstack([R, X]), mode="r")
+        sq += np.einsum("ij,ij->j", X, X)
+        xtd += X.T @ d
+    return R, np.sqrt(sq), xtd
+
+
+def check_rank(R: np.ndarray, norms: np.ndarray, spec: MomentSpec | None = None) -> None:
+    """IllPosedError naming the first column of an exposure design, [1, Z] or
+    [1, Z, interactions of spec], with at most _DEPENDENT of its norm
+    (|R_jj|) outside the span of the columns before it. R is that of the
+    design's reduced QR, and norms its column norms."""
     # with fewer rows than columns, the columns past the last row are dependent
-    diag = np.zeros(X.shape[1])
-    diag[:min(X.shape)] = np.abs(R.diagonal())
-    dependent = diag <= _DEPENDENT * np.linalg.norm(X, axis=0)
+    diag = np.zeros(norms.size)
+    diag[:min(R.shape)] = np.abs(R.diagonal())
+    dependent = diag <= _DEPENDENT * norms
     if dependent.any():
         j = int(np.argmax(dependent))
-        p = X.shape[1] - 1 - (spec.m if spec else 0)
+        p = norms.size - 1 - (spec.m if spec else 0)
         column = (f"instrument column {j} (1-based)" if j <= p
                   else f"interaction {spec.indices[j - 1 - p].subset}")
         raise IllPosedError(f"{column} is a linear combination of the intercept and the "
@@ -114,24 +140,35 @@ def relevance_f_test(dataset: Dataset, spec: MomentSpec) -> TestResult:
     cutoff 2k/n (Belsley, Kuh & Welsch 1980) is at least 1, so the
     covariance rests on residuals that carry little of the error variance.
 
-    With X = QR, c = Q'D and M = Q' diag(e2) Q, the interaction block has
-    coefficients R_22^-1 c_2 and covariance R_22^-1 M_22 R_22^-T, so the
-    statistic is c_2' M_22^-1 c_2; the leverages are h_ii = |Q_i|^2."""
+    With X = QR, c = Q'D = R^-T X'D and M = Q' diag(e2) Q, the interaction
+    block has coefficients R_22^-1 c_2 and covariance R_22^-1 M_22 R_22^-T, so
+    the statistic is c_2' M_22^-1 c_2; the leverages are h_ii = |Q_i|^2. The
+    design is read in two passes of row blocks and never held whole: the
+    first gives R, the column norms and X'D (`factor_exposure`), the second
+    each block's rows of Q = X R^-1, its leverages and residuals, and its
+    share of M_22. The statistic is invariant to the signs of R's rows and
+    agrees with the one from one QR of the whole design within about 1e-14
+    relative (tests/test_diagnostics.py)."""
     n, p, m = dataset.n, dataset.p, spec.m
     min_rows = 2 * (1 + p + m)
     if n <= min_rows:
         raise IllPosedError(f"need n > 2(1 + p + m) = {min_rows} rows for the robust "
                             f"covariance (mean leverage below 1/2), got n = {n}")
-    X = exposure_design(dataset, spec)
-    Q, R = np.linalg.qr(X)
-    check_rank(X, spec, R)
-    c = Q.T @ dataset.d
-    e = dataset.d - Q @ c
-    lever = np.einsum("ij,ij->i", Q, Q)
-    e2 = e ** 2 / np.maximum(1.0 - lever, 1e-8) ** 2
-    Q2, c2 = Q[:, 1 + p:], c[1 + p:]
-    stat = float(c2 @ solve_spd((Q2 * e2[:, None]).T @ Q2, c2)[0])
-    return TestResult(statistic=stat, df=(m, n - X.shape[1]),
+    R, norms, xtd = factor_exposure(dataset, spec)
+    check_rank(R, norms, spec)
+    R_inv = np.linalg.inv(R)
+    c = R_inv.T @ xtd
+    M22 = np.zeros((m, m))
+    for X, d in _design_blocks(dataset, spec):
+        Q = X @ R_inv
+        e = d - Q @ c
+        lever = np.einsum("ij,ij->i", Q, Q)
+        e2 = e ** 2 / np.maximum(1.0 - lever, 1e-8) ** 2
+        Q2 = Q[:, 1 + p:]
+        M22 += (Q2 * e2[:, None]).T @ Q2
+    c2 = c[1 + p:]
+    stat = float(c2 @ solve_spd(M22, c2)[0])
+    return TestResult(statistic=stat, df=(m, n - R.shape[1]),
                       p_value=_chi2_sf(stat, m), kind="relevance_F")
 
 

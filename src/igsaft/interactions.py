@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import DomainError
 
+_ROWS = 512  # rows per block of eval_centered_matrix
+
 
 @dataclass(frozen=True, order=True)
 class InteractionIndex:
@@ -89,13 +91,27 @@ class MomentSpec:
 
 def eval_centered_matrix(Z, zeta, spec: MomentSpec) -> np.ndarray:
     """Centered interaction vectors for an (n, p) instrument matrix; returns
-    (n, m), component t of row i being prod_{j in subset_t} (Z_ij - zeta_j)."""
-    Z = np.asarray(Z, dtype=float)
-    zc = Z - np.asarray(zeta, dtype=float)[None, :]
-    out = np.empty((Z.shape[0], spec.m))
-    for t, ix in enumerate(spec.indices):
-        cols = [j - 1 for j in ix.subset]
-        out[:, t] = np.prod(zc[:, cols], axis=1)
+    (n, m), component t of row i being prod_{j in subset_t} (Z_ij - zeta_j).
+
+    The components of one order are one contiguous block of the canonical
+    order, computed together: the product of k gathers of centered columns,
+    taken left to right as np.prod does, so each value equals np.prod of its
+    subset's columns bit for bit. Rows go through in blocks of _ROWS, so that
+    the gathers stay small and in cache."""
+    zc = np.asarray(Z, dtype=float) - np.asarray(zeta, dtype=float)[None, :]
+    out = np.empty((zc.shape[0], spec.m))
+    blocks, start = [], 0
+    for k in spec.orders:
+        cols = np.array([ix.subset for ix in spec.indices if ix.order == k]).T - 1
+        blocks.append((slice(start, start + cols.shape[1]), cols))
+        start += cols.shape[1]
+    for lo in range(0, zc.shape[0], _ROWS):
+        zb = zc[lo:lo + _ROWS]
+        for sl, cols in blocks:
+            prod = out[lo:lo + _ROWS, sl]
+            prod[...] = zb[:, cols[0]]
+            for c in cols[1:]:
+                prod *= zb[:, c]
     return out
 
 

@@ -24,6 +24,12 @@ The discrete step function xi_hat jumps only at training event times
 (censored rows carry zero inverse-probability mass), and psi reads it
 left-of-jump at Y, which makes the zero-censoring identity psi == g exact
 in floating point.
+
+What is held when: `build_moment_matrix` allocates A and B once and fills
+them fold by fold. A fold's g is written straight into its rows of A and B,
+and `aipcw_transform` writes psi over those rows chunk by chunk, with four
+(chunk, n_train) buffers that live for one transform. The fold's nuisances
+live from just before its g is computed to the end of its transform.
 """
 
 from __future__ import annotations
@@ -76,32 +82,38 @@ class MomentMatrix:
         return self.A + beta * self.B
 
 
-def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
+def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
                     cond: CondMoment, chunk: int = 32):
     """Apply the censoring adjustment to evaluation-fold g values.
 
-    Writes psi over the float (n_eval, m) arrays ge_a and ge_b and returns
-    them as (psi_a, psi_b, stats), so a caller that needs g after the call
-    passes copies. W is built from the censoring-segment tables of the module
-    docstring. Evaluation rows go through in chunks; each chunk makes a few
-    (chunk, n_train) temporaries, so a small chunk keeps them in cache and
-    peak memory low. Rows do not interact across a chunk, so the chunk size
-    moves the output only through rounding: the BLAS products W @ a and W @ b
-    may round a row differently with the chunk's row count (and with the BLAS
-    thread count). On the m = 6 test design the output is the same bit for bit
-    at chunks 16, 32 and 256; on the m = 45 one A and B agree within 1e-15 of
-    each column's largest magnitude and the stats are equal
-    (tests/test_moments.py). W @ a and W @ b stay two products, each of width
+    Rows idx of the float (n, m) arrays A and B hold the g values of the
+    evaluation rows, in the order of eval_*; psi is written over them, one
+    chunk of rows at a time, and (A, B, stats) is returned. A caller that
+    needs g after the call passes copies. W is built from the
+    censoring-segment tables of the module docstring.
+
+    Evaluation rows go through in chunks. A chunk's (chunk, n_train) arrays,
+    the kernel weights, the event weights, the gather index and W, are
+    written into four buffers allocated once per call, so a small chunk
+    keeps them in cache and peak memory low. Freeing them after each chunk
+    instead returns their pages to the operating system, and every chunk
+    pays for them again in page faults. Rows do not interact across a chunk,
+    so the chunk size moves the output only through rounding: the BLAS
+    products W @ a and W @ b may round a row differently with the chunk's row
+    count (and with the BLAS thread count). On the m = 6 test design the
+    output is the same bit for bit at chunks 16, 32 and 256; on the m = 45
+    one A and B agree within 1e-15 of each column's largest magnitude and the
+    stats are equal (tests/test_moments.py). W @ a and W @ b stay two products, each of width
     m: one product on [a | b] rounds differently from them at some widths
     (m = 10 with one BLAS thread), which would move the last bits of A and B.
 
     P and Q sit interleaved in one (chunk, C, 2) table, so the flat index of
-    W_ij is a per-transform base index of P[i, class of j] plus the flag
-    j >= J0_i: one comparison, one add and one gather per chunk. The clip
-    count is kept only for rows with a clipped event segment; the live event
-    count of such a row with zero kernel weights is a np.bincount of w > 0
-    over CensorModel.seg_index, which the chunk's tables share; like
-    pq_index, it is built once per transform.
+    W_ij is 2 (class of j) + 2C i, the index of P[i, class of j], plus the
+    flag j >= J0_i: two adds, one comparison and one gather per chunk. The
+    clip count is kept only for rows with a clipped event segment; the live
+    event count of such a row with zero kernel weights is a np.bincount of
+    w > 0 over CensorModel.seg_index, which the chunk's tables share and
+    which is built once per transform.
     """
     cm = cond.censor
     K, E, n = cm.grid_vals.size, cm.ev_seg.size, cm.n  # Dataset holds K >= 1 events
@@ -109,16 +121,22 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
     stats = TransformStats()
     C = 2 * E + 1  # columns of P and of Q; the last is the censored rows' zero
     F_col = (np.arange(2 * E) + 1) // 2  # class 2k + l reads F[:, k + l]
-    # flat index of P[i, class of j] in a chunk's PQ; Q's is one more
     train_rows = np.arange(n)
-    pq_index = 2 * cm.cls_of + 2 * C * np.arange(min(chunk, len(eval_y)))[:, None]
-    seg_index = cm.seg_index(min(chunk, len(eval_y)))
+    c_max = min(chunk, len(eval_y))
+    # flat index of P[i, class of j] in a chunk's PQ, 2 cls_j + 2C i; Q's is one more
+    P_class, P_row = 2 * cm.cls_of, 2 * C * np.arange(c_max)
+    seg_index = cm.seg_index(c_max)
+    # the chunk's (chunk, n_train) arrays, reused by every chunk; np.take
+    # fills them with mode="wrap", as mode="raise" takes through a copy
+    w_buf, event_buf, W_buf = (np.empty((c_max, n)) for _ in range(3))
+    gather_buf = np.empty((c_max, n), dtype=np.intp)
 
     for start in range(0, len(eval_y), chunk):
         sl = slice(start, start + chunk)
         y_c, delta_c = eval_y[sl], eval_delta[sl].astype(float)
-        t = cm.tables(eval_z[sl], eval_d[sl], seg_index)
-        rows = np.arange(len(y_c))
+        c = len(y_c)
+        t = cm.tables(eval_z[sl], eval_d[sl], seg_index, w_buf[:c])
+        rows = np.arange(c)
         G_raw = np.exp(t.seglog)
         invG = 1.0 / np.maximum(G_raw[:, cm.ev_seg], eps)
         clipped = G_raw[:, cm.ev_seg] < eps
@@ -147,10 +165,9 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         hit = np.flatnonzero(clipped.any(axis=1))  # other rows add 0 to the clip count
         if hit.size:  # a clipped event segment counts its live event rows and used grid points
             live_ev = np.tile(cm.ev_count, (hit.size, 1))
-            w_hit = t.w[hit]
-            zero = np.flatnonzero(w_hit.min(axis=1) == 0.0)
+            zero = np.flatnonzero(t.w.min(axis=1)[hit] == 0.0)
             if zero.size:  # count per event run, then add the two runs of each segment
-                live = np.bincount(seg_index[:zero.size].ravel(), weights=(w_hit[zero] > 0).ravel(),
+                live = np.bincount(seg_index[:zero.size].ravel(), weights=(t.w[hit[zero]] > 0).ravel(),
                                    minlength=zero.size * cm.n_sums)
                 live = live.reshape(zero.size, cm.n_sums)[:, -2 * E:]
                 live_ev[zero] = live[:, 0::2] + live[:, 1::2]
@@ -165,8 +182,9 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         S_T = np.where(has_grid, S_last[rows, k0], S_total)
         mid = np.flatnonzero(has_grid & (J0 < cm.last_first[k0]))
         ends = np.column_stack([J0[mid], cm.last_first[k0[mid]]]) + n * np.arange(mid.size)[:, None]
-        w_event = (t.w[mid] * cm.delta_s).ravel()  # delta is 0 or 1: 0 on censored rows
-        S_T[mid] += np.add.reduceat(w_event, ends.ravel())[::2] * invG[mid, k0[mid]]
+        w_event = np.take(t.w, mid, axis=0, out=event_buf[:mid.size], mode="wrap")
+        w_event *= cm.delta_s  # delta is 0 or 1: 0 on censored rows
+        S_T[mid] += np.add.reduceat(w_event.ravel(), ends.ravel())[::2] * invG[mid, k0[mid]]
         live_T = has_grid | ok  # S_T > _MASS_FLOOR: T_eff <= last_valid, or S_T is S_total
         invS_T = np.where(live_T, 1.0 / np.where(live_T, S_T, 1.0), 0.0)
         invS_tot = np.where(ok, 1.0 / np.where(ok, S_total, 1.0), 0.0)
@@ -184,42 +202,54 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
         PQ = np.zeros((len(rows), C, 2))  # P and Q interleaved per row
         PQ[:, :-1, 0] = invG2 * (F[:, F_col] + coef_inf[:, None])
         PQ[:, :-1, 1] = invG2 * const[:, None]
-        W = np.take(PQ, pq_index[:len(rows)] + (train_rows >= J0[:, None]))
+        gather = np.add(P_class, P_row[:c, None], out=gather_buf[:c])
+        gather += train_rows >= J0[:, None]
+        W = np.take(PQ, gather, out=W_buf[:c], mode="wrap")
         W *= t.w
 
-        for psi, train in ((ge_a[sl], cond.a), (ge_b[sl], cond.b)):
+        for out, train in ((A, cond.a), (B, cond.b)):
+            psi = out[idx[sl]]
             psi *= ipcw[:, None]
             psi += W @ train
-    return ge_a, ge_b, stats
+            out[idx[sl]] = psi
+    return A, B, stats
 
 
-def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances: dict,
+def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances,
                         spec: MomentSpec, chunk: int = 32) -> MomentMatrix:
     """Cross-fitted moment rows: row i is evaluated with the nuisance fit
-    trained on the fold not containing i; rows stay in dataset order. A fold's
-    g becomes its psi in place and is freed once copied into A and B, before
-    the next fold starts."""
+    trained on the fold not containing i; rows stay in dataset order.
+
+    nuisances maps each fold label to the NuisanceFit that evaluates that
+    fold: a dict, or a callable fitter called with the label just before the
+    fold is evaluated. One fold's working set is held at a time: the fold's
+    g goes straight into its rows of A and B, `aipcw_transform` writes psi
+    over those rows chunk by chunk, and the fold's nuisances are dropped
+    before the next fold's are fitted."""
     assign = np.asarray(fold_assignment)
     labels = (assign.min(), assign.max()) if assign.size else ()
     if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
         raise ValueError("fold_assignment must put every row in one of two folds")
     min_n = vk_width(dataset.p, max(spec.orders)) + 2
-    A = np.empty((dataset.n, spec.m))
-    B = np.empty((dataset.n, spec.m))
+    fit = nuisances if callable(nuisances) else nuisances.__getitem__
+    # one (2, n, m) block: glibc raises its mmap threshold to the largest
+    # block it has unmapped and trims the heap only above twice that, so one
+    # block keeps a fit's heap for the next fit where two halves did not (at
+    # n = 4000, m = 45: under 300 in place of 3,300 page faults per fit)
+    A, B = np.empty((2, dataset.n, spec.m))
     stats = TransformStats()
     for label in labels:
         idx = np.flatnonzero(assign == label)
         if idx.size < min_n:
             raise IllPosedError(f"fold {label} has {idx.size} rows; need >= {min_n}")
-        nuis = nuisances[label]
+        nuis = fit(label)
         if np.isin(nuis.training_ids, idx).any():
             raise ValueError(f"fold {label}: nuisance fit was trained on evaluation rows")
         eval_fold = dataset.subset(idx)
-        A[idx], B[idx], st = aipcw_transform(
-            eval_fold.z, eval_fold.d, eval_fold.y, eval_fold.delta,
-            *fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec),
-            nuis.cond_moment, chunk=chunk)
-        stats.merge(st)
+        A[idx], B[idx] = fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec)
+        stats.merge(aipcw_transform(eval_fold.z, eval_fold.d, eval_fold.y, eval_fold.delta,
+                                    A, B, idx, nuis.cond_moment, chunk=chunk)[2])
+        del nuis, eval_fold  # else they stay alive while the next fold is fitted
     return MomentMatrix(A=A, B=B, spec=spec, fold_tags=assign.copy(), stats=stats)
 
 

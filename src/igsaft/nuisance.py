@@ -103,14 +103,17 @@ class _KernelWeigher:
         else:
             self.h = np.zeros(0)
 
-    def weights(self, targets: np.ndarray) -> np.ndarray:
-        """Normalized weights (c, n); rows sum to 1."""
+    def weights(self, targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Normalized weights (c, n); rows sum to 1. Written into out, a
+        C-contiguous (c, n) float array, if given."""
         c = targets.shape[0]
+        w = np.empty((c, self.n)) if out is None else out
         if self.dim == 0:
-            return np.full((c, self.n), 1.0 / self.n)
+            w.fill(1.0 / self.n)
+            return w
         T = np.ones((c, self.dim + 1))
         T[:, :-1] = (targets - self.mean) / self.sd / self.h
-        w = T @ self.XhT
+        np.matmul(T, self.XhT, out=w)
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)
@@ -210,9 +213,11 @@ class CensorModel:
         (c, S + 2E) sums of `tables`; build it once for the largest batch."""
         return self.seg_row + self.n_sums * np.arange(c)[:, None]
 
-    def tables(self, z, d, index: np.ndarray) -> KMTables:
+    def tables(self, z, d, index: np.ndarray, w_out: np.ndarray | None = None) -> KMTables:
         """Compute weight and survival tables for a batch of c targets;
-        index is `seg_index(k)` for some k >= c.
+        index is `seg_index(k)` for some k >= c. The kernel weights are
+        written into w_out, a C-contiguous (c, n) float array, if given, so
+        that a caller going through many batches reuses one buffer.
 
         Tied censored observations are grouped: each tie group contributes a
         single product-limit factor 1 - (censored mass in group) / (at-risk
@@ -227,7 +232,7 @@ class CensorModel:
         from each censored group start on.
         """
         targets = _conditioning_targets(z, d, self.conditioning)
-        w = self.weigher.weights(targets)
+        w = self.weigher.weights(targets, w_out)
         c, S = len(w), self.cens_starts.size
         # (c, S + 2E): censored groups, then event runs
         sums = np.bincount(index[:c].ravel(), weights=w.ravel(),

@@ -1,7 +1,14 @@
 """Top-level estimation flow: screening and the relevance test, then per
 repeated two-fold split the cross-fitted nuisances, moment matrix and GEL
-fits, median-aggregated, and the overidentification test. Splits go through
-one at a time, so memory does not grow with the split count."""
+fits, median-aggregated, and the overidentification test.
+
+What is held when: the relevance test reads the exposure design in row
+blocks and holds no n x k array. Splits go through one at a time, so memory
+does not grow with the split count. Within a split, the moment pair (A, B)
+is allocated once, and the folds go through one at a time: a fold's
+nuisances are fitted just before it is evaluated and dropped after its
+transform, so one fold's nuisances and chunk buffers are live beside A and
+B. The split's moment matrix is dropped once every family is fitted on it."""
 
 from __future__ import annotations
 
@@ -12,7 +19,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .data import Dataset
-from .diagnostics import (TestResult, check_rank, exposure_design, overid_test,
+from .diagnostics import (TestResult, check_rank, factor_exposure, overid_test,
                           relevance_f_test)
 from .errors import DomainError
 from .gel import FAMILIES, GelFit, fit_gel, wald_interval
@@ -118,24 +125,24 @@ def _screen_once(dataset: Dataset, config: FitConfig):
 
 
 def _one_split(dataset: Dataset, config: FitConfig, spec: MomentSpec, split: int):
-    """Fold assignment, cross-fitted nuisances and the moment matrix for one
-    random two-fold split."""
-    warnings = []
+    """Fold assignment and the moment matrix for one random two-fold split.
+    Each fold's nuisances are fitted on the other fold just before the fold
+    is evaluated (inside `build_moment_matrix`), and only its bandwidths and
+    warnings outlive its transform."""
+    warnings, bandwidths = [], []
     assign = _fold_assignment(dataset.n, config.seed, split)
-    fold_idx = {lab: np.flatnonzero(assign == lab) for lab in (0, 1)}
-    nuisances = {}
-    for lab in (0, 1):
-        aux = fold_idx[1 - lab]
-        nuisances[lab] = fit_all(dataset.subset(aux), spec, config.kernel,
-                                 training_ids=aux)
-    M = build_moment_matrix(dataset, assign, nuisances, spec)
-    for lab in (0, 1):
-        if any(pf.ridge_fallback for pf in nuisances[lab].partials.values()):
+
+    def fit_fold(lab):
+        aux = np.flatnonzero(assign == 1 - lab)
+        nuis = fit_all(dataset.subset(aux), spec, config.kernel, training_ids=aux)
+        if any(pf.ridge_fallback for pf in nuis.partials.values()):
             warnings.append(f"split {split}, fold {lab}: partialling used a ridge fallback")
-    bandwidths = tuple([float(h) for h in nuisances[lab].censor_model.bandwidth]
-                       for lab in (0, 1))
-    fold_sizes = (int(fold_idx[0].size), int(fold_idx[1].size))
-    return M, fold_sizes, bandwidths, warnings
+        bandwidths.append([float(h) for h in nuis.censor_model.bandwidth])
+        return nuis
+
+    M = build_moment_matrix(dataset, assign, fit_fold, spec)
+    fold_sizes = (int((assign == 0).sum()), int((assign == 1).sum()))
+    return M, fold_sizes, tuple(bandwidths), warnings
 
 
 def _median(values) -> float:
@@ -241,7 +248,7 @@ def fit_families(dataset: Dataset, config: FitConfig, families) -> dict[str, Gel
     """Fit several GEL families on one shared moment construction, with one
     BLAS thread, holding one split's moment matrix at a time. The rank check
     of the exposure design [1, Z, interactions] that `fit_igsaft` gets from
-    the relevance test runs here on its own."""
+    the relevance test runs here on its own, on the same row-block R."""
     spec = _screen_once(dataset, config)[0]
-    check_rank(exposure_design(dataset, spec), spec)
+    check_rank(*factor_exposure(dataset, spec)[:2], spec)
     return _fit_splits(dataset, config, spec, families)[0]

@@ -113,7 +113,8 @@ def screen_interactions(dataset: Dataset, candidates: MomentSpec,
     n = dataset.n
     X = exposure_design(dataset, candidates)
     n_unpen = 1 + dataset.p
-    check_rank(X[:, :n_unpen])
+    X_u = X[:, :n_unpen]
+    check_rank(np.linalg.qr(X_u, mode="r"), np.linalg.norm(X_u, axis=0))
     d = dataset.d
 
     G = X.T @ X / n

@@ -61,10 +61,11 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
     return omega, S_total, S_grid, G_grid, T_eff, ipcw, stats
 
 
-def dense_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
+def dense_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
                     cond: CondMoment, chunk: int = 32):
     cm = cond.censor
     n_eval = len(eval_y)
+    ge_a, ge_b = A[idx], B[idx]
     m = ge_a.shape[1]
     psi_a = np.empty((n_eval, m))
     psi_b = np.empty((n_eval, m))
@@ -111,7 +112,8 @@ def dense_transform(eval_z, eval_d, eval_y, eval_delta, ge_a, ge_b,
 
         psi_a[sl] = ipcw[:, None] * ge_a[sl] + W @ cond.a
         psi_b[sl] = ipcw[:, None] * ge_b[sl] + W @ cond.b
-    return psi_a, psi_b, stats
+    A[idx], B[idx] = psi_a, psi_b
+    return A, B, stats
 
 
 def assert_close_to_reference(got, ref):
@@ -217,8 +219,9 @@ def test_hand_made_fold_matches_dense_reference(kc):
     args = (rng.normal(size=(n_eval, 2)), rng.normal(size=n_eval), y_eval,
             np.tile([1, 0], n_eval // 2), rng.normal(size=(n_eval, 3)),
             rng.normal(size=(n_eval, 3)), cond)
-    *got, st = aipcw_transform(*args[:4], args[4].copy(), args[5].copy(), cond, chunk=7)
-    *ref, st_ref = dense_transform(*args, chunk=7)
+    rows = np.arange(n_eval)
+    *got, st = aipcw_transform(*args[:4], args[4].copy(), args[5].copy(), rows, cond, chunk=7)
+    *ref, st_ref = dense_transform(*args[:6], rows, cond, chunk=7)
     assert_close_to_reference(got, ref)
     assert st == st_ref
 
@@ -231,8 +234,10 @@ def test_transform_writes_psi_over_the_g_arrays_it_is_given():
     nu = fit_all(train, spec, KernelConfig(trunc_eps=0.2))
     ge_a, ge_b = fold_g_values(ev, nu.zeta, nu.partials, spec)
     args = (ev.z, ev.d, ev.y, ev.delta)
-    *ref, st_ref = dense_transform(*args, ge_a.copy(), ge_b.copy(), nu.cond_moment, chunk=7)
-    psi_a, psi_b, st = aipcw_transform(*args, ge_a, ge_b, nu.cond_moment, chunk=7)
+    rows = np.arange(ev.n)
+    *ref, st_ref = dense_transform(*args, ge_a.copy(), ge_b.copy(), rows, nu.cond_moment,
+                                   chunk=7)
+    psi_a, psi_b, st = aipcw_transform(*args, ge_a, ge_b, rows, nu.cond_moment, chunk=7)
     assert psi_a is ge_a and psi_b is ge_b
     assert_close_to_reference((psi_a, psi_b), ref)
     assert st == st_ref and st.clip_count > 0

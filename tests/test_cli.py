@@ -166,6 +166,19 @@ def test_simulate_unknown_estimator_exits_1(capsys):
     assert "unknown estimator 'foo'" in capsys.readouterr().err
 
 
+def test_manifest_records_the_argument_list_main_was_given(tmp_path, capsys):
+    sidecar = tmp_path / "mc.json"
+    argv = ["simulate", *SIM_ARGS, "--json", str(sidecar)]
+    assert main(argv) == 0
+    assert strict_json(sidecar)["manifest"]["argv"] == argv
+
+
+def test_abbreviated_flags_exit_1(capsys):
+    # a prefix of --n-splits is refused, as the config key "n_split" is
+    assert main(["simulate", *SIM_ARGS, "--n-split", "1"]) == 1
+    assert "--n-split" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("keys", [{"bogus": 1}, {"threads": 2}, {"screen_stage": "post"},
                                   {"seed": 1, "n_split": 1}])
 def test_unknown_config_keys_exit_1(keys, csv_path, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,9 +115,56 @@ def test_rank_check_with_more_columns_than_rows():
     # the span of those before
     from igsaft.errors import IllPosedError
 
-    z = std_normal(rng_stream(4, 902), (3, 4))
+    X = np.column_stack([np.ones(3), std_normal(rng_stream(4, 902), (3, 4))])
     with pytest.raises(IllPosedError, match="instrument column 3 "):
-        check_rank(np.column_stack([np.ones(3), z]))
+        check_rank(np.linalg.qr(X, mode="r"), np.linalg.norm(X, axis=0))
+
+
+def one_qr_statistic(ds, spec):
+    """The relevance statistic from one QR of the whole design, with its Q."""
+    X = np.column_stack([np.ones(ds.n), ds.z,
+                         eval_centered_matrix(ds.z, ds.z.mean(axis=0), spec)])
+    Q, _ = np.linalg.qr(X)
+    c = Q.T @ ds.d
+    lever = np.einsum("ij,ij->i", Q, Q)
+    e2 = (ds.d - Q @ c) ** 2 / np.maximum(1.0 - lever, 1e-8) ** 2
+    Q2, c2 = Q[:, 1 + ds.p:], c[1 + ds.p:]
+    return float(c2 @ np.linalg.solve((Q2 * e2[:, None]).T @ Q2, c2))
+
+
+@pytest.mark.parametrize("ds, spec", [
+    (null_dataset(0, n=800, p=3), MomentSpec.from_subsets(3, 2, [(1, 2)])),
+    (null_dataset(7, n=1500, p=4), MomentSpec.full(4, 2)),
+    (null_dataset(8, n=23, p=4), MomentSpec.full(4, 2)),
+    (null_dataset(3, n=4000, p=5), MomentSpec.full(5, 2)),
+    (generate(SimConfig(case=1, n=4000, p=10, target_cr=0.0, reps=1, seed=2), 0)[0],
+     MomentSpec.full(10, 2)),
+], ids=["m1", "p4", "smallest_n", "p5", "case1_p10"])
+def test_row_blocks_match_one_qr(ds, spec):
+    # the row-block statistic read within 7.7e-15 relative of the one-QR one
+    # on these designs, and within 3.5e-15 on the benchmark's fit inputs;
+    # 1e-13 leaves room for another BLAS
+    ref = one_qr_statistic(ds, spec)
+    assert abs(relevance_f_test(ds, spec).statistic - ref) <= 1e-13 * abs(ref)
+
+
+def test_relevance_memory_does_not_grow_with_n():
+    # one block of design rows at a time: at n = 20,000, p = 10, m = 45 the
+    # peak read 25.7 MB with one QR of the whole design and 0.98 MB by row
+    # blocks, as at n = 4000 and n = 80,000
+    gen = rng_stream(5, 903)
+    n = 20_000
+    Z = std_normal(gen, (n, 10))
+    ds = Dataset(Z, Z.sum(axis=1) + std_normal(gen, n), std_normal(gen, n), np.ones(n, dtype=int))
+    spec = MomentSpec.full(10, 2)
+    relevance_f_test(ds, spec)  # one-time allocations of the first call
+    tracemalloc.start()
+    try:
+        relevance_f_test(ds, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_relevance_size_small_n():

@@ -146,3 +146,18 @@ def test_matrix_matches_rowwise(seed):
     mat = eval_centered_matrix(Z, zeta, spec)
     for i in range(4):
         np.testing.assert_allclose(mat[i], eval_centered(Z[i], zeta, spec), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_matrix_equals_the_per_column_product(q):
+    # one product per order over gathered column blocks, in row blocks,
+    # against np.prod of each subset's columns; 1300 rows span three blocks
+    rng = np.random.default_rng(q)
+    Z = rng.normal(size=(1300, 6)) * rng.lognormal(size=(1300, 6))
+    zeta = rng.normal(size=6)
+    spec = MomentSpec.from_subsets(6, q, [ix.subset for ix in MomentSpec.full(6, q).indices][::2])
+    zc = Z - zeta
+    loop = np.column_stack([np.prod(zc[:, [j - 1 for j in ix.subset]], axis=1)
+                            for ix in spec.indices])
+    assert spec.orders == tuple(range(2, q + 1))
+    assert (eval_centered_matrix(Z, zeta, spec) == loop).all()

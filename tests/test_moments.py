@@ -237,7 +237,8 @@ def test_aipcw_map_linear_in_g():
 
     def transform(ea, eb, ta, tb):
         cond = CondMoment(cm, ta, tb)
-        pa, pb, _ = aipcw_transform(ds.z, ds.d, ds.y, ds.delta, ea.copy(), eb.copy(), cond)
+        pa, pb, _ = aipcw_transform(ds.z, ds.d, ds.y, ds.delta, ea.copy(), eb.copy(),
+                                    np.arange(ds.n), cond)
         return pa, pb
 
     pa, pb = transform(ge_a + ge_a, ge_b + ge_b, tr_a1 + tr_a2, tr_b1 + tr_b2)

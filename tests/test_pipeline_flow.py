@@ -1,15 +1,17 @@
 """Pipeline flow around the GEL fits: how repeated-split fits are combined,
-what runs before the first nuisance fit, and that the splits' moment
-matrices are not held at once."""
+what runs before the first nuisance fit, and that neither the splits' moment
+matrices nor the folds' working sets are held at once."""
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import igsaft.pipeline
+from igsaft import moments
 from igsaft.data import Dataset
 from igsaft.errors import IllPosedError
 from igsaft.gel import GelFit, _z_crit
@@ -105,3 +107,33 @@ def test_peak_memory_does_not_grow_with_the_split_count(fit):
     peak(1)  # the first fit's one-time allocations (np.unique imports numpy.ma) are no split's
     one_pair = 2 * ds.n * MomentSpec.full(ds.p, 2).m * 8
     assert peak(4) - peak(1) < one_pair
+
+
+def test_one_folds_working_set_at_a_time(monkeypatch):
+    # while a fold is transformed, the other fold's nuisances are not fitted
+    # yet (fold 0) or already dropped (fold 1), and the fold's g values live
+    # only in its rows of A and B
+    ds = generate(SimConfig(case=1, n=400, p=4, target_cr=0.2, seed=0, reps=1), 0)[0]
+    fits, g_arrays, alive = [], [], []
+    fit_all, fold_g_values, transform = (igsaft.pipeline.fit_all, moments.fold_g_values,
+                                         moments.aipcw_transform)
+
+    def tracked_fit_all(*args, **kwargs):
+        out = fit_all(*args, **kwargs)
+        fits.append(weakref.ref(out))
+        return out
+
+    def tracked_g_values(*args, **kwargs):
+        out = fold_g_values(*args, **kwargs)
+        g_arrays.extend(weakref.ref(g) for g in out)
+        return out
+
+    def checked_transform(*args, **kwargs):
+        alive.append(([r() is not None for r in fits], [r() is not None for r in g_arrays]))
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(igsaft.pipeline, "fit_all", tracked_fit_all)
+    monkeypatch.setattr(moments, "fold_g_values", tracked_g_values)
+    monkeypatch.setattr(moments, "aipcw_transform", checked_transform)
+    fit_igsaft(ds, FitConfig(n_splits=1, screen=False))
+    assert alive == [([True], [False] * 2), ([False, True], [False] * 4)]
