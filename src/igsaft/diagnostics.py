@@ -1,8 +1,9 @@
 """Model diagnosis: the heteroskedasticity-robust relevance test for the
 interaction block of the exposure regression, from a QR factorization of its
 design [1, Z, interactions] by row blocks that also checks its rank, and the
-overidentification test based on the scaled GEL objective. The relevance
-test holds one block of _BLOCK design rows at a time, and no n x k array.
+overidentification test based on the scaled GEL objective. One row-block
+reader of the design, `_design_blocks`, serves screening, the relevance test
+and the Monte Carlo rank check, which hold no n x k array.
 
 Both p-values are chi-square upper tails with integer degrees of freedom,
 which have a closed form (`_chi2_sf`); they agree with ``scipy.stats.chi2.sf``
@@ -68,46 +69,40 @@ class TestResult:
                 "p_value": self.p_value, "kind": self.kind}
 
 
-def _design(z: np.ndarray, zeta: np.ndarray, spec: MomentSpec) -> np.ndarray:
-    """Rows [1, z, interactions of spec centered at zeta]."""
-    return np.column_stack([np.ones(len(z)), z, eval_centered_matrix(z, zeta, spec)])
-
-
-def exposure_design(dataset: Dataset, spec: MomentSpec) -> np.ndarray:
-    """The exposure regression's design [1, Z, interactions of spec centered
-    at the mean of Z]."""
-    return _design(dataset.z, dataset.z.mean(axis=0), spec)
-
-
 def _design_blocks(dataset: Dataset, spec: MomentSpec):
-    """The rows of `exposure_design` in blocks of _BLOCK, with the exposure's
-    matching rows; one block is held at a time."""
+    """The exposure design [1, Z, interactions of spec centered at the mean
+    of Z] in blocks of _BLOCK rows, with the exposure's matching rows; one
+    block is held at a time. The one producer of the design's rows."""
     zeta = dataset.z.mean(axis=0)
     for start in range(0, dataset.n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        yield _design(dataset.z[rows], zeta, spec), dataset.d[rows]
+        z, d = dataset.z[start:start + _BLOCK], dataset.d[start:start + _BLOCK]
+        yield np.column_stack([np.ones(len(z)), z, eval_centered_matrix(z, zeta, spec)]), d
 
 
-def factor_exposure(dataset: Dataset, spec: MomentSpec):
-    """(R, column norms, X'D) of the exposure design X = [1, Z, interactions],
-    factored by row blocks as in TSQR (Demmel, Grigori, Hoemmen & Langou
-    2012): R of [R; X_b] is the R of the rows seen so far, so no n x k design
-    and no Q are formed. R is that of X's reduced QR up to the signs of its
-    rows."""
+def factor_exposure(dataset: Dataset, spec: MomentSpec, lead: int | None = None):
+    """(R, X'X, X'D) of the exposure design X = [1, Z, interactions] from one
+    pass over its row blocks, R being that of the `lead` leading columns of X
+    (all by default). R is factored as in TSQR (Demmel, Grigori, Hoemmen &
+    Langou 2012): R of [R; X_b] is the R of the rows seen so far, so no n x k
+    design and no Q are formed. R is that of the reduced QR up to the signs
+    of its rows."""
     k = 1 + dataset.p + spec.m
-    R, sq, xtd = np.zeros((0, k)), np.zeros(k), np.zeros(k)
+    lead = k if lead is None else lead
+    R, xtx, xtd = np.zeros((0, lead)), np.zeros((k, k)), np.zeros(k)
     for X, d in _design_blocks(dataset, spec):
-        R = np.linalg.qr(np.vstack([R, X]), mode="r")
-        sq += np.einsum("ij,ij->j", X, X)
+        R = np.linalg.qr(np.vstack([R, X[:, :lead]]), mode="r")
+        xtx += X.T @ X
         xtd += X.T @ d
-    return R, np.sqrt(sq), xtd
+    return R, xtx, xtd
 
 
-def check_rank(R: np.ndarray, norms: np.ndarray, spec: MomentSpec | None = None) -> None:
+def check_rank(R: np.ndarray, xtx: np.ndarray, spec: MomentSpec | None = None) -> None:
     """IllPosedError naming the first column of an exposure design, [1, Z] or
     [1, Z, interactions of spec], with at most _DEPENDENT of its norm
     (|R_jj|) outside the span of the columns before it. R is that of the
-    design's reduced QR, and norms its column norms."""
+    design's reduced QR, and xtx the Gram matrix X'X of a design that begins
+    with its columns; their norms are the square roots of its diagonal."""
+    norms = np.sqrt(xtx.diagonal()[:R.shape[1]])
     # with fewer rows than columns, the columns past the last row are dependent
     diag = np.zeros(norms.size)
     diag[:min(R.shape)] = np.abs(R.diagonal())
@@ -144,7 +139,7 @@ def relevance_f_test(dataset: Dataset, spec: MomentSpec) -> TestResult:
     block has coefficients R_22^-1 c_2 and covariance R_22^-1 M_22 R_22^-T, so
     the statistic is c_2' M_22^-1 c_2; the leverages are h_ii = |Q_i|^2. The
     design is read in two passes of row blocks and never held whole: the
-    first gives R, the column norms and X'D (`factor_exposure`), the second
+    first gives R, X'X and X'D (`factor_exposure`), the second
     each block's rows of Q = X R^-1, its leverages and residuals, and its
     share of M_22. The statistic is invariant to the signs of R's rows and
     agrees with the one from one QR of the whole design within about 1e-14
@@ -154,8 +149,8 @@ def relevance_f_test(dataset: Dataset, spec: MomentSpec) -> TestResult:
     if n <= min_rows:
         raise IllPosedError(f"need n > 2(1 + p + m) = {min_rows} rows for the robust "
                             f"covariance (mean leverage below 1/2), got n = {n}")
-    R, norms, xtd = factor_exposure(dataset, spec)
-    check_rank(R, norms, spec)
+    R, xtx, xtd = factor_exposure(dataset, spec)
+    check_rank(R, xtx, spec)
     R_inv = np.linalg.inv(R)
     c = R_inv.T @ xtd
     M22 = np.zeros((m, m))

@@ -122,14 +122,12 @@ def vk_width(p: int, k: int) -> int:
 
 def build_Vk(Z, k: int) -> np.ndarray:
     """Partialling design: intercept plus all uncentered interactions of
-    orders 1..k-1, columns in canonical enumerate_subsets order."""
+    orders 1..k-1, columns in canonical enumerate_subsets order; the
+    interactions come from `eval_centered_matrix` at zeta = 0."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     n, p = Z.shape
     if not 2 <= k <= p:
         raise DomainError(f"order k={k} outside 2..p={p}")
-    cols = [np.ones(n)]
-    for order in range(1, k):
-        for ix in enumerate_subsets(p, order):
-            sel = [j - 1 for j in ix.subset]
-            cols.append(np.prod(Z[:, sel], axis=1))
-    return np.column_stack(cols)
+    lower = MomentSpec(p=p, q=k, indices=tuple(
+        ix for order in range(1, k) for ix in enumerate_subsets(p, order)))
+    return np.column_stack([np.ones(n), eval_centered_matrix(Z, np.zeros(p), lower)])

@@ -220,18 +220,17 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances,
     """Cross-fitted moment rows: row i is evaluated with the nuisance fit
     trained on the fold not containing i; rows stay in dataset order.
 
-    nuisances maps each fold label to the NuisanceFit that evaluates that
-    fold: a dict, or a callable fitter called with the label just before the
-    fold is evaluated. One fold's working set is held at a time: the fold's
-    g goes straight into its rows of A and B, `aipcw_transform` writes psi
-    over those rows chunk by chunk, and the fold's nuisances are dropped
-    before the next fold's are fitted."""
+    nuisances is called with each fold label just before the fold is
+    evaluated, and returns the NuisanceFit that evaluates that fold. One
+    fold's working set is held at a time: the fold's g goes straight into its
+    rows of A and B, `aipcw_transform` writes psi over those rows chunk by
+    chunk, and the fold's nuisances are dropped before the next fold's are
+    fitted."""
     assign = np.asarray(fold_assignment)
     labels = (assign.min(), assign.max()) if assign.size else ()
     if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
         raise ValueError("fold_assignment must put every row in one of two folds")
     min_n = vk_width(dataset.p, max(spec.orders)) + 2
-    fit = nuisances if callable(nuisances) else nuisances.__getitem__
     # one (2, n, m) block: glibc raises its mmap threshold to the largest
     # block it has unmapped and trims the heap only above twice that, so one
     # block keeps a fit's heap for the next fit where two halves did not (at
@@ -242,7 +241,7 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances,
         idx = np.flatnonzero(assign == label)
         if idx.size < min_n:
             raise IllPosedError(f"fold {label} has {idx.size} rows; need >= {min_n}")
-        nuis = fit(label)
+        nuis = nuisances(label)
         if np.isin(nuis.training_ids, idx).any():
             raise ValueError(f"fold {label}: nuisance fit was trained on evaluation rows")
         eval_fold = dataset.subset(idx)

@@ -2,13 +2,13 @@
 repeated two-fold split the cross-fitted nuisances, moment matrix and GEL
 fits, median-aggregated, and the overidentification test.
 
-What is held when: the relevance test reads the exposure design in row
-blocks and holds no n x k array. Splits go through one at a time, so memory
-does not grow with the split count. Within a split, the moment pair (A, B)
-is allocated once, and the folds go through one at a time: a fold's
-nuisances are fitted just before it is evaluated and dropped after its
-transform, so one fold's nuisances and chunk buffers are live beside A and
-B. The split's moment matrix is dropped once every family is fitted on it."""
+What is held when: no step forms the n x k exposure design. Splits go
+through one at a time, so memory does not grow with the split count. Within
+a split, the moment pair (A, B) is allocated once, and the folds go through
+one at a time: a fold's nuisances are fitted just before it is evaluated and
+dropped after its transform, so one fold's nuisances and chunk buffers are
+live beside A and B. The split's moment matrix is dropped once every family
+is fitted on it."""
 
 from __future__ import annotations
 
@@ -68,6 +68,11 @@ class FitConfig:
             raise DomainError("n_splits must be at least 1")
         if self.q < 2:
             raise DomainError("q must be at least 2")
+        if self.max_keep < 1:
+            raise DomainError("max_keep must be at least 1")
+        lo, hi = self.search
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DomainError(f"search must be finite with lo < hi, got {self.search}")
 
 
 @dataclass
@@ -113,8 +118,6 @@ def _fold_assignment(n: int, seed: int, split: int = 0) -> np.ndarray:
 
 def _screen_once(dataset: Dataset, config: FitConfig):
     """The fitted spec plus the (split-independent) screening outcome."""
-    if not 2 <= config.q <= dataset.p:
-        raise DomainError(f"need 2 <= q <= p, got q={config.q}, p={dataset.p}")
     if config.indices is not None:
         return MomentSpec.from_subsets(dataset.p, config.q, config.indices), None
     candidates = MomentSpec.full(dataset.p, config.q)

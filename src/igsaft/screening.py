@@ -9,8 +9,11 @@ piecewise-linear path of the interaction coefficients, and BIC picks one of
 downstream, only that at least one informative interaction survives, so the
 defaults favor determinism and speed over selection consistency.
 
-`diagnostics.check_rank` refuses linearly dependent instruments before the
-Gram solves, so G_uu, the Gram matrix of [1, Z], is positive definite.
+X'X, X'D and the R of [1, Z] come from one pass over the row blocks of the
+design X = [1, Z, candidates] (`diagnostics.factor_exposure`, the reader of
+the relevance test), so no n x k design is formed. `diagnostics.check_rank`
+refuses linearly dependent instruments from them before the Gram solves,
+so G_uu, the Gram matrix of [1, Z], is positive definite.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .diagnostics import check_rank, exposure_design
+from .diagnostics import check_rank, factor_exposure
 from .errors import IllPosedError
 from .interactions import MomentSpec
 from .spd import solve_spd
@@ -111,17 +114,14 @@ def screen_interactions(dataset: Dataset, candidates: MomentSpec,
                         max_keep: int = 100) -> ScreenResult:
     """Select informative interactions; never returns an empty set."""
     n = dataset.n
-    X = exposure_design(dataset, candidates)
     n_unpen = 1 + dataset.p
-    X_u = X[:, :n_unpen]
-    check_rank(np.linalg.qr(X_u, mode="r"), np.linalg.norm(X_u, axis=0))
-    d = dataset.d
-
-    G = X.T @ X / n
-    c = X.T @ d / n
+    # TSQR over [1, Z] only: over all k columns its cost grows with k^2
+    R, xtx, xtd = factor_exposure(dataset, candidates, lead=n_unpen)
+    check_rank(R, xtx)
+    G, c = xtx / n, xtd / n
 
     # ridge pilot; the intercept stays unpenalized
-    pen = np.full(X.shape[1], 1e-4)
+    pen = np.full(G.shape[0], 1e-4)
     pen[0] = 0.0
     pilot = solve_spd(G + np.diag(pen), c)[0]
     pilot_cand = pilot[n_unpen:]
@@ -133,7 +133,7 @@ def screen_interactions(dataset: Dataset, candidates: MomentSpec,
     base_M = solve_spd(G_uu, np.column_stack([c[:n_unpen], G_up]))[0]
     base, M = base_M[:, 0], base_M[:, 1:]
     resid_corr = c[n_unpen:] - G[n_unpen:, :n_unpen] @ base
-    d2 = float(d @ d / n)
+    d2 = float(dataset.d @ dataset.d / n)
     _check_signal(resid_corr, np.diag(G)[n_unpen:], d2)
     lam_max = float(np.max(np.abs(resid_corr) / w_pen))
     lams = np.geomspace(lam_max * 0.999, lam_max * 1e-3, 50)

@@ -72,6 +72,8 @@ class SimConfig:
             raise DomainError("reps must be at least 1")
         if not 0.0 <= self.target_cr < 1.0:
             raise DomainError("target_cr must lie in [0, 1)")
+        if not 0.0 <= self.nonzero_frac <= 1.0:
+            raise DomainError("nonzero_frac must lie in [0, 1]")
 
     @property
     def phi_d_scale(self) -> float:
@@ -359,6 +361,8 @@ def run_monte_carlo(sim_cfg: SimConfig, fit_cfg, estimators=("el",),
     Each fit uses one BLAS thread. More cores are used through worker
     processes: `threads` > 1 runs the replications in that many processes,
     and the summary equals the one from `threads=1`."""
+    if threads < 1:
+        raise DomainError("threads must be at least 1")
     estimators = list(estimators)
     for est in estimators:
         if est not in MC_ESTIMATORS:

@@ -130,9 +130,9 @@ def both_moment_matrices(ds, kc, monkeypatch):
     for lab in (0, 1):
         aux = np.flatnonzero(assign == 1 - lab)
         nuis[lab] = fit_all(ds.subset(aux), spec, kc, training_ids=aux)
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     monkeypatch.setattr(moments, "aipcw_transform", dense_transform)
-    return M, build_moment_matrix(ds, assign, nuis, spec), assign
+    return M, build_moment_matrix(ds, assign, nuis.__getitem__, spec), assign
 
 
 def simulated(n=400, p=4, cr=0.3, seed=3):

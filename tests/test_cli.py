@@ -161,6 +161,21 @@ def test_simulate_accepts_threads(tmp_path, capsys):
     assert [r["n_used"] for r in payload["rows"]] == [2]
 
 
+@pytest.mark.parametrize("command, extra, field", [
+    ("fit", ["--max-keep", "-1"], "max_keep"),
+    ("simulate", ["--max-keep", "0"], "max_keep"),
+    ("simulate", ["--search-lo", "5", "--search-hi", "5"], "search"),
+    ("simulate", ["--search-hi", "inf"], "search"),
+    ("simulate", ["--nonzero-frac", "-0.1"], "nonzero_frac"),
+    ("simulate", ["--threads", "0"], "threads"),
+])
+def test_bad_config_values_exit_1(command, extra, field, csv_path, capsys):
+    rest = SIM_ARGS if command == "simulate" else [*data_args(csv_path), "--n-splits", "1"]
+    assert main([command, *rest, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ")
+
+
 def test_simulate_unknown_estimator_exits_1(capsys):
     assert main(["simulate", *SIM_ARGS, "--estimators", "el,foo"]) == 1
     assert "unknown estimator 'foo'" in capsys.readouterr().err
@@ -265,7 +280,7 @@ def test_dump_moments_is_split_0_matrix(csv_path, tmp_path):
     assign = _fold_assignment(ds.n, 0, split=0)
     nuis = {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec, KernelConfig(),
                          training_ids=np.flatnonzero(assign == 1 - lab)) for lab in (0, 1)}
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     vals = np.array([[float(v) for v in r] for r in rows])
     assert np.array_equal(vals[:, 0], np.arange(ds.n))
     assert np.array_equal(vals[:, 1], assign)

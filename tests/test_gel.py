@@ -175,7 +175,7 @@ def test_ratio_estimator_single_moment():
     nuis = {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec,
                          KernelConfig(), training_ids=np.flatnonzero(assign == 1 - lab))
             for lab in (0, 1)}
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     fit = minimize_beta(M, "cue")
     # m = 1, no censoring: beta solves the sample moment exactly, namely the
     # ratio of interaction-weighted residuals
@@ -192,7 +192,7 @@ def test_family_agreement_case1():
     nuis = {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec, kc,
                          training_ids=np.flatnonzero(assign == 1 - lab))
             for lab in (0, 1)}
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     fits = {fam: fit_gel(M, fam) for fam in FAMILIES}
     for f1 in FAMILIES:
         for f2 in FAMILIES:
@@ -264,7 +264,7 @@ def test_translation_equivariance_cue():
         nuis = {lab: fit_all(dataset.subset(np.flatnonzero(assign == 1 - lab)), spec,
                              KernelConfig(), training_ids=np.flatnonzero(assign == 1 - lab))
                 for lab in (0, 1)}
-        M = build_moment_matrix(dataset, assign, nuis, spec)
+        M = build_moment_matrix(dataset, assign, nuis.__getitem__, spec)
         return minimize_beta(M, "cue").beta_hat
 
     from igsaft.data import Dataset

@@ -98,6 +98,14 @@ def test_vk_order_matches_enumeration():
     np.testing.assert_array_equal(V[:, 1:5], Z)
     pair_cols = [Z[:, a - 1] * Z[:, b - 1] for a, b in subsets(4, 2)]
     np.testing.assert_array_equal(V[:, 5:], np.column_stack(pair_cols))
+    # k = 4 over more than one block of rows: each column equals np.prod of
+    # its subset's columns bit for bit
+    Z = rng.normal(size=(1100, 5))
+    cols = [np.prod(Z[:, [j - 1 for j in s]], axis=1) for order in (1, 2, 3)
+            for s in subsets(5, order)]
+    V = build_Vk(Z, 4)
+    assert V.shape == (1100, 1 + len(cols))
+    assert (V[:, 0] == 1.0).all() and (V[:, 1:] == np.column_stack(cols)).all()
 
 
 def test_vk_deterministic():

@@ -64,7 +64,7 @@ def test_zero_censoring_reduction_exact():
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(5, 2)
     assign, nuis = cross_fitted(ds, spec)
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     for lab in (0, 1):
         idx = np.flatnonzero(assign == lab)
         ga, gb = fold_g_values(ds.subset(idx), nuis[lab].zeta, nuis[lab].partials, spec)
@@ -90,7 +90,7 @@ def test_batch_matches_per_observation():
     ds, _ = generate(cfg, 0, taus=(-2.0, 16.0))
     spec = MomentSpec.full(4, 2)
     assign, nuis = cross_fitted(ds, spec, seed=2)
-    M = build_moment_matrix(ds, assign, nuis, spec, chunk=32)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec, chunk=32)
     for i in range(0, ds.n, 13):
         am = eval_psi(observation(ds, i), nuis[assign[i]], spec)
         np.testing.assert_allclose(M.A[i], am.a, rtol=1e-9, atol=1e-11)
@@ -109,7 +109,7 @@ def test_subnormal_risk_set_mass_counts_as_empty():
     assert 0.0 < w[w > 0].min() < np.finfo(float).tiny
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        M = build_moment_matrix(ds, assign, nuis, spec)
+        M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     assert np.isfinite(M.A).all() and np.isfinite(M.B).all()
     for i in range(ds.n):
         am = eval_psi(observation(ds, i), nuis[assign[i]], spec)
@@ -122,7 +122,7 @@ def test_mean_psi_at_truth_case1():
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(5, 2)
     assign, nuis = cross_fitted(ds, spec, kc=KernelConfig(km_conditioning="d_only"))
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     psibar, Om = mean_and_cov(M, 1.0)
     # five-sigma aggregate band on the standardized component means
     sd = np.sqrt(np.diag(Om))
@@ -138,12 +138,12 @@ def test_cross_fitting_uses_opposite_fold():
     for lab in (0, 1):
         aux = np.flatnonzero(assign == 1 - lab)
         nuis[lab] = fit_all(ds.subset(aux), spec, KC, training_ids=aux)
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     # row 0 evaluated with the fit trained on fold 1's rows
     g0 = eval_g(observation(ds, 0), nuis[0], spec)
     np.testing.assert_allclose(M.A[0], g0.a, rtol=1e-12)
     with pytest.raises(ValueError, match="trained on evaluation rows"):
-        build_moment_matrix(ds, assign, {0: nuis[1], 1: nuis[0]}, spec)
+        build_moment_matrix(ds, assign, {0: nuis[1], 1: nuis[0]}.__getitem__, spec)
 
 
 def test_row_permutation_equivariance():
@@ -151,7 +151,7 @@ def test_row_permutation_equivariance():
     ds, _ = generate(cfg, 0, taus=(-2.0, 16.0))
     spec = MomentSpec.full(3, 2)
     assign, nuis = cross_fitted(ds, spec, seed=5)
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
 
     perm = np.random.default_rng(10).permutation(ds.n)
     ds_p = Dataset(ds.z[perm], ds.d[perm], ds.y[perm], ds.delta[perm])
@@ -159,7 +159,7 @@ def test_row_permutation_equivariance():
     inv = {lab: np.flatnonzero(assign_p == 1 - lab) for lab in (0, 1)}
     nuis_p = {lab: fit_all(ds_p.subset(inv[lab]), spec, KC, training_ids=inv[lab])
               for lab in (0, 1)}
-    M_p = build_moment_matrix(ds_p, assign_p, nuis_p, spec)
+    M_p = build_moment_matrix(ds_p, assign_p, nuis_p.__getitem__, spec)
     np.testing.assert_allclose(M_p.A, M.A[perm], rtol=1e-9, atol=1e-10)
 
 
@@ -169,12 +169,12 @@ def test_train_equals_eval_debug_mode_close():
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(4, 2)
     assign, nuis = cross_fitted(ds, spec)
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     nuis_same = {lab: fit_all(ds.subset(np.flatnonzero(assign == lab)), spec, KC,
                               training_ids=np.flatnonzero(assign == 1 - lab))
                  for lab in (0, 1)}
     # train == evaluate: bypass the overlap check by tagging opposite ids
-    M_dbg = build_moment_matrix(ds, assign, nuis_same, spec)
+    M_dbg = build_moment_matrix(ds, assign, nuis_same.__getitem__, spec)
     pb, Om = mean_and_cov(M, 1.0)
     pb_dbg, _ = mean_and_cov(M_dbg, 1.0)
     se = np.sqrt(np.diag(Om) / ds.n)
@@ -253,7 +253,7 @@ def test_exact_affinity_of_psi_rows():
     ds, _ = generate(cfg, 0, taus=(-2.0, 14.0))
     spec = MomentSpec.full(3, 2)
     assign, nuis = cross_fitted(ds, spec)
-    M = build_moment_matrix(ds, assign, nuis, spec)
+    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
     for i in (0, 5, 17):
         r = row(M, i)
         np.testing.assert_allclose(r(2.0) - 2 * r(1.0) + r(0.0), np.zeros(spec.m),
@@ -273,7 +273,7 @@ def test_fold_too_small_raises():
         for lab in (0, 1):
             aux = np.flatnonzero(assign == 1 - lab)
             nuis[lab] = fit_all(ds.subset(aux), spec, KC, training_ids=aux)
-        build_moment_matrix(ds, assign, nuis, spec)
+        build_moment_matrix(ds, assign, nuis.__getitem__, spec)
 
 
 @pytest.mark.parametrize("target_cr, kc", [(0.3, KernelConfig(km_conditioning="d_only")),
@@ -284,7 +284,8 @@ def test_chunk_size_does_not_change_the_moments(target_cr, kc):
     ds, _ = generate(cfg, 0, taus=taus)
     spec = MomentSpec.full(4, 2)
     assign, nuis = cross_fitted(ds, spec, kc=kc)
-    mats = [build_moment_matrix(ds, assign, nuis, spec, chunk=c) for c in (16, 32, 256)]
+    mats = [build_moment_matrix(ds, assign, nuis.__getitem__, spec, chunk=c)
+            for c in (16, 32, 256)]
     for M in mats[1:]:
         assert np.array_equal(M.A, mats[0].A) and np.array_equal(M.B, mats[0].B)
         assert M.stats == mats[0].stats
@@ -299,7 +300,8 @@ def test_chunk_size_moves_wide_moments_only_by_rounding():
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(10, 2)
     assign, nuis = cross_fitted(ds, spec, kc=KernelConfig(km_conditioning="d_only"))
-    mats = [build_moment_matrix(ds, assign, nuis, spec, chunk=c) for c in (16, 32, 256)]
+    mats = [build_moment_matrix(ds, assign, nuis.__getitem__, spec, chunk=c)
+            for c in (16, 32, 256)]
     ref = mats[1]
     for M in (mats[0], mats[2]):
         for got, want in ((M.A, ref.A), (M.B, ref.B)):

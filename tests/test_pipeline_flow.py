@@ -13,7 +13,7 @@ from scipy.stats import norm
 import igsaft.pipeline
 from igsaft import moments
 from igsaft.data import Dataset
-from igsaft.errors import IllPosedError
+from igsaft.errors import DomainError, IllPosedError
 from igsaft.gel import GelFit, _z_crit
 from igsaft.interactions import MomentSpec
 from igsaft.pipeline import FitConfig, combine_split_fits, fit_families, fit_igsaft
@@ -53,6 +53,22 @@ def test_split_interval_does_not_overflow():
     z = _z_crit(0.05)
     assert out.ci == (out.beta_hat - z * out.se, out.beta_hat + z * out.se)
     assert out.exp_scale == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"max_keep": 0}, "max_keep"),
+    ({"max_keep": -1}, "max_keep"),
+    ({"search": (1.0, 1.0)}, "search"),
+    ({"search": (2.0, -2.0)}, "search"),
+    ({"search": (-math.inf, 10.0)}, "search"),
+    ({"search": (-10.0, math.nan)}, "search"),
+])
+def test_bad_fit_config_values_are_refused_when_built(kwargs, field):
+    # once max_keep = -1 kept 14 of 15 lasso picks, 0 failed only after
+    # screening, and a bad search interval was refused only after screening,
+    # the relevance test and split 0's moment construction
+    with pytest.raises(DomainError, match=f"^{field} "):
+        FitConfig(**kwargs)
 
 
 def test_too_small_design_is_refused_before_any_fitting(monkeypatch):

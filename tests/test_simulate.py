@@ -31,6 +31,26 @@ def test_unknown_estimator_rejected_before_fitting(bad, monkeypatch):
         run_monte_carlo(cfg, FitConfig(), ["el", bad, "aft"])
 
 
+@pytest.mark.parametrize("nonzero_frac", [-0.1, 1.5, math.nan])
+def test_nonzero_frac_outside_0_1_is_refused(nonzero_frac):
+    # -0.1 once made 171 of 190 pairs nonzero at p = 20
+    with pytest.raises(DomainError, match="^nonzero_frac "):
+        SimConfig(case=1, n=200, p=20, nonzero_frac=nonzero_frac)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_1_are_refused_before_fitting(threads, monkeypatch):
+    # once ran serially
+    def no_replication(*args, **kwargs):
+        raise AssertionError("a replication ran before threads was checked")
+
+    monkeypatch.setattr(simulate, "calibrate_censoring", no_replication)
+    monkeypatch.setattr(simulate, "_mc_one_rep", no_replication)
+    cfg = SimConfig(case=1, n=200, p=3, target_cr=0.2, reps=2)
+    with pytest.raises(DomainError, match="^threads "):
+        run_monte_carlo(cfg, FitConfig(), ["el"], threads=threads)
+
+
 def test_known_estimators_give_one_row_each():
     cfg = SimConfig(case=1, n=200, p=3, target_cr=0.0, reps=2, seed=4)
     summary = run_monte_carlo(cfg, FitConfig(n_splits=1), ["cue", "aft"])
