@@ -143,10 +143,10 @@ def inner_lambda(M: MomentMatrix, beta: float, family: str,
     u = M.eval(beta)
     n, m = u.shape
     lam = np.zeros(m) if lam0 is None else lam0.copy()
-    if family == "el" and lam0 is not None and np.max(u @ lam) > 1.0 - _EL_GUARD:
-        lam = np.zeros(m)
-
     v = u @ lam
+    if family == "el" and lam0 is not None and np.max(v) > 1.0 - _EL_GUARD:
+        lam = np.zeros(m)
+        v = u @ lam
     val, d1, d2 = rho(v, family)
     P = float(val.mean())
     if lam0 is not None and P < 0.0:

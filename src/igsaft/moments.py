@@ -112,8 +112,10 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
     flag j >= J0_i: two adds, one comparison and one gather per chunk. The
     clip count is kept only for rows with a clipped event segment; the live
     event count of such a row with zero kernel weights is a np.bincount of
-    w > 0 over CensorModel.seg_index, which the chunk's tables share and
-    which is built once per transform.
+    w > 0 over CensorModel.seg_index, which the chunk's tables share. It is
+    built once per transform, and only if the training fold has a censored
+    row: without one Ghat is 1, nothing is clipped, and the tables sum their
+    event runs without it.
     """
     cm = cond.censor
     K, E, n = cm.grid_vals.size, cm.ev_seg.size, cm.n  # Dataset holds K >= 1 events
@@ -125,7 +127,7 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
     c_max = min(chunk, len(eval_y))
     # flat index of P[i, class of j] in a chunk's PQ, 2 cls_j + 2C i; Q's is one more
     P_class, P_row = 2 * cm.cls_of, 2 * C * np.arange(c_max)
-    seg_index = cm.seg_index(c_max)
+    seg_index = cm.seg_index(c_max) if cm.cens_starts.size else None
     # the chunk's (chunk, n_train) arrays, reused by every chunk; np.take
     # fills them with mode="wrap", as mode="raise" takes through a copy
     w_buf, event_buf, W_buf = (np.empty((c_max, n)) for _ in range(3))

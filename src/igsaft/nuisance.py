@@ -136,8 +136,10 @@ class KMTables:
 
     Ghat is constant on each censoring segment, so its log is kept once per
     segment; seglog[:, CensorModel.seg_of] expands it to every training row.
-    mass comes from one np.bincount of w over CensorModel.seg_index, each run
-    summed in row order; a run without event rows is exactly 0.
+    On a fold with a censored row, mass comes from one np.bincount of w over
+    CensorModel.seg_index, each run summed in row order; on a fold without
+    one, from two slice sums of each row of w. A run without event rows is
+    exactly 0 either way.
     """
 
     w: np.ndarray       # (c, n) kernel weights
@@ -213,9 +215,11 @@ class CensorModel:
         (c, S + 2E) sums of `tables`; build it once for the largest batch."""
         return self.seg_row + self.n_sums * np.arange(c)[:, None]
 
-    def tables(self, z, d, index: np.ndarray, w_out: np.ndarray | None = None) -> KMTables:
+    def tables(self, z, d, index: np.ndarray | None,
+               w_out: np.ndarray | None = None) -> KMTables:
         """Compute weight and survival tables for a batch of c targets;
-        index is `seg_index(k)` for some k >= c. The kernel weights are
+        index is `seg_index(k)` for some k >= c, read only when the fold has
+        a censored row (None will do otherwise). The kernel weights are
         written into w_out, a C-contiguous (c, n) float array, if given, so
         that a caller going through many batches reuses one buffer.
 
@@ -224,27 +228,34 @@ class CensorModel:
         mass), which reduces exactly to the unconditional Kaplan-Meier under
         equal weights. Only groups with a censored row have a factor other
         than 1, so log Ghat is one value per censoring segment (seglog; all
-        zeros without censored rows). The censored mass of each group and
-        mass, the event weight of each event segment over two runs (before
-        and from its last event group), come from one np.bincount of w over
-        index, which sums each group and run in row order; a run without
-        event rows sums to exactly 0. The at-risk masses stay a reduceat
-        from each censored group start on.
+        zeros without censored rows). mass is the event weight of each event
+        segment over two runs (before and from its last event group); a run
+        without event rows sums to exactly 0. With a censored row, the
+        censored mass of each group and mass come from one np.bincount of w
+        over index, which sums each group and run in row order, and the
+        at-risk masses are a reduceat from each censored group start on.
+        Without one, the fold is one event segment whose runs are the rows
+        before and from last_first[0], and mass is those two slice sums of
+        each row: a bincount would add every row into one of two bins, each
+        add waiting for the one before.
         """
         targets = _conditioning_targets(z, d, self.conditioning)
         w = self.weigher.weights(targets, w_out)
         c, S = len(w), self.cens_starts.size
+        if not S:
+            split = self.last_first[0]
+            mass = np.column_stack([w[:, :split].sum(axis=1), w[:, split:].sum(axis=1)])
+            return KMTables(w=w, seglog=np.zeros((c, 1)), mass=mass)
         # (c, S + 2E): censored groups, then event runs
         sums = np.bincount(index[:c].ravel(), weights=w.ravel(),
                            minlength=c * self.n_sums).reshape(c, self.n_sums)
         seglog = np.zeros((c, S + 1))
-        if S:
-            between = np.add.reduceat(w, self.cens_starts, axis=1)  # from the first start on
-            risk_at_start = np.cumsum(between[:, ::-1], axis=1)[:, ::-1]
-            frac = sums[:, :S] / np.maximum(risk_at_start, 1e-300)
-            with np.errstate(divide="ignore"):
-                logf_group = np.log1p(-np.minimum(frac, 1.0))
-            np.cumsum(np.maximum(logf_group, _LOG_TINY), axis=1, out=seglog[:, 1:])
+        between = np.add.reduceat(w, self.cens_starts, axis=1)  # from the first start on
+        risk_at_start = np.cumsum(between[:, ::-1], axis=1)[:, ::-1]
+        frac = sums[:, :S] / np.maximum(risk_at_start, 1e-300)
+        with np.errstate(divide="ignore"):
+            logf_group = np.log1p(-np.minimum(frac, 1.0))
+        np.cumsum(np.maximum(logf_group, _LOG_TINY), axis=1, out=seglog[:, 1:])
         return KMTables(w=w, seglog=seglog, mass=sums[:, S:])
 
 

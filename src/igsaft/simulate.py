@@ -309,8 +309,12 @@ def aft_benchmark(dataset: Dataset) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class McRow:
+    """One estimator's summary; bias_pct is None where beta0 = 0 (a null
+    design, run to check size), and sd is None below two used replications,
+    as neither is defined there."""
+
     estimator: str
-    bias_pct: float
+    bias_pct: float | None
     sd: float | None
     mean_se: float
     coverage: float
@@ -326,8 +330,9 @@ class McSummary:
     def to_table(self) -> str:
         lines = ["Method,Bias,SD,SE,CP"]
         for r in self.rows:
+            bias = "NA" if r.bias_pct is None else f"{r.bias_pct:.3f}%"
             sd = "NA" if r.sd is None else f"{r.sd:.4f}"
-            lines.append(f"{r.estimator.upper()},{r.bias_pct:.3f}%,{sd},"
+            lines.append(f"{r.estimator.upper()},{bias},{sd},"
                          f"{r.mean_se:.4f},{r.coverage:.3f}")
         return "\n".join(lines) + "\n"
 
@@ -392,8 +397,8 @@ def run_monte_carlo(sim_cfg: SimConfig, fit_cfg, estimators=("el",),
         ses = np.array([rec[1] for rec in good])
         cover = np.array([rec[2] <= b0 <= rec[3] for rec in good])
         sd = float(betas.std(ddof=1)) if n_used >= 2 else None
-        rows.append(McRow(estimator=est,
-                          bias_pct=float(100.0 * (betas.mean() - b0) / b0),
+        bias_pct = float(100.0 * (betas.mean() - b0) / b0) if b0 != 0.0 else None
+        rows.append(McRow(estimator=est, bias_pct=bias_pct,
                           sd=sd, mean_se=float(ses.mean()),
                           coverage=float(cover.mean()),
                           n_used=n_used, n_excluded=len(recs) - n_used))

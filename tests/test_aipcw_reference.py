@@ -197,12 +197,17 @@ HAND_DELTA = np.array([0, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1])
 # segment 0 holds one event group, so its first run is empty.
 HAND_DELTA_EVENT_FIRST = np.array([1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1])
 
+# Uncensored folds, whose event-run masses are slice sums: the same times,
+# and every row at one time, where the run before the last event group is empty.
+HAND_ALL_EVENTS = np.ones(HAND_Y.size, dtype=int)
+HAND_ONE_TIME = np.full(HAND_Y.size, 2.0)
 
-def hand_model(kc=KernelConfig(km_conditioning="full", fixed_h=0.8), delta=HAND_DELTA):
+
+def hand_model(kc=KernelConfig(km_conditioning="full", fixed_h=0.8), delta=HAND_DELTA,
+               y=HAND_Y):
     rng = np.random.default_rng(30)
-    perm = rng.permutation(HAND_Y.size)  # CensorModel sorts the rows itself
-    ds = Dataset(rng.normal(size=(HAND_Y.size, 2)), rng.normal(size=HAND_Y.size),
-                 HAND_Y[perm], delta[perm])
+    perm = rng.permutation(y.size)  # CensorModel sorts the rows itself
+    ds = Dataset(rng.normal(size=(y.size, 2)), rng.normal(size=y.size), y[perm], delta[perm])
     return ds, CensorModel(ds, kc)
 
 
@@ -265,12 +270,15 @@ def test_segment_metadata_matches_brute_force():
     assert list(cm.grid_first) == grid_first
 
 
-@pytest.mark.parametrize("delta, empty_runs", [(HAND_DELTA, [6]), (HAND_DELTA_EVENT_FIRST, [0, 2, 8])],
-                         ids=["hand", "event_first"])
-def test_segment_sums_match_loop_sums(delta, empty_runs):
-    # censored tie-group sums and event-run masses from one np.bincount over seg_index
-    # against sums in a loop over the rows of each group and run
-    ds, cm = hand_model(delta=delta)
+@pytest.mark.parametrize("y, delta, empty_runs", [
+    (HAND_Y, HAND_DELTA, [6]), (HAND_Y, HAND_DELTA_EVENT_FIRST, [0, 2, 8]),
+    (HAND_Y, HAND_ALL_EVENTS, []), (HAND_ONE_TIME, HAND_ALL_EVENTS, [0]),
+], ids=["hand", "event_first", "all_events", "all_events_one_time"])
+def test_segment_sums_match_loop_sums(y, delta, empty_runs):
+    # censored tie-group sums and event-run masses (one np.bincount over
+    # seg_index, or two slice sums without censored rows) against sums in a
+    # loop over the rows of each group and run
+    ds, cm = hand_model(delta=delta, y=y)
     t = cm.tables(np.random.default_rng(32).normal(size=(9, 2)), np.linspace(-2.0, 2.0, 9),
                   cm.seg_index(9))
     ys, dl, n, S = cm.ys, cm.delta_s, cm.n, cm.cens_starts.size
@@ -294,12 +302,14 @@ def test_segment_sums_match_loop_sums(delta, empty_runs):
                for s in event_segs for last in (False, True)]
     sums = np.bincount(cm.seg_index(9).ravel(), weights=t.w.ravel(), minlength=9 * cm.n_sums)
     cens_got = sums.reshape(9, cm.n_sums)[:, :S]
-    for got, ref in ((cens_got, np.column_stack(cens_ref)), (t.mass, np.column_stack(run_ref))):
+    cens_ref = np.reshape(cens_ref, (S, 9)).T  # (9, 0) without censored groups
+    for got, ref in ((cens_got, cens_ref), (t.mass, np.column_stack(run_ref))):
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
     # the runs without an event row: before 5.5 only 5.0 is in its segment;
     # in the second fold, 0.5 is the only event group of segment 0 and 1.5
-    # the only one of the segment from 1.0
+    # the only one of the segment from 1.0; in the last, all rows are the
+    # last event group
     empty = ~np.column_stack(run_ref).any(axis=0)
     assert list(np.flatnonzero(empty)) == empty_runs
     assert np.all(t.mass[:, empty] == 0.0)

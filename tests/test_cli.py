@@ -161,6 +161,13 @@ def test_simulate_accepts_threads(tmp_path, capsys):
     assert [r["n_used"] for r in payload["rows"]] == [2]
 
 
+def test_simulate_null_design_writes_bias_as_na_and_null(tmp_path, capsys):
+    sidecar = tmp_path / "mc.json"
+    assert main(["simulate", *SIM_ARGS, "--beta0", "0", "--json", str(sidecar)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("AFT,NA,NA,")
+    assert strict_json(sidecar)["rows"][0]["bias_pct"] is None
+
+
 @pytest.mark.parametrize("command, extra, field", [
     ("fit", ["--max-keep", "-1"], "max_keep"),
     ("simulate", ["--max-keep", "0"], "max_keep"),

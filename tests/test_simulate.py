@@ -58,6 +58,16 @@ def test_known_estimators_give_one_row_each():
     assert all(r.n_used + r.n_excluded == 2 for r in summary.rows)
 
 
+def test_null_design_reports_bias_as_undefined():
+    # beta0 = 0 is allowed, since a null design checks size; the relative
+    # bias once divided by it and read inf%
+    cfg = SimConfig(case=1, n=200, p=3, target_cr=0.0, beta0=0.0, reps=2, seed=4)
+    summary = run_monte_carlo(cfg, FitConfig(n_splits=1), ["aft"])
+    (row,) = summary.rows
+    assert row.bias_pct is None and row.n_used == 2 and math.isfinite(row.sd)
+    assert summary.to_table().splitlines()[1].startswith("AFT,NA,")
+
+
 def test_aft_interval_has_the_fit_level():
     # the coverage column compares AFT and GEL intervals at one level
     cfg = SimConfig(case=1, n=200, p=3, target_cr=0.0, reps=1, seed=4)
