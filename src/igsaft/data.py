@@ -46,8 +46,10 @@ class Dataset:
             raise ValueError(f"delta outside {{0,1}} at row {bad}")
         if not int(delta.sum()) >= 1:
             raise ValueError("dataset must contain at least one observed event")
-        if not (np.isfinite(z).all() and np.isfinite(d).all() and np.isfinite(y).all()):
-            raise ValueError("dataset contains non-finite values")
+        for name, arr in (("z", z), ("d", d), ("y", y)):
+            if not np.isfinite(arr).all():
+                row = int(np.argwhere(~np.isfinite(arr))[0, 0])
+                raise ValueError(f"non-finite value in {name} at row {row}")
         for name, arr in (("z", z), ("d", d), ("y", y), ("delta", delta.astype(np.int8))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -96,7 +98,9 @@ def load_csv(path, config: ColumnConfig) -> Dataset:
     """Read a comma-separated file into a checked Dataset.
 
     Rows with a missing value in any required column are dropped with a
-    warning. Raw times must be strictly positive; status must be 0 or 1.
+    warning. Every other cell must be a finite number, raw times strictly
+    positive and status 0 or 1; a bad cell raises SchemaError naming its
+    column and its row (0-based, header excluded).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -128,12 +132,16 @@ def load_csv(path, config: ColumnConfig) -> Dataset:
             except ValueError:
                 raise SchemaError(f"non-numeric value {cell!r} in column {name!r} "
                                   f"at row {ridx}") from None
+            if not math.isfinite(vals[-1]):
+                raise SchemaError(f"non-finite value {cell!r} in column {name!r} at row {ridx}")
         t_raw, status_f, d_val, *z_vals = vals
         if status_f not in (0.0, 1.0):
-            raise ValueError(f"status value {cells[1]} outside {{0,1}} at row {ridx}")
+            raise SchemaError(f"status {cells[1]!r} in column {config.status!r} at row {ridx} "
+                              "is not 0 or 1")
         if config.time_scale == "raw":
             if t_raw <= 0:
-                raise ValueError(f"nonpositive raw time {t_raw} at row {ridx}")
+                raise SchemaError(f"nonpositive raw time {cells[0]!r} in column "
+                                  f"{config.time!r} at row {ridx}")
             y = math.log(t_raw)
         else:
             y = t_raw

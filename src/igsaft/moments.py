@@ -27,8 +27,8 @@ in floating point.
 
 What is held when: `build_moment_matrix` allocates A and B once and fills
 them fold by fold. A fold's g is written straight into its rows of A and B,
-and `aipcw_transform` writes psi over those rows chunk by chunk, with four
-(chunk, n_train) buffers that live for one transform. The fold's nuisances
+and `aipcw_transform` writes psi over those rows 32 at a time, with four
+(32, n_train) buffers that live for one transform. The fold's nuisances
 live from just before its g is computed to the end of its transform.
 """
 
@@ -48,6 +48,8 @@ from .nuisance import CondMoment, fold_g_values
 # Above it, 1/S times two factors 1/trunc_eps stays finite for trunc_eps
 # down to 1e-7; a subnormal S would make 1/S infinite.
 _MASS_FLOOR = 1e-290
+
+_CHUNK = 32  # evaluation rows per chunk of aipcw_transform
 
 
 @dataclass
@@ -82,30 +84,26 @@ class MomentMatrix:
         return self.A + beta * self.B
 
 
-def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
-                    cond: CondMoment, chunk: int = 32):
-    """Apply the censoring adjustment to evaluation-fold g values.
+def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStats:
+    """Write psi over an evaluation fold's g values; return the clip and
+    empty-risk-set counts.
 
     Rows idx of the float (n, m) arrays A and B hold the g values of the
-    evaluation rows, in the order of eval_*; psi is written over them, one
-    chunk of rows at a time, and (A, B, stats) is returned. A caller that
-    needs g after the call passes copies. W is built from the
-    censoring-segment tables of the module docstring.
+    rows of fold, in fold order; a caller that needs g after the call passes
+    copies. W is built from the censoring-segment tables of the module
+    docstring.
 
-    Evaluation rows go through in chunks. A chunk's (chunk, n_train) arrays,
-    the kernel weights, the event weights, the gather index and W, are
-    written into four buffers allocated once per call, so a small chunk
-    keeps them in cache and peak memory low. Freeing them after each chunk
-    instead returns their pages to the operating system, and every chunk
-    pays for them again in page faults. Rows do not interact across a chunk,
-    so the chunk size moves the output only through rounding: the BLAS
-    products W @ a and W @ b may round a row differently with the chunk's row
-    count (and with the BLAS thread count). On the m = 6 test design the
-    output is the same bit for bit at chunks 16, 32 and 256; on the m = 45
-    one A and B agree within 1e-15 of each column's largest magnitude and the
-    stats are equal (tests/test_moments.py). W @ a and W @ b stay two products, each of width
-    m: one product on [a | b] rounds differently from them at some widths
-    (m = 10 with one BLAS thread), which would move the last bits of A and B.
+    Rows go through _CHUNK = 32 at a time. A chunk's four (chunk, n_train)
+    arrays (kernel weights, event weights, gather index and W) live in
+    buffers allocated once per call, 2 MB at n_train = 2000; on the
+    benchmark's 2000-row folds, 16 to 128 rows per chunk took the same time
+    within noise. Freed after each chunk, the buffers' pages would go back
+    to the operating system and every chunk would pay page faults for them
+    again. The BLAS products W @ a and W @ b may round a row differently with
+    the chunk's row count, so a fold's partial last chunk can differ in the
+    last bits from what a full chunk would give its rows. W @ a and W @ b
+    stay two products of width m: one on [a | b] rounds differently at some
+    widths (m = 10 with one BLAS thread), which would move A and B.
 
     P and Q sit interleaved in one (chunk, C, 2) table, so the flat index of
     W_ij is 2 (class of j) + 2C i, the index of P[i, class of j], plus the
@@ -124,7 +122,7 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
     C = 2 * E + 1  # columns of P and of Q; the last is the censored rows' zero
     F_col = (np.arange(2 * E) + 1) // 2  # class 2k + l reads F[:, k + l]
     train_rows = np.arange(n)
-    c_max = min(chunk, len(eval_y))
+    c_max = min(_CHUNK, fold.n)
     # flat index of P[i, class of j] in a chunk's PQ, 2 cls_j + 2C i; Q's is one more
     P_class, P_row = 2 * cm.cls_of, 2 * C * np.arange(c_max)
     seg_index = cm.seg_index(c_max) if cm.cens_starts.size else None
@@ -133,11 +131,11 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
     w_buf, event_buf, W_buf = (np.empty((c_max, n)) for _ in range(3))
     gather_buf = np.empty((c_max, n), dtype=np.intp)
 
-    for start in range(0, len(eval_y), chunk):
-        sl = slice(start, start + chunk)
-        y_c, delta_c = eval_y[sl], eval_delta[sl].astype(float)
+    for start in range(0, fold.n, _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        y_c, delta_c = fold.y[sl], fold.delta[sl].astype(float)
         c = len(y_c)
-        t = cm.tables(eval_z[sl], eval_d[sl], seg_index, w_buf[:c])
+        t = cm.tables(fold.z[sl], fold.d[sl], seg_index, w_buf[:c])
         rows = np.arange(c)
         G_raw = np.exp(t.seglog)
         invG = 1.0 / np.maximum(G_raw[:, cm.ev_seg], eps)
@@ -214,20 +212,20 @@ def aipcw_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
             psi *= ipcw[:, None]
             psi += W @ train
             out[idx[sl]] = psi
-    return A, B, stats
+    return stats
 
 
 def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances,
-                        spec: MomentSpec, chunk: int = 32) -> MomentMatrix:
+                        spec: MomentSpec) -> MomentMatrix:
     """Cross-fitted moment rows: row i is evaluated with the nuisance fit
     trained on the fold not containing i; rows stay in dataset order.
 
     nuisances is called with each fold label just before the fold is
-    evaluated, and returns the NuisanceFit that evaluates that fold. One
-    fold's working set is held at a time: the fold's g goes straight into its
-    rows of A and B, `aipcw_transform` writes psi over those rows chunk by
-    chunk, and the fold's nuisances are dropped before the next fold's are
-    fitted."""
+    evaluated, and returns the NuisanceFit that evaluates that fold; a fit
+    whose training_ids include a row of the fold is refused. One fold's
+    working set is held at a time: the fold's g goes straight into its rows
+    of A and B, `aipcw_transform` writes psi over those rows, and the fold's
+    nuisances are dropped before the next fold's are fitted."""
     assign = np.asarray(fold_assignment)
     labels = (assign.min(), assign.max()) if assign.size else ()
     if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
@@ -248,8 +246,7 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances,
             raise ValueError(f"fold {label}: nuisance fit was trained on evaluation rows")
         eval_fold = dataset.subset(idx)
         A[idx], B[idx] = fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec)
-        stats.merge(aipcw_transform(eval_fold.z, eval_fold.d, eval_fold.y, eval_fold.delta,
-                                    A, B, idx, nuis.cond_moment, chunk=chunk)[2])
+        stats.merge(aipcw_transform(eval_fold, A, B, idx, nuis.cond_moment))
         del nuis, eval_fold  # else they stay alive while the next fold is fitted
     return MomentMatrix(A=A, B=B, spec=spec, fold_tags=assign.copy(), stats=stats)
 

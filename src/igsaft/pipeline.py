@@ -1,6 +1,6 @@
-"""Top-level estimation flow: screening and the relevance test, then per
-repeated two-fold split the cross-fitted nuisances, moment matrix and GEL
-fits, median-aggregated, and the overidentification test.
+"""Top-level estimation flow: screening and the relevance test, one loop
+over repeated two-fold splits (cross-fitted nuisances, moment matrix and GEL
+fits, median-aggregated), then the overidentification test.
 
 What is held when: no step forms the n x k exposure design. Splits go
 through one at a time, so memory does not grow with the split count. Within
@@ -96,7 +96,8 @@ class FitReport:
             "relevance_F": self.relevance.to_dict(),
             "p_overid": self.over_id.p_value if self.over_id else None,
             "over_id": (self.over_id.to_dict() if self.over_id
-                        else {"not_applicable": "just identified (m = 1)"}),
+                        else {"not_applicable": "fit did not converge" if self.spec.m >= 2
+                              else "just identified (m = 1)"}),
             "screen": self.screen.to_dict() if self.screen else None,
             "selected_indices": [list(ix.subset) for ix in self.spec.indices],
             "fold_sizes": list(self.fold_sizes),
@@ -127,27 +128,6 @@ def _screen_once(dataset: Dataset, config: FitConfig):
     return screen.selected, screen
 
 
-def _one_split(dataset: Dataset, config: FitConfig, spec: MomentSpec, split: int):
-    """Fold assignment and the moment matrix for one random two-fold split.
-    Each fold's nuisances are fitted on the other fold just before the fold
-    is evaluated (inside `build_moment_matrix`), and only its bandwidths and
-    warnings outlive its transform."""
-    warnings, bandwidths = [], []
-    assign = _fold_assignment(dataset.n, config.seed, split)
-
-    def fit_fold(lab):
-        aux = np.flatnonzero(assign == 1 - lab)
-        nuis = fit_all(dataset.subset(aux), spec, config.kernel, training_ids=aux)
-        if any(pf.ridge_fallback for pf in nuis.partials.values()):
-            warnings.append(f"split {split}, fold {lab}: partialling used a ridge fallback")
-        bandwidths.append([float(h) for h in nuis.censor_model.bandwidth])
-        return nuis
-
-    M = build_moment_matrix(dataset, assign, fit_fold, spec)
-    fold_sizes = (int((assign == 0).sum()), int((assign == 1).sum()))
-    return M, fold_sizes, tuple(bandwidths), warnings
-
-
 def _median(values) -> float:
     """np.median's value, NaN if any value is NaN, from a sorted copy: the
     NaN check of np.median imports numpy.ma."""
@@ -165,11 +145,13 @@ def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
     split dispersion in via median_s sqrt(se_s^2 + (beta_s - beta_med)^2), so
     the interval accounts for the split-to-split variability. lambda_hat,
     q_hat, h_hat and v_hat are those of the middle split by beta, the lower
-    middle one for an even count.
+    middle one for an even count. Only converged splits enter (all, if none
+    did), and the result is converged when more than half of the splits are.
     """
-    usable = [f for f in fits if f.converged] or fits
-    if len(usable) == 1 and len(fits) == 1:
+    if len(fits) == 1:
         return fits[0]
+    good = [f for f in fits if f.converged]
+    usable = good or fits
     betas = np.array([f.beta_hat for f in usable])
     med = _median(betas)
     se = math.sqrt(_median([f.se ** 2 + (f.beta_hat - med) ** 2 for f in usable]))
@@ -178,16 +160,14 @@ def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
     pick = usable[np.argsort(betas, kind="stable")[(len(usable) - 1) // 2]]
     out = GelFit(family=pick.family, beta_hat=med, lambda_hat=pick.lambda_hat,
                  q_hat=pick.q_hat, n=pick.n, m=pick.m,
-                 converged=all(f.converged for f in fits),
+                 converged=len(good) > len(fits) // 2,
                  h_hat=pick.h_hat, v_hat=pick.v_hat, se=se, alpha=alpha,
                  boundary_warning=any(f.boundary_warning for f in fits),
                  warnings=sorted({w for f in fits for w in f.warnings}))
     if math.isfinite(se):
         out.ci, out.exp_scale = wald_interval(med, se, alpha)
-    if not out.converged and len(usable) >= max(1, len(fits) // 2 + 1):
-        # a minority of bad splits does not invalidate the median fit
-        out.converged = True
-        out.warnings.append(f"{len(fits) - len(usable)} of {len(fits)} splits "
+    if out.converged and len(good) < len(fits):
+        out.warnings.append(f"{len(fits) - len(good)} of {len(fits)} splits "
                             "did not converge and were dropped")
     return out
 
@@ -195,27 +175,40 @@ def combine_split_fits(fits: list[GelFit], alpha: float) -> GelFit:
 def _fit_splits(dataset: Dataset, config: FitConfig, spec: MomentSpec, families,
                 dump_moments_path=None):
     """Each family's fits on the repeated splits, median-aggregated, with the
-    summed stats, split 0's fold sizes and bandwidths, and the warnings. Each
-    split's moment matrix is fitted by every family (and dumped if it is split
-    0) and dropped before the next split is built."""
+    summed stats, split 0's fold sizes and bandwidths, and the warnings. Per
+    split: assign the folds, build the moment matrix with a fold fitter that
+    fits a fold's nuisances on the other fold just before the fold is
+    evaluated, fit every family on it (and dump it if it is split 0's), and
+    drop it before the next split is built."""
     warnings = []
     if dataset.n < 200:
         warnings.append(f"n = {dataset.n} is small; local censoring estimates may be noisy")
     fits = {fam: [] for fam in families}
     stats = TransformStats()
+    bandwidths = []
     for split in range(config.n_splits):
-        M, fs, bw, warn = _one_split(dataset, config, spec, split)
-        warnings.extend(warn)
+        assign = _fold_assignment(dataset.n, config.seed, split)
+
+        def fit_fold(lab):
+            aux = np.flatnonzero(assign == 1 - lab)
+            nuis = fit_all(dataset.subset(aux), spec, config.kernel, training_ids=aux)
+            if any(pf.ridge_fallback for pf in nuis.partials.values()):
+                warnings.append(f"split {split}, fold {lab}: partialling used a ridge fallback")
+            if split == 0:
+                bandwidths.append([float(h) for h in nuis.censor_model.bandwidth])
+            return nuis
+
+        M = build_moment_matrix(dataset, assign, fit_fold, spec)
         stats.merge(M.stats)
         if split == 0:
-            fold_sizes, bandwidths = fs, bw
+            fold_sizes = (int((assign == 0).sum()), int((assign == 1).sum()))
             if dump_moments_path:
                 dump_moments(M, dump_moments_path)
         for fam, fam_fits in fits.items():
             fam_fits.append(fit_gel(M, fam, search=config.search, alpha=config.alpha))
         del M  # else it stays alive through the next split's construction
     return ({fam: combine_split_fits(f, config.alpha) for fam, f in fits.items()},
-            stats, fold_sizes, bandwidths, warnings)
+            stats, fold_sizes, tuple(bandwidths), warnings)
 
 
 @one_blas_thread

@@ -61,9 +61,9 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
     return omega, S_total, S_grid, G_grid, T_eff, ipcw, stats
 
 
-def dense_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
-                    cond: CondMoment, chunk: int = 32):
+def dense_transform(fold: Dataset, A, B, idx, cond: CondMoment):
     cm = cond.censor
+    eval_z, eval_d, eval_y, eval_delta = fold.z, fold.d, fold.y, fold.delta
     n_eval = len(eval_y)
     ge_a, ge_b = A[idx], B[idx]
     m = ge_a.shape[1]
@@ -74,8 +74,8 @@ def dense_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
     # rank of each training time on the event grid: #events <= Y_j
     rank_tr = np.searchsorted(cm.grid_vals, cm.ys, side="right") if K else None
 
-    for start in range(0, n_eval, chunk):
-        sl = slice(start, min(start + chunk, n_eval))
+    for start in range(0, n_eval, 32):
+        sl = slice(start, min(start + 32, n_eval))
         y_c = eval_y[sl]
         delta_c = eval_delta[sl].astype(float)
         tables = cm.tables(eval_z[sl], eval_d[sl], cm.seg_index(len(y_c)))
@@ -113,7 +113,7 @@ def dense_transform(eval_z, eval_d, eval_y, eval_delta, A, B, idx,
         psi_a[sl] = ipcw[:, None] * ge_a[sl] + W @ cond.a
         psi_b[sl] = ipcw[:, None] * ge_b[sl] + W @ cond.b
     A[idx], B[idx] = psi_a, psi_b
-    return A, B, stats
+    return stats
 
 
 def assert_close_to_reference(got, ref):
@@ -171,7 +171,8 @@ def test_segment_transform_matches_dense_reference(name, monkeypatch):
     if "empty" in branches:
         assert M.stats.empty_risk_sets > 0
     if "zero_weights" in branches:
-        cm = fit_all(ds.subset(np.flatnonzero(assign == 1)), M.spec, kc).censor_model
+        train = np.flatnonzero(assign == 1)
+        cm = fit_all(ds.subset(train), M.spec, kc, training_ids=train).censor_model
         assert (cm.tables(ds.z[:50], ds.d[:50], cm.seg_index(50)).w == 0).any()
 
 
@@ -221,12 +222,14 @@ def test_hand_made_fold_matches_dense_reference(kc):
     cond = CondMoment(cm, rng.normal(size=(ds.n, 3)), rng.normal(size=(ds.n, 3)))
     y_eval = np.repeat(np.arange(0.0, 6.01, 0.25), 2)
     n_eval = y_eval.size
-    args = (rng.normal(size=(n_eval, 2)), rng.normal(size=n_eval), y_eval,
-            np.tile([1, 0], n_eval // 2), rng.normal(size=(n_eval, 3)),
-            rng.normal(size=(n_eval, 3)), cond)
+    fold = Dataset(rng.normal(size=(n_eval, 2)), rng.normal(size=n_eval), y_eval,
+                   np.tile([1, 0], n_eval // 2))
+    ge_a, ge_b = rng.normal(size=(n_eval, 3)), rng.normal(size=(n_eval, 3))
     rows = np.arange(n_eval)
-    *got, st = aipcw_transform(*args[:4], args[4].copy(), args[5].copy(), rows, cond, chunk=7)
-    *ref, st_ref = dense_transform(*args[:6], rows, cond, chunk=7)
+    # 50 rows: a full chunk of 32 and a partial one of 18
+    got, ref = (ge_a.copy(), ge_b.copy()), (ge_a.copy(), ge_b.copy())
+    st = aipcw_transform(fold, *got, rows, cond)
+    st_ref = dense_transform(fold, *ref, rows, cond)
     assert_close_to_reference(got, ref)
     assert st == st_ref
 
@@ -235,16 +238,16 @@ def test_transform_writes_psi_over_the_g_arrays_it_is_given():
     ds = simulated()
     spec = MomentSpec.full(ds.p, 2)
     assign = _fold_assignment(ds.n, 0)
-    train, ev = (ds.subset(np.flatnonzero(assign == lab)) for lab in (1, 0))
-    nu = fit_all(train, spec, KernelConfig(trunc_eps=0.2))
+    train_ids = np.flatnonzero(assign == 1)
+    train, ev = ds.subset(train_ids), ds.subset(np.flatnonzero(assign == 0))
+    nu = fit_all(train, spec, KernelConfig(trunc_eps=0.2), training_ids=train_ids)
     ge_a, ge_b = fold_g_values(ev, nu.zeta, nu.partials, spec)
-    args = (ev.z, ev.d, ev.y, ev.delta)
     rows = np.arange(ev.n)
-    *ref, st_ref = dense_transform(*args, ge_a.copy(), ge_b.copy(), rows, nu.cond_moment,
-                                   chunk=7)
-    psi_a, psi_b, st = aipcw_transform(*args, ge_a, ge_b, rows, nu.cond_moment, chunk=7)
-    assert psi_a is ge_a and psi_b is ge_b
-    assert_close_to_reference((psi_a, psi_b), ref)
+    ref = (ge_a.copy(), ge_b.copy())
+    st_ref = dense_transform(ev, *ref, rows, nu.cond_moment)
+    # 200 rows: six chunks of 32 and a partial one of 8
+    st = aipcw_transform(ev, ge_a, ge_b, rows, nu.cond_moment)
+    assert_close_to_reference((ge_a, ge_b), ref)
     assert st == st_ref and st.clip_count > 0
 
 

@@ -150,6 +150,25 @@ def test_too_small_csv_is_an_estimation_error(tmp_path, capsys):
     assert "estimation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell, column, scale, message", [
+    ("inf", "z2", "log", "non-finite value 'inf' in column 'z2' at row 3"),
+    ("1e999", "time", "log", "non-finite value '1e999' in column 'time' at row 3"),
+    ("2", "status", "log", "status '2' in column 'status' at row 3 is not 0 or 1"),
+    ("-1.5", "time", "raw", "nonpositive raw time '-1.5' in column 'time' at row 3"),
+])
+def test_bad_cell_exits_1_naming_row_and_column(cell, column, scale, message, tmp_path,
+                                                capsys):
+    rows = [{"time": f"{i + 1.0}", "status": "1", "d": "0.1", "z1": "0.2", "z2": "0.3",
+             "z3": "0.4", "z4": "0.5"} for i in range(6)]
+    rows[3][column] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([",".join(rows[0]), *(",".join(r.values()) for r in rows)]) + "\n")
+    argv = ["fit", *data_args(path)]
+    argv[argv.index("--time-scale") + 1] = scale
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_simulate_accepts_threads(tmp_path, capsys):
     sidecar = tmp_path / "mc.json"
     assert main(["simulate", *SIM_ARGS, "--reps", "2", "--threads", "1",

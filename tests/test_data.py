@@ -47,6 +47,42 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
         load_csv(f, COLS)
 
 
+@pytest.mark.parametrize("cell, column", [("inf", "z1"), ("-inf", "bmi"), ("Infinity", "time"),
+                                          ("1e999", "z2")])
+def test_non_finite_cell_names_row_and_column(tmp_path, cell, column):
+    # float() accepts these; they once surfaced only as "dataset contains
+    # non-finite values", with no row or column
+    f = tmp_path / "d.csv"
+    rows = [{"time": f"{i + 1.0}", "status": "1", "bmi": "0.1", "z1": "0.2", "z2": "0.3"}
+            for i in range(6)]
+    rows[3][column] = cell
+    write_lines(f, ["time,status,bmi,z1,z2", *(",".join(r.values()) for r in rows)])
+    with pytest.raises(SchemaError, match=rf"non-finite value '{cell}' in column '{column}' "
+                                          r"at row 3"):
+        load_csv(f, COLS)
+
+
+def test_bad_status_and_raw_time_name_row_and_column(tmp_path):
+    f = tmp_path / "d.csv"
+    write_lines(f, ["time,status,bmi,z1,z2", "1.0,1,0.1,0.2,0.3", "2.0,0.5,0.1,0.2,0.3"])
+    with pytest.raises(SchemaError, match=r"status '0.5' in column 'status' at row 1 "
+                                          r"is not 0 or 1"):
+        load_csv(f, COLS)
+    write_lines(f, ["time,status,bmi,z1,z2", "1.0,1,0.1,0.2,0.3", "0,1,0.1,0.2,0.3"])
+    with pytest.raises(SchemaError, match=r"nonpositive raw time '0' in column 'time' at row 1"):
+        load_csv(f, COLS)
+
+
+def test_dataset_names_the_array_and_row_of_a_non_finite_value():
+    z = np.zeros((4, 2))
+    z[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite value in z at row 2"):
+        Dataset(z, np.zeros(4), np.zeros(4), np.ones(4, dtype=int))
+    with pytest.raises(ValueError, match=r"non-finite value in y at row 1"):
+        Dataset(np.zeros((4, 2)), np.zeros(4), [0.0, np.nan, 0.0, -np.inf],
+                np.ones(4, dtype=int))
+
+
 def test_missing_column_named(tmp_path):
     f = tmp_path / "d.csv"
     write_lines(f, ["time,status,z1,z2", "1.0,1,0.2,0.3"])

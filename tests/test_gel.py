@@ -13,7 +13,7 @@ from igsaft.gel import (_GRID_POINTS, _INNER_MAX_ITER, FAMILIES, _grid_argmin, f
 from igsaft.interactions import MomentSpec
 from igsaft.moments import MomentMatrix, TransformStats, build_moment_matrix
 from igsaft.nuisance import KernelConfig, fit_all
-from igsaft.pipeline import FitConfig, _fold_assignment, _one_split
+from igsaft.pipeline import _fold_assignment
 from igsaft.simulate import SimConfig, generate
 from scalar_reference import mean_and_cov
 
@@ -351,9 +351,13 @@ def test_inner_solve_stops_when_a_step_no_longer_raises_the_value(monkeypatch):
     # unchanged; the solve used to run all 100 iterations and now stops at 12
     ds, _ = generate(SimConfig(case=1, n=10_000, p=5, target_cr=0.0, reps=1, seed=106), 0)
     ds = Dataset(ds.z, ds.d, ds.y + 0.35 * ds.z[:, 0] * ds.z[:, 1], ds.delta)
+    spec = MomentSpec.full(5, 2)
+    assign = _fold_assignment(ds.n, 5)  # split 0 of fold seed 5
     with one_blas_thread:
-        M = _one_split(ds, FitConfig(gel="el", seed=5, screen=False, n_splits=1),
-                       MomentSpec.full(5, 2), 0)[0]
+        nuis = {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec,
+                             KernelConfig(), training_ids=np.flatnonzero(assign == 1 - lab))
+                for lab in (0, 1)}
+        M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
         steps = {}
         solve_spd, inner = gel.solve_spd, gel.inner_lambda
 

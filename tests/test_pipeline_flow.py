@@ -5,6 +5,7 @@ matrices nor the folds' working sets are held at once."""
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from igsaft.errors import DomainError, IllPosedError
 from igsaft.gel import GelFit, _z_crit
 from igsaft.interactions import MomentSpec
 from igsaft.pipeline import FitConfig, combine_split_fits, fit_families, fit_igsaft
-from igsaft.simulate import SimConfig, generate
+from igsaft.simulate import SimConfig, generate, run_monte_carlo
 
 
 def split_fit(beta, q_hat):
@@ -53,6 +54,62 @@ def test_split_interval_does_not_overflow():
     z = _z_crit(0.05)
     assert out.ci == (out.beta_hat - z * out.se, out.beta_hat + z * out.se)
     assert out.exp_scale == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("n_converged, beta, converged, dropped", [
+    (0, 1.0, False, None),
+    (1, 1.2, False, None),
+    (2, 1.0, True, "1 of 3 splits did not converge and were dropped"),
+    (3, 1.0, True, None),
+])
+def test_only_converged_splits_count_toward_the_majority(n_converged, beta, converged,
+                                                         dropped):
+    # once three failed splits fell back to all three, and the majority rule
+    # counted them: the fit was reported as converged, with "0 of 3 splits
+    # did not converge and were dropped"
+    fits = [split_fit(b, b) for b in (1.2, 0.8, 1.0)]
+    for f in fits[n_converged:]:
+        f.converged = False
+    out = combine_split_fits(fits, alpha=0.05)
+    assert (out.beta_hat, out.converged) == (beta, converged)
+    assert [w for w in out.warnings if "splits did not converge" in w] == (
+        [dropped] if dropped else [])
+
+
+def test_monte_carlo_excludes_a_replication_whose_splits_all_fail(monkeypatch):
+    # replication 0's two splits are the first two GEL fits; both fail
+    fit_gel, calls = igsaft.pipeline.fit_gel, []
+
+    def failing_first_rep(*args, **kwargs):
+        fit = fit_gel(*args, **kwargs)
+        calls.append(fit)
+        return replace(fit, converged=False) if len(calls) <= 2 else fit
+
+    monkeypatch.setattr(igsaft.pipeline, "fit_gel", failing_first_rep)
+    summary = run_monte_carlo(SimConfig(case=1, n=400, p=4, target_cr=0.2, seed=0, reps=2),
+                              FitConfig(n_splits=2), ("el", "aft"))
+    assert len(calls) == 4 and all(f.converged for f in calls)
+    el, aft = summary.rows
+    assert (el.n_used, el.n_excluded, aft.n_used, aft.n_excluded) == (1, 1, 2, 0)
+    assert math.isfinite(el.mean_se)
+
+
+def test_overid_entry_names_why_the_test_was_skipped(monkeypatch):
+    # an unconverged fit with m >= 2 skips the test for its convergence, not
+    # because it is just identified
+    ds = generate(SimConfig(case=1, n=400, p=4, target_cr=0.2, seed=0, reps=1), 0)[0]
+    cfg = FitConfig(n_splits=1, screen=False)
+    fit_gel = igsaft.pipeline.fit_gel
+    monkeypatch.setattr(igsaft.pipeline, "fit_gel",
+                        lambda *a, **k: replace(fit_gel(*a, **k), converged=False))
+    report = fit_igsaft(ds, cfg)
+    assert report.spec.m == 6 and report.over_id is None
+    assert "overidentification test skipped: fit did not converge" in report.warnings
+    out = report.to_dict()
+    assert out["over_id"] == {"not_applicable": "fit did not converge"}
+    assert out["p_overid"] is None
+    just = fit_igsaft(ds, replace(cfg, indices=((1, 2),))).to_dict()
+    assert just["over_id"] == {"not_applicable": "just identified (m = 1)"}
 
 
 @pytest.mark.parametrize("kwargs, field", [
