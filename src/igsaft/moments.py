@@ -29,7 +29,11 @@ What is held when: `build_moment_matrix` allocates A and B once and fills
 them fold by fold. A fold's g is written straight into its rows of A and B,
 and `aipcw_transform` writes psi over those rows 32 at a time, with four
 (32, n_train) buffers that live for one transform. The fold's nuisances
-live from just before its g is computed to the end of its transform.
+live from just before its g is computed to the end of its transform. A
+chunk of event rows evaluated on a training fold without censored rows
+leaves its rows at g: there Ghat is 1, so W is 0 and psi = g exactly. It
+still builds its kernel weights, which its empty-risk-set count needs, and
+writes nothing into the other three buffers.
 """
 
 from __future__ import annotations
@@ -114,6 +118,15 @@ def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStat
     built once per transform, and only if the training fold has a censored
     row: without one Ghat is 1, nothing is clipped, and the tables sum their
     event runs without it.
+
+    On such a training fold, a chunk whose evaluation rows are all events
+    skips W: with Ghat = 1, ipcw is 1.0, F and coef_inf are 0 and const =
+    head - ipcw * invS_T cancels to 0 exactly, so W is 0 and psi = g * 1 + 0
+    is the g already in A and B. The chunk still calls `tables` and counts
+    its empty risk sets, since a narrow kernel can leave a row's last grid
+    points without mass even when nothing is censored. A chunk with a
+    censored evaluation row, and every chunk on a training fold with a
+    censored row, takes the full path.
     """
     cm = cond.censor
     K, E, n = cm.grid_vals.size, cm.ev_seg.size, cm.n  # Dataset holds K >= 1 events
@@ -125,7 +138,8 @@ def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStat
     c_max = min(_CHUNK, fold.n)
     # flat index of P[i, class of j] in a chunk's PQ, 2 cls_j + 2C i; Q's is one more
     P_class, P_row = 2 * cm.cls_of, 2 * C * np.arange(c_max)
-    seg_index = cm.seg_index(c_max) if cm.cens_starts.size else None
+    uncensored_train = not cm.cens_starts.size
+    seg_index = None if uncensored_train else cm.seg_index(c_max)
     # the chunk's (chunk, n_train) arrays, reused by every chunk; np.take
     # fills them with mode="wrap", as mode="raise" takes through a copy
     w_buf, event_buf, W_buf = (np.empty((c_max, n)) for _ in range(3))
@@ -173,6 +187,8 @@ def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStat
                 live_ev[zero] = live[:, 0::2] + live[:, 1::2]
             below = np.clip(T_eff[hit, None], cm.grid_start, cm.bnd_grid + 1) - cm.grid_start
             stats.clip_count += int((clipped[hit] * (live_ev + below)).sum())
+        if uncensored_train and delta_c.all():
+            continue  # Ghat is 1 and every ipcw 1.0, so W is 0 and psi is g
 
         # S at grid point T_eff - 1 (S_total when T_eff = 0): from the last
         # event group of its segment on, plus a partial sum up to there

@@ -15,7 +15,7 @@ import pytest
 from igsaft import moments
 from igsaft.data import Dataset
 from igsaft.interactions import MomentSpec
-from igsaft.moments import TransformStats, aipcw_transform, build_moment_matrix
+from igsaft.moments import _MASS_FLOOR, TransformStats, aipcw_transform, build_moment_matrix
 from igsaft.nuisance import CensorModel, CondMoment, KernelConfig, fit_all, fold_g_values
 from igsaft.pipeline import _fold_assignment
 from igsaft.simulate import SimConfig, generate
@@ -44,9 +44,9 @@ def _grid_tables(cond: CondMoment, tables, y_eval, delta_eval):
     G_grid = np.maximum(G_grid_raw, eps)
 
     T = np.searchsorted(cm.grid_vals, y_eval, side="right")
-    last_valid = (S_grid > 0).sum(axis=1)  # S_grid is nonincreasing along the grid
+    last_valid = (S_grid > _MASS_FLOOR).sum(axis=1)  # S_grid is nonincreasing along the grid
     T_eff = np.minimum(T, last_valid)
-    stats.empty_risk_sets += int((T_eff < T).sum() + (S_total <= 0).sum())
+    stats.empty_risk_sets += int((T_eff < T).sum() + (S_total <= _MASS_FLOOR).sum())
     used = np.arange(K)[None, :] < T_eff[:, None]
     stats.clip_count += int(((G_grid_raw < eps) & used).sum())
 
@@ -83,7 +83,7 @@ def dense_transform(fold: Dataset, A, B, idx, cond: CondMoment):
             cond, tables, y_c, delta_c)
         stats.merge(st)
         c = len(y_c)
-        ok = S_total > 0  # rows without weighted events degenerate to the IPCW term
+        ok = S_total > _MASS_FLOOR  # rows without weighted events degenerate to the IPCW term
 
         if K:
             invG = 1.0 / G_grid
@@ -91,7 +91,7 @@ def dense_transform(fold: Dataset, A, B, idx, cond: CondMoment):
             wgt = invG * valid
             d0 = wgt.copy()
             d0[:, :-1] -= wgt[:, 1:]
-            e = d0 / np.where(S_grid > 0, S_grid, 1.0)
+            e = d0 / np.where(S_grid > _MASS_FLOOR, S_grid, 1.0)
             table = np.zeros((c, K + 1))  # column r: coefficient at rank r
             np.cumsum(e, axis=1, out=table[:, 1:])  # integral term
 
@@ -101,7 +101,8 @@ def dense_transform(fold: Dataset, A, B, idx, cond: CondMoment):
             coef_inf = invS_tot * (1.0 - c1)
             t1 = np.maximum(T_eff, 1)
             S_T = S_grid[np.arange(c), np.minimum(t1, K) - 1]
-            invS_T = np.where(S_T > 0, 1.0 / np.where(S_T > 0, S_T, 1.0), 0.0)
+            live_T = S_T > _MASS_FLOOR
+            invS_T = np.where(live_T, 1.0 / np.where(live_T, S_T, 1.0), 0.0)
             # -ipcw * xi at floor(Y), on ranks with I(Y_j >= u_{t1})
             table -= (ipcw * invS_T)[:, None] * (np.arange(K + 1) >= t1[:, None])
             table += coef_inf[:, None]
@@ -145,6 +146,10 @@ def rounded(ds, step):
     return Dataset(ds.z, ds.d, np.round(ds.y / step) * step, ds.delta)
 
 
+def uncensored(ds):
+    return Dataset(ds.z, ds.d, ds.y, np.ones(ds.n, dtype=int))
+
+
 DESIGNS = {
     "ties_0.1": (lambda: rounded(simulated(), 0.1), KernelConfig(), ()),
     "ties_0.25": (lambda: rounded(simulated(seed=4), 0.25),
@@ -156,6 +161,10 @@ DESIGNS = {
                  KernelConfig(trunc_eps=0.3, km_conditioning="d_only"), ("clip",)),
     "marginal": (lambda: rounded(simulated(), 0.1), KernelConfig(km_conditioning="marginal"),
                  ()),
+    # every chunk skips W, yet still counts the rows whose risk sets run empty
+    "uncensored_narrow": (lambda: uncensored(simulated()),
+                          KernelConfig(km_conditioning="full", fixed_h=0.05),
+                          ("empty", "psi_is_g")),
 }
 
 
@@ -174,6 +183,12 @@ def test_segment_transform_matches_dense_reference(name, monkeypatch):
         train = np.flatnonzero(assign == 1)
         cm = fit_all(ds.subset(train), M.spec, kc, training_ids=train).censor_model
         assert (cm.tables(ds.z[:50], ds.d[:50], cm.seg_index(50)).w == 0).any()
+    if "psi_is_g" in branches:
+        for label in (0, 1):
+            idx, aux = np.flatnonzero(assign == label), np.flatnonzero(assign != label)
+            nu = fit_all(ds.subset(aux), M.spec, kc, training_ids=aux)
+            g_a, g_b = fold_g_values(ds.subset(idx), nu.zeta, nu.partials, M.spec)
+            assert np.array_equal(M.A[idx], g_a) and np.array_equal(M.B[idx], g_b)
 
 
 def test_uncensored_training_fold_with_censored_evaluation_rows(monkeypatch):

@@ -11,6 +11,7 @@ from igsaft.diagnostics import _chi2_sf, check_rank, overid_test, relevance_f_te
 from igsaft.errors import DomainError, EstimationError
 from igsaft.gel import GelFit
 from igsaft.interactions import MomentSpec, eval_centered_matrix
+from igsaft.pipeline import FitConfig, fit_igsaft
 from igsaft.simulate import SimConfig, generate, rng_stream, std_normal
 
 
@@ -257,8 +258,6 @@ def test_overid_power_against_invalid_moment():
         ds, truth = generate(cfg, 0)
         y_bad = ds.y + 0.35 * ds.z[:, 0] * ds.z[:, 1]
         ds_bad = Dataset(ds.z, ds.d, y_bad, ds.delta)
-        from igsaft.pipeline import FitConfig, fit_igsaft
-
         rep = fit_igsaft(ds_bad, FitConfig(gel="el", seed=5, screen=False, n_splits=1))
         rejections += rep.over_id.p_value < 0.05
     assert rejections / reps > 0.5

@@ -2,7 +2,8 @@
 
 A change to the pipeline must reproduce these frozen reports. Estimates use
 the benchmark's tolerances (beta_hat 1e-7 absolute, se 1e-4 relative, q_hat
-1e-6 relative); counts and selections must match exactly.
+1e-6 relative); counts and selections must match exactly. Changes of unit
+or order that the estimator is invariant to must leave beta_hat where it was.
 """
 
 from dataclasses import replace
@@ -10,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from igsaft.data import Dataset
 from igsaft.pipeline import FitConfig, fit_families, fit_igsaft
 from igsaft.simulate import SimConfig, generate
 
@@ -65,3 +67,37 @@ def test_fit_families_matches_single_family_fits():
     assert list(fits) == ["el", "cue"]
     for fam, fit in fits.items():
         assert fit.to_dict() == fit_igsaft(ds, replace(cfg, gel=fam)).gel_fit.to_dict()
+
+
+# case 1, n = 1500, 20% censored, seed 0; at p = 5 the censoring kernel
+# conditions on all of Z and D
+INVARIANCE_CFG = FitConfig(n_splits=1, screen=False)
+
+
+@pytest.fixture(scope="module")
+def invariance_design():
+    ds = generate(SimConfig(case=1, n=1500, p=5, target_cr=0.2, seed=0, reps=1), 0)[0]
+    return ds, fit_igsaft(ds, INVARIANCE_CFG).gel_fit.beta_hat
+
+
+def with_column(ds, j, values):
+    z = ds.z.copy()
+    z[:, j] = values
+    return Dataset(z, ds.d, ds.y, ds.delta)
+
+
+# a new unit of time (Y is log time), a new unit or origin of one Z column,
+# or a new column order
+INVARIANT_CHANGES = {
+    "y_plus_3": lambda ds: Dataset(ds.z, ds.d, ds.y + 3.0, ds.delta),
+    **{f"z{j}_times_2.5": lambda ds, j=j: with_column(ds, j, 2.5 * ds.z[:, j]) for j in range(5)},
+    **{f"z{j}_plus_4": lambda ds, j=j: with_column(ds, j, ds.z[:, j] + 4.0) for j in range(5)},
+    "z_permuted": lambda ds: Dataset(ds.z[:, [3, 0, 4, 2, 1]], ds.d, ds.y, ds.delta),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_CHANGES))
+def test_beta_hat_is_invariant(name, invariance_design):
+    ds, beta = invariance_design
+    changed = fit_igsaft(INVARIANT_CHANGES[name](ds), INVARIANCE_CFG).gel_fit.beta_hat
+    assert abs(changed - beta) <= 1e-10  # moved by at most 1.5e-15 when measured
