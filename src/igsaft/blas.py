@@ -3,7 +3,11 @@
 A fit's BLAS calls are small ((32, n) x (n, m) AIPCW products, m x m GEL
 systems): a second OpenBLAS thread only adds overhead to them and, in a
 pool of worker processes, competes with the other workers for the cores.
-More cores are used through worker processes (`run_monte_carlo(threads=)`).
+More cores are used through processes: a fit outside a worker process runs
+a split's two cross-fitting folds in two processes on Linux with at least
+two CPUs available (`moments.build_moment_matrix`), bit-identical to
+running them in turn, and `run_monte_carlo(threads=)` runs replications in
+worker processes, whose fits run their folds in turn.
 Pinning also makes a fit independent of the caller's BLAS thread count,
 which otherwise moves the last bits of the estimates.
 

@@ -22,7 +22,7 @@ import time
 
 import numpy
 
-from . import __version__
+from . import __version__, moments
 from .blas import blas_threads, one_blas_thread
 from .data import TIME_SCALES, ColumnConfig, load_csv
 from .errors import CalibrationError, EstimationError, IllPosedError
@@ -129,6 +129,9 @@ def _manifest(command: str, cfg: dict, started: float, input_path=None, argv=())
         "platform": platform.platform(),
         # per bundled OpenBLAS; empty when none was found to pin
         "fit_blas_threads": fit_blas_threads,
+        # 2 where a split's second fold ran in a forked process; the workers
+        # of simulate --threads > 1 run the folds in turn
+        "fold_processes": 2 if moments._fan_out() and cfg.get("threads", 1) == 1 else 1,
     }
     if input_path:
         man["input_sha256"] = _sha256(input_path)
@@ -287,8 +290,10 @@ def _build_parser():
     p_sim.add_argument("--nonzero-frac", dest="nonzero_frac", type=float)
     p_sim.add_argument("--fix-support", dest="fix_support", action="store_const", const=True)
     p_sim.add_argument("--threads", type=int,
-                       help="worker processes for replications; each fit uses one "
-                            "BLAS thread, so more workers are how more cores get used")
+                       help="worker processes for replications; each fit uses one BLAS "
+                            "thread. With 1, a fit runs each split's two folds in two "
+                            "processes on Linux with 2 or more CPUs; a worker runs them "
+                            "in turn. Results do not depend on it")
     p_sim.add_argument("--json", help="JSON sidecar path")
 
     p_diag = sub.add_parser("diagnose", help="relevance and overidentification tests",

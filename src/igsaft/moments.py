@@ -25,21 +25,39 @@ The discrete step function xi_hat jumps only at training event times
 left-of-jump at Y, which makes the zero-censoring identity psi == g exact
 in floating point.
 
-What is held when: `build_moment_matrix` allocates A and B once and fills
-them fold by fold. A fold's g is written straight into its rows of A and B,
-and `aipcw_transform` writes psi over those rows 32 at a time, with four
-(32, n_train) buffers that live for one transform. The fold's nuisances
-live from just before its g is computed to the end of its transform. A
-chunk of event rows evaluated on a training fold without censored rows
-leaves its rows at g: there Ghat is 1, so W is 0 and psi = g exactly. It
-still builds its kernel weights, which its empty-risk-set count needs, and
-writes nothing into the other three buffers.
+What is held when: `build_moment_matrix` allocates A and B once per split,
+and each fold writes its g straight into its rows of A and B;
+`aipcw_transform` then writes psi over those rows 32 at a time, with four
+(32, n_train) buffers that live for one transform. A fold's nuisances live
+from just before its g is computed to the end of its transform. On Linux,
+with at least two CPUs in the process's affinity mask and outside a worker
+process, the split's two folds run at once in two processes: a forked child
+evaluates the second fold into A and B, which then sit in a shared mapping,
+while the caller evaluates the first. Memory is then per process: each holds
+one fold's nuisances and chunk buffers beside the shared A and B. Each fold
+runs the same code on the same rows either way, so A, B and the counts are
+bit-identical to one fold after the other. A chunk of event rows evaluated
+on a training fold without censored rows leaves its rows at g: there Ghat
+is 1, so W is 0 and psi = g exactly. It still builds its kernel weights,
+which its empty-risk-set count needs, and writes nothing into the other
+three buffers.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
+import math
+import mmap
+import multiprocessing
+import os
+import pickle
+import signal
+import sys
+import traceback
+import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -55,6 +73,9 @@ _MASS_FLOOR = 1e-290
 
 _CHUNK = 32  # evaluation rows per chunk of aipcw_transform
 
+# what os.fork warns (Python >= 3.12) in a process with more than one thread
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
 
 @dataclass
 class TransformStats:
@@ -67,6 +88,15 @@ class TransformStats:
 
 
 @dataclass(frozen=True)
+class FoldFit:
+    """What evaluating one fold leaves besides its rows of A and B."""
+
+    stats: TransformStats
+    bandwidth: tuple[float, ...]  # of the fold's censoring model
+    ridge_fallback: bool          # some partialling fit needed a ridge
+
+
+@dataclass(frozen=True)
 class MomentMatrix:
     """Evaluated affine moments for every dataset row, in dataset order."""
 
@@ -75,6 +105,7 @@ class MomentMatrix:
     spec: MomentSpec
     fold_tags: np.ndarray  # (n,) evaluation-fold label per row
     stats: TransformStats
+    folds: tuple[FoldFit, ...] = ()  # per fold, in label order
 
     @property
     def n(self) -> int:
@@ -231,6 +262,122 @@ def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStat
     return stats
 
 
+def _fan_out() -> bool:
+    """Whether a split's second fold runs in a forked process: on Linux, with
+    at least two CPUs in this process's affinity mask, and not inside a
+    worker process, whose pool already spreads the work over the cores."""
+    return (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
+            and multiprocessing.parent_process() is None)
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a fold's process."""
+
+
+class _Child:
+    """job() run in a forked child, which sends back (ok, result or
+    exception, traceback text) pickled through a pipe and leaves through
+    os._exit, so that no cleanup of the parent's runs twice."""
+
+    def __init__(self, job):
+        read, write = os.pipe()
+        # A collection writes to every object it visits, so while the child
+        # lives it would copy each page of the caller's objects, in both
+        # processes: a benchmark Monte Carlo replication whose heap held its
+        # trace spans ran 14-17% slower than untraced on a 2-vCPU VM, and 4%
+        # with them frozen. Objects the caller froze itself stay as they
+        # are, since unfreezing would thaw them too.
+        self._froze = gc.get_freeze_count() == 0
+        if self._froze:
+            gc.freeze()
+        try:
+            with warnings.catch_warnings():
+                # os.fork warns in a process with threads (Python >= 3.12),
+                # and numpy's OpenBLAS starts a thread pool at import. The
+                # child runs only a fold's numpy code, with the one BLAS
+                # thread a fit pins, OpenBLAS shuts its pool down at fork,
+                # and the child leaves through os._exit: it takes no lock
+                # that another thread may have held at the fork.
+                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            self._thaw()
+            raise
+        if self.pid == 0:
+            os.close(read)
+            _run_and_exit(job, write)
+        os.close(write)
+        self._pipe = os.fdopen(read, "rb")
+
+    def outcome(self, label):
+        """job's return value; raises its exception, or an error naming the
+        exit status of a child that sent nothing."""
+        with self._pipe:
+            blob = self._pipe.read()
+        code = self._reap()
+        if code != 0 or not blob:
+            raise RuntimeError(f"the process evaluating fold {label} exited with "
+                               f"status {code} before sending its result")
+        ok, out, tb = pickle.loads(blob)  # bytes the child of this call wrote
+        if not ok:
+            raise out from _ChildTraceback(tb)
+        return out
+
+    def kill(self):
+        """Kill and reap the child unless `outcome` has reaped it."""
+        self._pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        pid, self.pid = self.pid, None
+        status = os.waitpid(pid, 0)[1]
+        self._thaw()
+        return os.waitstatus_to_exitcode(status)
+
+    def _thaw(self):
+        if self._froze:
+            gc.unfreeze()
+
+
+def _run_and_exit(job, fd):
+    """The child's side of `_Child`: run job, write its outcome to fd, exit."""
+    code = 1
+    try:
+        try:
+            out = (True, job(), "")
+        except BaseException as exc:  # the parent raises it
+            out = (False, exc, "".join(traceback.format_exception(exc)))
+        try:
+            blob = pickle.dumps(out)
+            pickle.loads(blob)
+        except Exception:  # an exception that does not pickle goes by type and message
+            exc = out[1]
+            blob = pickle.dumps((False, RuntimeError(
+                f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}"), out[2]))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _evaluate_fold(dataset: Dataset, idx, label, nuisances, spec: MomentSpec, A, B) -> FoldFit:
+    """Fit fold label's nuisances, write its g into rows idx of A and B and
+    psi over them; the nuisances are dropped on return."""
+    nuis = nuisances(label)
+    if np.isin(nuis.training_ids, idx).any():
+        raise ValueError(f"fold {label}: nuisance fit was trained on evaluation rows")
+    eval_fold = dataset.subset(idx)
+    A[idx], B[idx] = fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec)
+    stats = aipcw_transform(eval_fold, A, B, idx, nuis.cond_moment)
+    return FoldFit(stats, tuple(float(h) for h in nuis.censor_model.bandwidth),
+                   any(pf.ridge_fallback for pf in nuis.partials.values()))
+
+
 def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances,
                         spec: MomentSpec) -> MomentMatrix:
     """Cross-fitted moment rows: row i is evaluated with the nuisance fit
@@ -238,33 +385,48 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances,
 
     nuisances is called with each fold label just before the fold is
     evaluated, and returns the NuisanceFit that evaluates that fold; a fit
-    whose training_ids include a row of the fold is refused. One fold's
-    working set is held at a time: the fold's g goes straight into its rows
-    of A and B, `aipcw_transform` writes psi over those rows, and the fold's
-    nuisances are dropped before the next fold's are fitted."""
+    whose training_ids include a row of the fold is refused. A fold's g goes
+    straight into its rows of A and B, `aipcw_transform` writes psi over
+    those rows, and the fold's nuisances are dropped after its transform.
+    Where `_fan_out` holds, the second fold runs in a forked child at the
+    same time as the first; otherwise the folds run one after the other, and
+    one fold's working set is held at a time. An error of the first fold
+    wins over one of the second, as it does when the folds run in turn."""
     assign = np.asarray(fold_assignment)
     labels = (assign.min(), assign.max()) if assign.size else ()
     if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
         raise ValueError("fold_assignment must put every row in one of two folds")
     min_n = vk_width(dataset.p, max(spec.orders)) + 2
-    # one (2, n, m) block: glibc raises its mmap threshold to the largest
-    # block it has unmapped and trims the heap only above twice that, so one
-    # block keeps a fit's heap for the next fit where two halves did not (at
-    # n = 4000, m = 45: under 300 in place of 3,300 page faults per fit)
-    A, B = np.empty((2, dataset.n, spec.m))
-    stats = TransformStats()
-    for label in labels:
-        idx = np.flatnonzero(assign == label)
+    rows = [np.flatnonzero(assign == label) for label in labels]
+    for label, idx in zip(labels, rows):
         if idx.size < min_n:
             raise IllPosedError(f"fold {label} has {idx.size} rows; need >= {min_n}")
-        nuis = nuisances(label)
-        if np.isin(nuis.training_ids, idx).any():
-            raise ValueError(f"fold {label}: nuisance fit was trained on evaluation rows")
-        eval_fold = dataset.subset(idx)
-        A[idx], B[idx] = fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec)
-        stats.merge(aipcw_transform(eval_fold, A, B, idx, nuis.cond_moment))
-        del nuis, eval_fold  # else they stay alive while the next fold is fitted
-    return MomentMatrix(A=A, B=B, spec=spec, fold_tags=assign.copy(), stats=stats)
+    shape = (2, dataset.n, spec.m)
+    if fan_out := _fan_out():
+        # a shared mapping, so that the child's rows land in the caller's A
+        # and B; it is new for every split, so its pages fault in each time
+        block = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    else:
+        # one heap block: glibc raises its mmap threshold to the largest
+        # block it has unmapped and trims the heap only above twice that, so
+        # one block keeps a fit's heap for the next fit where two halves did
+        # not (at n = 4000, m = 45: under 300 in place of 3,300 page faults
+        # per fit)
+        block = np.empty(shape)
+    A, B = block
+    jobs = [partial(_evaluate_fold, dataset, idx, label, nuisances, spec, A, B)
+            for label, idx in zip(labels, rows)]
+    child = _Child(jobs[1]) if fan_out else None
+    try:
+        folds = (jobs[0](), child.outcome(labels[1]) if child else jobs[1]())
+    except BaseException:
+        if child:
+            child.kill()
+        raise
+    stats = TransformStats()
+    for fold in folds:
+        stats.merge(fold.stats)
+    return MomentMatrix(A=A, B=B, spec=spec, fold_tags=assign.copy(), stats=stats, folds=folds)
 
 
 def dump_moments(M: MomentMatrix, path) -> None:

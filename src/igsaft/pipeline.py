@@ -4,11 +4,16 @@ fits, median-aggregated), then the overidentification test.
 
 What is held when: no step forms the n x k exposure design. Splits go
 through one at a time, so memory does not grow with the split count. Within
-a split, the moment pair (A, B) is allocated once, and the folds go through
-one at a time: a fold's nuisances are fitted just before it is evaluated and
-dropped after its transform, so one fold's nuisances and chunk buffers are
-live beside A and B. The split's moment matrix is dropped once every family
-is fitted on it."""
+a split, the moment pair (A, B) is allocated once, and a fold's nuisances
+are fitted just before it is evaluated and dropped after its transform. On
+Linux with two or more CPUs available, and outside a worker process, the
+split's second fold runs in a forked child beside the first (see
+`moments.build_moment_matrix`): each of the two processes then holds one
+fold's nuisances and chunk buffers beside the shared A and B, and the
+results are bit-identical to running the folds in turn. Otherwise the folds
+go through one at a time, so one fold's nuisances and chunk buffers are live
+beside A and B. The split's moment matrix is dropped once every family is
+fitted on it."""
 
 from __future__ import annotations
 
@@ -178,37 +183,35 @@ def _fit_splits(dataset: Dataset, config: FitConfig, spec: MomentSpec, families,
     summed stats, split 0's fold sizes and bandwidths, and the warnings. Per
     split: assign the folds, build the moment matrix with a fold fitter that
     fits a fold's nuisances on the other fold just before the fold is
-    evaluated, fit every family on it (and dump it if it is split 0's), and
-    drop it before the next split is built."""
+    evaluated, take each fold's bandwidths and ridge fallback from it in
+    label order, fit every family on it (and dump it if it is split 0's),
+    and drop it before the next split is built."""
     warnings = []
     if dataset.n < 200:
         warnings.append(f"n = {dataset.n} is small; local censoring estimates may be noisy")
     fits = {fam: [] for fam in families}
     stats = TransformStats()
-    bandwidths = []
     for split in range(config.n_splits):
         assign = _fold_assignment(dataset.n, config.seed, split)
 
         def fit_fold(lab):
             aux = np.flatnonzero(assign == 1 - lab)
-            nuis = fit_all(dataset.subset(aux), spec, config.kernel, training_ids=aux)
-            if any(pf.ridge_fallback for pf in nuis.partials.values()):
-                warnings.append(f"split {split}, fold {lab}: partialling used a ridge fallback")
-            if split == 0:
-                bandwidths.append([float(h) for h in nuis.censor_model.bandwidth])
-            return nuis
+            return fit_all(dataset.subset(aux), spec, config.kernel, training_ids=aux)
 
         M = build_moment_matrix(dataset, assign, fit_fold, spec)
         stats.merge(M.stats)
+        warnings.extend(f"split {split}, fold {lab}: partialling used a ridge fallback"
+                        for lab, fold in enumerate(M.folds) if fold.ridge_fallback)
         if split == 0:
             fold_sizes = (int((assign == 0).sum()), int((assign == 1).sum()))
+            bandwidths = tuple(list(fold.bandwidth) for fold in M.folds)
             if dump_moments_path:
                 dump_moments(M, dump_moments_path)
         for fam, fam_fits in fits.items():
             fam_fits.append(fit_gel(M, fam, search=config.search, alpha=config.alpha))
         del M  # else it stays alive through the next split's construction
     return ({fam: combine_split_fits(f, config.alpha) for fam, f in fits.items()},
-            stats, fold_sizes, tuple(bandwidths), warnings)
+            stats, fold_sizes, bandwidths, warnings)
 
 
 @one_blas_thread

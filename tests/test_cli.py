@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from igsaft.blas import bundled_openblas
-from igsaft.cli import _fit_config, main
+from igsaft import moments
+from igsaft.cli import _fit_config, _manifest, main
 from igsaft.data import ColumnConfig, Dataset, load_csv, write_csv
 from igsaft.interactions import MomentSpec
 from igsaft.moments import build_moment_matrix
@@ -91,6 +92,7 @@ def test_fit_writes_report_and_exits_0(csv_path, tmp_path, capsys):
     # fits run with one thread in every bundled OpenBLAS that was found
     assert set(manifest["fit_blas_threads"]) == {lib.package for lib in bundled_openblas()}
     assert set(manifest["fit_blas_threads"].values()) <= {1}
+    assert manifest["fold_processes"] == (2 if moments._fan_out() else 1)
     assert "beta_hat =" in capsys.readouterr().out
 
 
@@ -177,7 +179,10 @@ def test_simulate_accepts_threads(tmp_path, capsys):
     payload = json.loads(sidecar.read_text())
     assert payload["manifest"]["resolved_config"]["threads"] == 1
     assert {"python", "numpy", "platform", "fit_blas_threads"} <= set(payload["manifest"])
+    assert payload["manifest"]["fold_processes"] == (2 if moments._fan_out() else 1)
     assert [r["n_used"] for r in payload["rows"]] == [2]
+    # the workers of --threads 2 run each split's folds in turn
+    assert _manifest("simulate", {"threads": 2}, 0.0)["fold_processes"] == 1
 
 
 def test_simulate_null_design_writes_bias_as_na_and_null(tmp_path, capsys):

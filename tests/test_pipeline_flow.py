@@ -1,6 +1,7 @@
 """Pipeline flow around the GEL fits: how repeated-split fits are combined,
 what runs before the first nuisance fit, and that neither the splits' moment
-matrices nor the folds' working sets are held at once."""
+matrices nor, with the folds run in turn, the folds' working sets are held
+at once; with the second fold forked, the caller holds only the first's."""
 
 import math
 import tracemalloc
@@ -164,9 +165,12 @@ def test_dependent_instrument_is_refused_on_the_monte_carlo_path():
 
 @pytest.mark.parametrize("fit", [fit_igsaft, lambda ds, cfg: fit_families(ds, cfg, ("el",))],
                          ids=["fit_igsaft", "fit_families"])
-def test_peak_memory_does_not_grow_with_the_split_count(fit):
+def test_peak_memory_does_not_grow_with_the_split_count(fit, monkeypatch):
     # the splits go through one at a time: more splits must not hold more
-    # than one split's moment pair (A, B) at once
+    # than one split's moment pair (A, B) at once. With the folds run in
+    # turn: tracemalloc sees neither a forked fold's process nor the shared
+    # mapping that A and B then live in
+    monkeypatch.setattr(moments, "_fan_out", lambda: False)
     ds = generate(SimConfig(case=1, n=800, p=6, target_cr=0.2, seed=0, reps=1), 0)[0]
 
     def peak(n_splits):
@@ -182,10 +186,11 @@ def test_peak_memory_does_not_grow_with_the_split_count(fit):
     assert peak(4) - peak(1) < one_pair
 
 
-def test_one_folds_working_set_at_a_time(monkeypatch):
-    # while a fold is transformed, the other fold's nuisances are not fitted
-    # yet (fold 0) or already dropped (fold 1), and the fold's g values live
-    # only in its rows of A and B
+def track_working_sets(monkeypatch, forked):
+    """fit_igsaft over one split with fan-out forced on or off; per transform
+    in this process, which nuisance fits and g arrays made so far in this
+    process are alive, and the number of nuisance fits made."""
+    monkeypatch.setattr(moments, "_fan_out", lambda: forked)
     ds = generate(SimConfig(case=1, n=400, p=4, target_cr=0.2, seed=0, reps=1), 0)[0]
     fits, g_arrays, alive = [], [], []
     fit_all, fold_g_values, transform = (igsaft.pipeline.fit_all, moments.fold_g_values,
@@ -209,4 +214,19 @@ def test_one_folds_working_set_at_a_time(monkeypatch):
     monkeypatch.setattr(moments, "fold_g_values", tracked_g_values)
     monkeypatch.setattr(moments, "aipcw_transform", checked_transform)
     fit_igsaft(ds, FitConfig(n_splits=1, screen=False))
+    return alive, len(fits)
+
+
+def test_one_folds_working_set_at_a_time(monkeypatch):
+    # with the folds run in turn: while a fold is transformed, the other
+    # fold's nuisances are not fitted yet (fold 0) or already dropped (fold
+    # 1), and the fold's g values live only in its rows of A and B
+    alive, _ = track_working_sets(monkeypatch, forked=False)
     assert alive == [([True], [False] * 2), ([False, True], [False] * 4)]
+
+
+def test_forked_second_fold_leaves_the_caller_one_folds_working_set(monkeypatch):
+    # with the second fold forked, the caller fits only the first fold's
+    # nuisances, and its transform sees only them alive
+    alive, n_fits = track_working_sets(monkeypatch, forked=True)
+    assert n_fits == 1 and alive == [([True], [False] * 2)]
