@@ -2,7 +2,7 @@
 interactions among many candidate instruments.
 
 Workflow: load or simulate a dataset, pick interaction moments (optionally
-screened), cross-fit the censoring nuisances, and estimate the log-time
+screened), cross-fit the censoring nuisance models, and estimate the log-time
 effect by generalized empirical likelihood with weak-moment-aware inference.
 """
 

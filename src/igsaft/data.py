@@ -92,6 +92,10 @@ class ColumnConfig:
         object.__setattr__(self, "instruments", tuple(self.instruments))
         if not self.instruments:
             raise SchemaError("at least one instrument column required")
+        names = [self.time, self.status, self.exposure, *self.instruments]
+        for name in names:
+            if names.count(name) > 1:
+                raise SchemaError(f"column {name!r} is named for more than one field")
 
 
 def load_csv(path, config: ColumnConfig) -> Dataset:
@@ -115,6 +119,8 @@ def load_csv(path, config: ColumnConfig) -> Dataset:
     for name in required:
         if name not in header:
             raise SchemaError(f"missing column {name!r} in {path}")
+        if header.count(name) > 1:
+            raise SchemaError(f"column {name!r} appears {header.count(name)} times in {path}")
         positions[name] = header.index(name)
 
     z_rows, d_vals, y_vals, deltas = [], [], [], []

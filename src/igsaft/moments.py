@@ -28,27 +28,25 @@ in floating point.
 What is held when: `build_moment_matrix` allocates A and B once per split,
 and each fold writes its g straight into its rows of A and B;
 `aipcw_transform` then writes psi over those rows 32 at a time, with four
-(32, n_train) buffers that live for one transform. A fold's nuisances live
-from just before its g is computed to the end of its transform. On Linux,
-with at least two CPUs in the process's affinity mask and outside a worker
-process, the split's two folds run at once in two processes: a forked child
-evaluates the second fold into A and B, which then sit in a shared mapping,
-while the caller evaluates the first. Memory is then per process: each holds
-one fold's nuisances and chunk buffers beside the shared A and B. Each fold
-runs the same code on the same rows either way, so A, B and the counts are
-bit-identical to one fold after the other. A chunk of event rows evaluated
-on a training fold without censored rows leaves its rows at g: there Ghat
-is 1, so W is 0 and psi = g exactly. It still builds its kernel weights,
-which its empty-risk-set count needs, and writes nothing into the other
-three buffers.
+(32, n_train) buffers that live for one transform. A fold's nuisance fit
+lives from just before its g is computed to the end of its transform. On
+Linux, with at least two CPUs in the process's affinity mask and outside a
+worker process, the split's two folds run at once in two processes: a
+forked child evaluates the second fold into its copy of A and B and sends
+those rows back through a pipe, while the caller evaluates the first.
+Memory is then per process: each holds one fold's nuisance fit and chunk
+buffers beside A and B. Each fold runs the same code on the same rows
+either way, so A, B and the counts are bit-identical to one fold after the
+other. A chunk of event rows evaluated on a training fold without censored
+rows leaves its rows at g: there Ghat is 1, so W is 0 and psi = g exactly.
+It still builds its kernel weights, which its empty-risk-set count needs,
+and writes nothing into the other three buffers.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
-import math
-import mmap
 import multiprocessing
 import os
 import pickle
@@ -353,7 +351,8 @@ def _run_and_exit(job, fd):
             out = (False, exc, "".join(traceback.format_exception(exc)))
         try:
             blob = pickle.dumps(out)
-            pickle.loads(blob)
+            if not out[0]:
+                pickle.loads(blob)  # an exception may pickle but fail to unpickle
         except Exception:  # an exception that does not pickle goes by type and message
             exc = out[1]
             blob = pickle.dumps((False, RuntimeError(
@@ -365,12 +364,10 @@ def _run_and_exit(job, fd):
         os._exit(code)
 
 
-def _evaluate_fold(dataset: Dataset, idx, label, nuisances, spec: MomentSpec, A, B) -> FoldFit:
-    """Fit fold label's nuisances, write its g into rows idx of A and B and
-    psi over them; the nuisances are dropped on return."""
-    nuis = nuisances(label)
-    if np.isin(nuis.training_ids, idx).any():
-        raise ValueError(f"fold {label}: nuisance fit was trained on evaluation rows")
+def _evaluate_fold(dataset: Dataset, idx, train, fit, spec: MomentSpec, A, B) -> FoldFit:
+    """Fit the nuisance estimates on rows train, write the g of rows idx into
+    A and B and psi over them; the fit is dropped on return."""
+    nuis = fit(dataset.subset(train))
     eval_fold = dataset.subset(idx)
     A[idx], B[idx] = fold_g_values(eval_fold, nuis.zeta, nuis.partials, spec)
     stats = aipcw_transform(eval_fold, A, B, idx, nuis.cond_moment)
@@ -378,20 +375,20 @@ def _evaluate_fold(dataset: Dataset, idx, label, nuisances, spec: MomentSpec, A,
                    any(pf.ridge_fallback for pf in nuis.partials.values()))
 
 
-def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances,
+def build_moment_matrix(dataset: Dataset, fold_assignment, fit,
                         spec: MomentSpec) -> MomentMatrix:
     """Cross-fitted moment rows: row i is evaluated with the nuisance fit
     trained on the fold not containing i; rows stay in dataset order.
 
-    nuisances is called with each fold label just before the fold is
-    evaluated, and returns the NuisanceFit that evaluates that fold; a fit
-    whose training_ids include a row of the fold is refused. A fold's g goes
-    straight into its rows of A and B, `aipcw_transform` writes psi over
-    those rows, and the fold's nuisances are dropped after its transform.
+    fit maps a training Dataset to its NuisanceFit. Just before a fold is
+    evaluated, it is called on the other fold's rows, in dataset order. A
+    fold's g goes straight into its rows of A and B, `aipcw_transform` writes
+    psi over those rows, and the fold's fit is dropped after its transform.
     Where `_fan_out` holds, the second fold runs in a forked child at the
-    same time as the first; otherwise the folds run one after the other, and
-    one fold's working set is held at a time. An error of the first fold
-    wins over one of the second, as it does when the folds run in turn."""
+    same time as the first and sends its rows of A and B back with its
+    `FoldFit`; otherwise the folds run one after the other, and one fold's
+    working set is held at a time. An error of the first fold wins over one
+    of the second, as it does when the folds run in turn."""
     assign = np.asarray(fold_assignment)
     labels = (assign.min(), assign.max()) if assign.size else ()
     if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
@@ -401,28 +398,25 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, nuisances,
     for label, idx in zip(labels, rows):
         if idx.size < min_n:
             raise IllPosedError(f"fold {label} has {idx.size} rows; need >= {min_n}")
-    shape = (2, dataset.n, spec.m)
-    if fan_out := _fan_out():
-        # a shared mapping, so that the child's rows land in the caller's A
-        # and B; it is new for every split, so its pages fault in each time
-        block = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    # one heap block: glibc raises the size from which it maps a block on
+    # its own to the largest block it has unmapped, and trims the heap only
+    # above twice that, so one block keeps a fit's heap for the next fit
+    # where two halves did not (at n = 4000, m = 45: under 300 in place of
+    # 3,300 page faults per fit)
+    A, B = np.empty((2, dataset.n, spec.m))
+    first, second = (partial(_evaluate_fold, dataset, idx, train, fit, spec, A, B)
+                     for idx, train in (rows, rows[::-1]))
+    if not _fan_out():
+        folds = (first(), second())
     else:
-        # one heap block: glibc raises its mmap threshold to the largest
-        # block it has unmapped and trims the heap only above twice that, so
-        # one block keeps a fit's heap for the next fit where two halves did
-        # not (at n = 4000, m = 45: under 300 in place of 3,300 page faults
-        # per fit)
-        block = np.empty(shape)
-    A, B = block
-    jobs = [partial(_evaluate_fold, dataset, idx, label, nuisances, spec, A, B)
-            for label, idx in zip(labels, rows)]
-    child = _Child(jobs[1]) if fan_out else None
-    try:
-        folds = (jobs[0](), child.outcome(labels[1]) if child else jobs[1]())
-    except BaseException:
-        if child:
+        child = _Child(lambda: (second(), A[rows[1]], B[rows[1]]))
+        try:
+            fold_0 = first()
+            fold_1, A[rows[1]], B[rows[1]] = child.outcome(labels[1])
+        except BaseException:
             child.kill()
-        raise
+            raise
+        folds = (fold_0, fold_1)
     stats = TransformStats()
     for fold in folds:
         stats.merge(fold.stats)

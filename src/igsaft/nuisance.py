@@ -282,7 +282,6 @@ class NuisanceFit:
     partials: dict[int, PartialFit]
     censor_model: CensorModel
     cond_moment: CondMoment
-    training_ids: np.ndarray
 
 
 def fold_g_values(fold: Dataset, zeta: np.ndarray, partials: dict[int, PartialFit],
@@ -305,11 +304,8 @@ def fold_g_values(fold: Dataset, zeta: np.ndarray, partials: dict[int, PartialFi
     return a, b
 
 
-def fit_all(fold: Dataset, spec: MomentSpec, cfg: KernelConfig,
-            training_ids) -> NuisanceFit:
-    """Fit every nuisance component on one fold. training_ids are the fold's
-    row numbers in the full dataset; `build_moment_matrix` refuses the fit
-    for an evaluation fold that shares any of them."""
+def fit_all(fold: Dataset, spec: MomentSpec, cfg: KernelConfig) -> NuisanceFit:
+    """Fit every nuisance component on one fold."""
     min_n = vk_width(fold.p, max(spec.orders)) + 2
     if fold.n < min_n:
         raise IllPosedError(f"fold of size {fold.n} below minimum {min_n} for q={spec.q}")
@@ -318,5 +314,4 @@ def fit_all(fold: Dataset, spec: MomentSpec, cfg: KernelConfig,
     censor = CensorModel(fold, cfg)
     g_a, g_b = fold_g_values(fold, zeta, partials, spec)
     cond = CondMoment(censor, g_a, g_b)
-    return NuisanceFit(zeta=zeta, partials=partials, censor_model=censor,
-                       cond_moment=cond, training_ids=np.asarray(training_ids))
+    return NuisanceFit(zeta=zeta, partials=partials, censor_model=censor, cond_moment=cond)

@@ -1,24 +1,25 @@
 """Top-level estimation flow: screening and the relevance test, one loop
-over repeated two-fold splits (cross-fitted nuisances, moment matrix and GEL
-fits, median-aggregated), then the overidentification test.
+over repeated two-fold splits (cross-fitted nuisance estimates, moment
+matrix and GEL fits, median-aggregated), then the overidentification test.
 
 What is held when: no step forms the n x k exposure design. Splits go
 through one at a time, so memory does not grow with the split count. Within
-a split, the moment pair (A, B) is allocated once, and a fold's nuisances
-are fitted just before it is evaluated and dropped after its transform. On
-Linux with two or more CPUs available, and outside a worker process, the
-split's second fold runs in a forked child beside the first (see
-`moments.build_moment_matrix`): each of the two processes then holds one
-fold's nuisances and chunk buffers beside the shared A and B, and the
-results are bit-identical to running the folds in turn. Otherwise the folds
-go through one at a time, so one fold's nuisances and chunk buffers are live
-beside A and B. The split's moment matrix is dropped once every family is
-fitted on it."""
+a split, the moment pair (A, B) is allocated once, and a fold's nuisance
+fit is made just before the fold is evaluated and dropped after its
+transform. On Linux with two or more CPUs available, and outside a worker
+process, the split's second fold runs in a forked child beside the first
+(see `moments.build_moment_matrix`): each of the two processes then holds
+one fold's nuisance fit and chunk buffers beside A and B, and the results
+are bit-identical to running the folds in turn. Otherwise the folds go
+through one at a time, so one fold's nuisance fit and chunk buffers are
+live beside A and B. The split's moment matrix is dropped once every family
+is fitted on it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -181,11 +182,11 @@ def _fit_splits(dataset: Dataset, config: FitConfig, spec: MomentSpec, families,
                 dump_moments_path=None):
     """Each family's fits on the repeated splits, median-aggregated, with the
     summed stats, split 0's fold sizes and bandwidths, and the warnings. Per
-    split: assign the folds, build the moment matrix with a fold fitter that
-    fits a fold's nuisances on the other fold just before the fold is
-    evaluated, take each fold's bandwidths and ridge fallback from it in
-    label order, fit every family on it (and dump it if it is split 0's),
-    and drop it before the next split is built."""
+    split: assign the folds, build the moment matrix with `fit_all` as the
+    fold fitter (`build_moment_matrix` picks each fold's training rows), take
+    each fold's bandwidths and ridge fallback from it in label order, fit
+    every family on it (and dump it if it is split 0's), and drop it before
+    the next split is built."""
     warnings = []
     if dataset.n < 200:
         warnings.append(f"n = {dataset.n} is small; local censoring estimates may be noisy")
@@ -193,12 +194,9 @@ def _fit_splits(dataset: Dataset, config: FitConfig, spec: MomentSpec, families,
     stats = TransformStats()
     for split in range(config.n_splits):
         assign = _fold_assignment(dataset.n, config.seed, split)
-
-        def fit_fold(lab):
-            aux = np.flatnonzero(assign == 1 - lab)
-            return fit_all(dataset.subset(aux), spec, config.kernel, training_ids=aux)
-
-        M = build_moment_matrix(dataset, assign, fit_fold, spec)
+        # built per split, so that it calls the fit_all this module holds then
+        M = build_moment_matrix(dataset, assign, partial(fit_all, spec=spec, cfg=config.kernel),
+                                spec)
         stats.merge(M.stats)
         warnings.extend(f"split {split}, fold {lab}: partialling used a ridge fallback"
                         for lab, fold in enumerate(M.folds) if fold.ridge_fallback)

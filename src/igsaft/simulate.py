@@ -153,9 +153,12 @@ def calibrate_censoring(cfg: SimConfig) -> tuple[float, float]:
     then find the left endpoint by Brent's method until the pilot censoring
     rate hits the target within 0.005.
 
-    The support must be wide enough that essentially no failure-time mass
-    lies beyond tau2: events past the censoring horizon are never observed
-    and no censoring adjustment can impute them at finite n.
+    The width rule is a heuristic. Failure times past tau2 are never
+    observed as events, and no censoring adjustment can impute them at
+    finite n, so the support should leave little failure-time mass beyond
+    tau2. Eight pilot SDs do not always do that: T is right-skewed, and on
+    the p = 10 designs at 40% censoring 0.14-0.34% of it lies past tau2
+    (ROADMAP item 1).
     """
     if not 0.0 < cfg.target_cr < 1.0:
         raise DomainError("calibration needs target_cr in (0, 1)")
@@ -342,7 +345,9 @@ MC_ESTIMATORS = (*FAMILIES, "aft")
 
 def _mc_one_rep(args):
     sim_cfg, fit_cfg, estimators, rep, taus = args
-    from .pipeline import fit_families  # local import keeps workers light
+    # imported here, as pipeline imports this module, and looked up at each
+    # call, so that a wrapper set on pipeline.fit_families (a traced span) runs
+    from .pipeline import fit_families
 
     dataset, _ = generate(sim_cfg, rep, taus=taus)
     out = {}

@@ -9,6 +9,8 @@ uncensored training fold, and a hand-made fold with an empty first segment,
 a tie group holding censored and event rows, and a segment without events.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -126,14 +128,10 @@ def assert_close_to_reference(got, ref):
 def both_moment_matrices(ds, kc, monkeypatch):
     """build_moment_matrix with the segment transform, then with the dense one."""
     spec = MomentSpec.full(ds.p, 2)
-    assign = _fold_assignment(ds.n, 0)
-    nuis = {}
-    for lab in (0, 1):
-        aux = np.flatnonzero(assign == 1 - lab)
-        nuis[lab] = fit_all(ds.subset(aux), spec, kc, training_ids=aux)
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+    assign, fit = _fold_assignment(ds.n, 0), partial(fit_all, spec=spec, cfg=kc)
+    M = build_moment_matrix(ds, assign, fit, spec)
     monkeypatch.setattr(moments, "aipcw_transform", dense_transform)
-    return M, build_moment_matrix(ds, assign, nuis.__getitem__, spec), assign
+    return M, build_moment_matrix(ds, assign, fit, spec), assign
 
 
 def simulated(n=400, p=4, cr=0.3, seed=3):
@@ -181,12 +179,12 @@ def test_segment_transform_matches_dense_reference(name, monkeypatch):
         assert M.stats.empty_risk_sets > 0
     if "zero_weights" in branches:
         train = np.flatnonzero(assign == 1)
-        cm = fit_all(ds.subset(train), M.spec, kc, training_ids=train).censor_model
+        cm = fit_all(ds.subset(train), M.spec, kc).censor_model
         assert (cm.tables(ds.z[:50], ds.d[:50], cm.seg_index(50)).w == 0).any()
     if "psi_is_g" in branches:
         for label in (0, 1):
             idx, aux = np.flatnonzero(assign == label), np.flatnonzero(assign != label)
-            nu = fit_all(ds.subset(aux), M.spec, kc, training_ids=aux)
+            nu = fit_all(ds.subset(aux), M.spec, kc)
             g_a, g_b = fold_g_values(ds.subset(idx), nu.zeta, nu.partials, M.spec)
             assert np.array_equal(M.A[idx], g_a) and np.array_equal(M.B[idx], g_b)
 
@@ -253,9 +251,8 @@ def test_transform_writes_psi_over_the_g_arrays_it_is_given():
     ds = simulated()
     spec = MomentSpec.full(ds.p, 2)
     assign = _fold_assignment(ds.n, 0)
-    train_ids = np.flatnonzero(assign == 1)
-    train, ev = ds.subset(train_ids), ds.subset(np.flatnonzero(assign == 0))
-    nu = fit_all(train, spec, KernelConfig(trunc_eps=0.2), training_ids=train_ids)
+    train, ev = ds.subset(np.flatnonzero(assign == 1)), ds.subset(np.flatnonzero(assign == 0))
+    nu = fit_all(train, spec, KernelConfig(trunc_eps=0.2))
     ge_a, ge_b = fold_g_values(ev, nu.zeta, nu.partials, spec)
     rows = np.arange(ev.n)
     ref = (ge_a.copy(), ge_b.copy())

@@ -3,6 +3,7 @@
 import csv
 import json
 import platform
+from functools import partial
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ def test_bad_cell_exits_1_naming_row_and_column(cell, column, scale, message, tm
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("header, flag, message", [
+    ("time,status,d,z1,z2,z3,z4,z2", None, "column 'z2' appears 2 times in "),
+    ("time,status,d,z1,z2,z3,z4", ("--exposure", "time"),
+     "column 'time' is named for more than one field"),
+])
+def test_ambiguous_columns_exit_1(header, flag, message, tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    cells = ",".join(["0.1"] * (header.count(",") - 1))
+    path.write_text("\n".join([header, *(f"{i + 1.0},1,{cells}" for i in range(2))]) + "\n")
+    argv = ["fit", *data_args(path)]
+    if flag:
+        argv[argv.index(flag[0]) + 1] = flag[1]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_accepts_threads(tmp_path, capsys):
     sidecar = tmp_path / "mc.json"
     assert main(["simulate", *SIM_ARGS, "--reps", "2", "--threads", "1",
@@ -309,9 +326,7 @@ def test_dump_moments_is_split_0_matrix(csv_path, tmp_path):
     ds = load_csv(csv_path, COLS)
     assert len(rows) == ds.n
     assign = _fold_assignment(ds.n, 0, split=0)
-    nuis = {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec, KernelConfig(),
-                         training_ids=np.flatnonzero(assign == 1 - lab)) for lab in (0, 1)}
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+    M = build_moment_matrix(ds, assign, partial(fit_all, spec=spec, cfg=KernelConfig()), spec)
     vals = np.array([[float(v) for v in r] for r in rows])
     assert np.array_equal(vals[:, 0], np.arange(ds.n))
     assert np.array_equal(vals[:, 1], assign)

@@ -90,6 +90,25 @@ def test_missing_column_named(tmp_path):
         load_csv(f, COLS)
 
 
+def test_repeated_header_column_named(tmp_path):
+    # the first of the two z1 columns used to be read, the second ignored
+    f = tmp_path / "d.csv"
+    write_lines(f, ["time,status,bmi,z1,z2,z1", "1.0,1,0.1,0.2,0.3,9.0", "2.0,0,0.1,0.4,0.5,9.0"])
+    with pytest.raises(SchemaError, match=r"column 'z1' appears 2 times"):
+        load_csv(f, COLS)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"exposure": "time"}, "time"),
+    ({"status": "z2"}, "z2"),
+    ({"instruments": ("z1", "z2", "z1")}, "z1"),
+])
+def test_column_named_for_two_fields_is_refused(fields, name):
+    args = {"time": "time", "status": "status", "exposure": "bmi", "instruments": ("z1", "z2")}
+    with pytest.raises(SchemaError, match=rf"column '{name}' is named for more than one field"):
+        ColumnConfig(**{**args, **fields})
+
+
 def test_nonpositive_raw_time(tmp_path):
     f = tmp_path / "d.csv"
     write_lines(f, ["time,status,bmi,z1,z2", "1.0,1,0.1,0.2,0.3", "-2.0,1,0.1,0.2,0.3"])

@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import igsaft.pipeline
@@ -74,9 +75,9 @@ def fit_recording(monkeypatch, forked, ds, cfg):
     return report, matrices
 
 
-def label_of(training_ids, ds, cfg):
-    """The split-0 fold a fit on training_ids evaluates: the other fold."""
-    return 1 - _fold_assignment(ds.n, cfg.seed)[training_ids[0]]
+def label_of(training, ds, cfg):
+    """The split-0 fold a fit on the training Dataset evaluates: the other fold."""
+    return int(training == ds.subset(np.flatnonzero(_fold_assignment(ds.n, cfg.seed) == 0)))
 
 
 @pytest.mark.parametrize("design", sorted(DESIGNS))
@@ -122,11 +123,11 @@ def test_a_failing_fold_raises_as_in_turn(failing, error, wanted, datasets, monk
     ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=1, screen=False)
     fit_all = igsaft.pipeline.fit_all
 
-    def failing_fit(data, spec, kernel, training_ids):
-        label = label_of(training_ids, ds, cfg)
+    def failing_fit(training, **kwargs):
+        label = label_of(training, ds, cfg)
         if label in failing:
             raise error(f"fold {label} fails")
-        return fit_all(data, spec, kernel, training_ids=training_ids)
+        return fit_all(training, **kwargs)
 
     monkeypatch.setattr(igsaft.pipeline, "fit_all", failing_fit)
     raised = []

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,10 +174,7 @@ def test_ratio_estimator_single_moment():
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(2, 2)
     assign = _fold_assignment(ds.n, 1)
-    nuis = {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec,
-                         KernelConfig(), training_ids=np.flatnonzero(assign == 1 - lab))
-            for lab in (0, 1)}
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+    M = build_moment_matrix(ds, assign, partial(fit_all, spec=spec, cfg=KernelConfig()), spec)
     fit = minimize_beta(M, "cue")
     # m = 1, no censoring: beta solves the sample moment exactly, namely the
     # ratio of interaction-weighted residuals
@@ -189,10 +188,7 @@ def test_family_agreement_case1():
     spec = MomentSpec.full(5, 2)
     assign = _fold_assignment(ds.n, 2)
     kc = KernelConfig(km_conditioning="d_only")
-    nuis = {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec, kc,
-                         training_ids=np.flatnonzero(assign == 1 - lab))
-            for lab in (0, 1)}
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+    M = build_moment_matrix(ds, assign, partial(fit_all, spec=spec, cfg=kc), spec)
     fits = {fam: fit_gel(M, fam) for fam in FAMILIES}
     for f1 in FAMILIES:
         for f2 in FAMILIES:
@@ -261,10 +257,8 @@ def test_translation_equivariance_cue():
 
     def fit_for(dataset):
         assign = _fold_assignment(dataset.n, 3)
-        nuis = {lab: fit_all(dataset.subset(np.flatnonzero(assign == 1 - lab)), spec,
-                             KernelConfig(), training_ids=np.flatnonzero(assign == 1 - lab))
-                for lab in (0, 1)}
-        M = build_moment_matrix(dataset, assign, nuis.__getitem__, spec)
+        M = build_moment_matrix(dataset, assign, partial(fit_all, spec=spec, cfg=KernelConfig()),
+                                spec)
         return minimize_beta(M, "cue").beta_hat
 
     from igsaft.data import Dataset
@@ -354,10 +348,7 @@ def test_inner_solve_stops_when_a_step_no_longer_raises_the_value(monkeypatch):
     spec = MomentSpec.full(5, 2)
     assign = _fold_assignment(ds.n, 5)  # split 0 of fold seed 5
     with one_blas_thread:
-        nuis = {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec,
-                             KernelConfig(), training_ids=np.flatnonzero(assign == 1 - lab))
-                for lab in (0, 1)}
-        M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+        M = build_moment_matrix(ds, assign, partial(fit_all, spec=spec, cfg=KernelConfig()), spec)
         steps = {}
         solve_spd, inner = gel.solve_spd, gel.inner_lambda
 

@@ -1,8 +1,11 @@
 import warnings
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from igsaft import moments
 from igsaft.data import Dataset
 from igsaft.interactions import MomentSpec
 from igsaft.moments import aipcw_transform, build_moment_matrix
@@ -16,19 +19,22 @@ KC = KernelConfig()
 
 
 def cross_fitted(ds, spec, kc=KC, seed=0):
+    """Split seed's fold assignment and its cross-fitted moment matrix."""
     assign = _fold_assignment(ds.n, seed)
-    nuis = {}
-    for lab in (0, 1):
-        aux = np.flatnonzero(assign == 1 - lab)
-        nuis[lab] = fit_all(ds.subset(aux), spec, kc, training_ids=aux)
-    return assign, nuis
+    return assign, build_moment_matrix(ds, assign, partial(fit_all, spec=spec, cfg=kc), spec)
+
+
+def fold_fits(ds, assign, spec, kc=KC):
+    """The nuisance fit that evaluates each fold: the one on the other fold."""
+    return {lab: fit_all(ds.subset(np.flatnonzero(assign == 1 - lab)), spec, kc)
+            for lab in (0, 1)}
 
 
 def test_eval_g_zero_at_centered_point():
     cfg = SimConfig(case=1, n=300, p=3, target_cr=0.0, reps=1, seed=1)
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(3, 2)
-    nu = fit_all(ds, spec, KC, training_ids=np.arange(ds.n))
+    nu = fit_all(ds, spec, KC)
     obs = Observation(z=nu.zeta.copy(), d=1.0, y=0.5, delta=1)
     g = eval_g(obs, nu, spec)
     np.testing.assert_array_equal(g.a, np.zeros(spec.m))
@@ -40,7 +46,7 @@ def test_eval_g_direct_substitution():
     cfg = SimConfig(case=1, n=200, p=2, target_cr=0.0, reps=1, seed=2)
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(2, 2)
-    nu = fit_all(ds, spec, KC, training_ids=np.arange(ds.n))
+    nu = fit_all(ds, spec, KC)
     nu.zeta[:] = 0.0
     nu.partials[2].theta_y[:] = 0.0
     nu.partials[2].theta_d[:] = 0.0
@@ -53,7 +59,7 @@ def test_eval_g_affinity():
     cfg = SimConfig(case=1, n=300, p=4, target_cr=0.0, reps=1, seed=3)
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(4, 2)
-    nu = fit_all(ds, spec, KC, training_ids=np.arange(ds.n))
+    nu = fit_all(ds, spec, KC)
     g = eval_g(observation(ds, 11), nu, spec)
     v0, v1, v2 = g(0.0), g(1.0), g(2.0)
     np.testing.assert_array_equal(v2 - 2 * v1 + v0, np.zeros(spec.m))
@@ -63,8 +69,8 @@ def test_zero_censoring_reduction_exact():
     cfg = SimConfig(case=1, n=500, p=5, target_cr=0.0, reps=1, seed=4)
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(5, 2)
-    assign, nuis = cross_fitted(ds, spec)
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+    assign, M = cross_fitted(ds, spec)
+    nuis = fold_fits(ds, assign, spec)
     for lab in (0, 1):
         idx = np.flatnonzero(assign == lab)
         ga, gb = fold_g_values(ds.subset(idx), nuis[lab].zeta, nuis[lab].partials, spec)
@@ -76,7 +82,7 @@ def test_censored_below_first_event_returns_xi_inf():
     cfg = SimConfig(case=1, n=240, p=3, target_cr=0.3, reps=1, seed=5)
     ds, _ = generate(cfg, 0, taus=(-2.0, 15.0))
     spec = MomentSpec.full(3, 2)
-    nu = fit_all(ds, spec, KC, training_ids=np.arange(ds.n))
+    nu = fit_all(ds, spec, KC)
     first_event = nu.censor_model.grid_vals[0]
     obs = Observation(z=ds.z[3].copy(), d=float(ds.d[3]), y=first_event - 1.0, delta=0)
     am = eval_psi(obs, nu, spec)
@@ -89,8 +95,8 @@ def test_batch_matches_per_observation():
     cfg = SimConfig(case=1, n=260, p=4, target_cr=0.35, reps=1, seed=6)
     ds, _ = generate(cfg, 0, taus=(-2.0, 16.0))
     spec = MomentSpec.full(4, 2)
-    assign, nuis = cross_fitted(ds, spec, seed=2)
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+    assign, M = cross_fitted(ds, spec, seed=2)
+    nuis = fold_fits(ds, assign, spec)
     for i in range(0, ds.n, 13):
         am = eval_psi(observation(ds, i), nuis[assign[i]], spec)
         np.testing.assert_allclose(M.A[i], am.a, rtol=1e-9, atol=1e-11)
@@ -103,13 +109,15 @@ def test_subnormal_risk_set_mass_counts_as_empty():
     cfg = SimConfig(case=1, n=400, p=4, target_cr=0.3, reps=1, seed=3)
     ds, _ = generate(cfg, 0, taus=(-2.0, 15.0))
     spec = MomentSpec.full(4, 2)
-    assign, nuis = cross_fitted(ds, spec, KernelConfig(km_conditioning="full", fixed_h=0.05))
+    kc = KernelConfig(km_conditioning="full", fixed_h=0.05)
+    assign = _fold_assignment(ds.n, 0)
+    nuis = fold_fits(ds, assign, spec, kc)
     cm = nuis[assign[83]].censor_model
     w = cm.tables(ds.z[[83]], ds.d[[83]], cm.seg_index(1)).w * cm.delta_s
     assert 0.0 < w[w > 0].min() < np.finfo(float).tiny
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+        M = build_moment_matrix(ds, assign, partial(fit_all, spec=spec, cfg=kc), spec)
     assert np.isfinite(M.A).all() and np.isfinite(M.B).all()
     for i in range(ds.n):
         am = eval_psi(observation(ds, i), nuis[assign[i]], spec)
@@ -121,45 +129,42 @@ def test_mean_psi_at_truth_case1():
     cfg = SimConfig(case=1, n=10_000, p=5, target_cr=0.2, reps=1, seed=7)
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(5, 2)
-    assign, nuis = cross_fitted(ds, spec, kc=KernelConfig(km_conditioning="d_only"))
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+    _, M = cross_fitted(ds, spec, kc=KernelConfig(km_conditioning="d_only"))
     psibar, Om = mean_and_cov(M, 1.0)
     # five-sigma aggregate band on the standardized component means
     sd = np.sqrt(np.diag(Om))
     assert np.sqrt(ds.n) * np.linalg.norm(psibar / sd) / np.sqrt(spec.m) < 5.0
 
 
-def test_cross_fitting_uses_opposite_fold():
+def test_cross_fitting_uses_opposite_fold(monkeypatch):
     cfg = SimConfig(case=1, n=200, p=3, target_cr=0.0, reps=1, seed=8)
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(3, 2)
     assign = np.array([0, 1] * 100)
-    nuis = {}
-    for lab in (0, 1):
-        aux = np.flatnonzero(assign == 1 - lab)
-        nuis[lab] = fit_all(ds.subset(aux), spec, KC, training_ids=aux)
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
-    # row 0 evaluated with the fit trained on fold 1's rows
-    g0 = eval_g(observation(ds, 0), nuis[0], spec)
+    trained_on = []
+
+    def fit(train):
+        trained_on.append(train)
+        return fit_all(train, spec, KC)
+
+    monkeypatch.setattr(moments, "_fan_out", lambda: False)  # both fits in this process
+    M = build_moment_matrix(ds, assign, fit, spec)
+    # fold 0 is evaluated with the fit on fold 1's rows, then fold 1 with the
+    # fit on fold 0's, each in dataset order
+    assert trained_on == [ds.subset(range(1, 200, 2)), ds.subset(range(0, 200, 2))]
+    g0 = eval_g(observation(ds, 0), fit_all(trained_on[0], spec, KC), spec)
     np.testing.assert_allclose(M.A[0], g0.a, rtol=1e-12)
-    with pytest.raises(ValueError, match="trained on evaluation rows"):
-        build_moment_matrix(ds, assign, {0: nuis[1], 1: nuis[0]}.__getitem__, spec)
 
 
 def test_row_permutation_equivariance():
     cfg = SimConfig(case=1, n=220, p=3, target_cr=0.25, reps=1, seed=9)
     ds, _ = generate(cfg, 0, taus=(-2.0, 16.0))
     spec = MomentSpec.full(3, 2)
-    assign, nuis = cross_fitted(ds, spec, seed=5)
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+    assign, M = cross_fitted(ds, spec, seed=5)
 
     perm = np.random.default_rng(10).permutation(ds.n)
     ds_p = Dataset(ds.z[perm], ds.d[perm], ds.y[perm], ds.delta[perm])
-    assign_p = assign[perm]
-    inv = {lab: np.flatnonzero(assign_p == 1 - lab) for lab in (0, 1)}
-    nuis_p = {lab: fit_all(ds_p.subset(inv[lab]), spec, KC, training_ids=inv[lab])
-              for lab in (0, 1)}
-    M_p = build_moment_matrix(ds_p, assign_p, nuis_p.__getitem__, spec)
+    M_p = build_moment_matrix(ds_p, assign[perm], partial(fit_all, spec=spec, cfg=KC), spec)
     np.testing.assert_allclose(M_p.A, M.A[perm], rtol=1e-9, atol=1e-10)
 
 
@@ -168,13 +173,16 @@ def test_train_equals_eval_debug_mode_close():
     cfg = SimConfig(case=1, n=4000, p=4, target_cr=0.2, reps=1, seed=12)
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(4, 2)
-    assign, nuis = cross_fitted(ds, spec)
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
-    nuis_same = {lab: fit_all(ds.subset(np.flatnonzero(assign == lab)), spec, KC,
-                              training_ids=np.flatnonzero(assign == 1 - lab))
-                 for lab in (0, 1)}
-    # train == evaluate: bypass the overlap check by tagging opposite ids
-    M_dbg = build_moment_matrix(ds, assign, nuis_same.__getitem__, spec)
+    assign, M = cross_fitted(ds, spec)
+    # train == evaluate: each fold's g and psi from a fit on the fold itself
+    A, B = np.empty_like(M.A), np.empty_like(M.B)
+    for lab in (0, 1):
+        idx = np.flatnonzero(assign == lab)
+        fold = ds.subset(idx)
+        nu = fit_all(fold, spec, KC)
+        A[idx], B[idx] = fold_g_values(fold, nu.zeta, nu.partials, spec)
+        aipcw_transform(fold, A, B, idx, nu.cond_moment)
+    M_dbg = replace(M, A=A, B=B)
     pb, Om = mean_and_cov(M, 1.0)
     pb_dbg, _ = mean_and_cov(M_dbg, 1.0)
     se = np.sqrt(np.diag(Om) / ds.n)
@@ -225,7 +233,7 @@ def test_aipcw_map_linear_in_g():
     cfg = SimConfig(case=1, n=180, p=3, target_cr=0.3, reps=1, seed=14)
     ds, _ = generate(cfg, 0, taus=(-2.0, 14.0))
     spec = MomentSpec.full(3, 2)
-    nu = fit_all(ds, spec, KC, training_ids=np.arange(ds.n))
+    nu = fit_all(ds, spec, KC)
     rng = np.random.default_rng(15)
     ge_a = rng.normal(size=(ds.n, spec.m))
     ge_b = rng.normal(size=(ds.n, spec.m))
@@ -252,8 +260,7 @@ def test_exact_affinity_of_psi_rows():
     cfg = SimConfig(case=1, n=240, p=3, target_cr=0.3, reps=1, seed=16)
     ds, _ = generate(cfg, 0, taus=(-2.0, 14.0))
     spec = MomentSpec.full(3, 2)
-    assign, nuis = cross_fitted(ds, spec)
-    M = build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+    _, M = cross_fitted(ds, spec)
     for i in (0, 5, 17):
         r = row(M, i)
         np.testing.assert_allclose(r(2.0) - 2 * r(1.0) + r(0.0), np.zeros(spec.m),
@@ -268,9 +275,5 @@ def test_fold_too_small_raises():
     assign[:3] = 1
     from igsaft.errors import IllPosedError
 
-    nuis = {}
     with pytest.raises(IllPosedError):
-        for lab in (0, 1):
-            aux = np.flatnonzero(assign == 1 - lab)
-            nuis[lab] = fit_all(ds.subset(aux), spec, KC, training_ids=aux)
-        build_moment_matrix(ds, assign, nuis.__getitem__, spec)
+        build_moment_matrix(ds, assign, partial(fit_all, spec=spec, cfg=KC), spec)

@@ -43,7 +43,7 @@ def fitted_means(z, rng):
     """Instrument means zeta as fit_all estimates them on a fold with these z."""
     n, p = z.shape
     ds = Dataset(z, rng.normal(size=n), rng.normal(size=n), np.ones(n, dtype=int))
-    return fit_all(ds, MomentSpec.full(p, 2), KernelConfig(), training_ids=np.arange(n)).zeta
+    return fit_all(ds, MomentSpec.full(p, 2), KernelConfig()).zeta
 
 
 def test_estimate_means_two_rows():
@@ -190,7 +190,7 @@ def test_cond_moment_minus_inf_formula():
     cfg = SimConfig(case=1, n=300, p=3, target_cr=0.3, reps=1, seed=15)
     ds, _ = generate(cfg, 0, taus=(-1.0, 12.0))
     spec = MomentSpec.full(3, 2)
-    nu = fit_all(ds, spec, KernelConfig(km_conditioning="d_only"), training_ids=np.arange(ds.n))
+    nu = fit_all(ds, spec, KernelConfig(km_conditioning="d_only"))
     z, d = rng.normal(size=3), rng.normal()
     a_inf, b_inf = evaluate(nu.cond_moment, -np.inf, z, d)
     # direct evaluation of the displayed ratio
@@ -243,7 +243,7 @@ def test_xi_affine_in_beta():
     cfg = SimConfig(case=1, n=400, p=3, target_cr=0.25, reps=1, seed=17)
     ds, _ = generate(cfg, 0, taus=(-2.0, 14.0))
     spec = MomentSpec.full(3, 2)
-    nu = fit_all(ds, spec, KernelConfig(), training_ids=np.arange(ds.n))
+    nu = fit_all(ds, spec, KernelConfig())
     z, d, u = ds.z[5], float(ds.d[5]), float(np.median(ds.y))
     a, b = evaluate(nu.cond_moment, u, z, d)
     cm = nu.censor_model
@@ -354,4 +354,4 @@ def test_fit_all_requires_enough_rows():
     rng = np.random.default_rng(18)
     ds = make_dataset(rng, 8, 4)
     with pytest.raises(IllPosedError):
-        fit_all(ds, MomentSpec.full(4, 3), KernelConfig(), training_ids=np.arange(ds.n))
+        fit_all(ds, MomentSpec.full(4, 3), KernelConfig())

@@ -165,12 +165,9 @@ def test_dependent_instrument_is_refused_on_the_monte_carlo_path():
 
 @pytest.mark.parametrize("fit", [fit_igsaft, lambda ds, cfg: fit_families(ds, cfg, ("el",))],
                          ids=["fit_igsaft", "fit_families"])
-def test_peak_memory_does_not_grow_with_the_split_count(fit, monkeypatch):
+def test_peak_memory_does_not_grow_with_the_split_count(fit):
     # the splits go through one at a time: more splits must not hold more
-    # than one split's moment pair (A, B) at once. With the folds run in
-    # turn: tracemalloc sees neither a forked fold's process nor the shared
-    # mapping that A and B then live in
-    monkeypatch.setattr(moments, "_fan_out", lambda: False)
+    # than one split's moment pair (A, B) at once
     ds = generate(SimConfig(case=1, n=800, p=6, target_cr=0.2, seed=0, reps=1), 0)[0]
 
     def peak(n_splits):
