@@ -129,8 +129,8 @@ def _manifest(command: str, cfg: dict, started: float, input_path=None, argv=())
         "platform": platform.platform(),
         # per bundled OpenBLAS; empty when none was found to pin
         "fit_blas_threads": fit_blas_threads,
-        # 2 where a split's second fold ran in a forked process; the workers
-        # of simulate --threads > 1 run the folds in turn
+        # 2 where each fit forked one process for its splits' second folds;
+        # the workers of simulate --threads > 1 run the folds in turn
         "fold_processes": 2 if moments._fan_out() and cfg.get("threads", 1) == 1 else 1,
     }
     if input_path:
@@ -291,9 +291,10 @@ def _build_parser():
     p_sim.add_argument("--fix-support", dest="fix_support", action="store_const", const=True)
     p_sim.add_argument("--threads", type=int,
                        help="worker processes for replications; each fit uses one BLAS "
-                            "thread. With 1, a fit runs each split's two folds in two "
-                            "processes on Linux with 2 or more CPUs; a worker runs them "
-                            "in turn. Results do not depend on it")
+                            "thread. With 1, on Linux with 2 or more CPUs, a fit forks one "
+                            "process that evaluates every split's second fold while it "
+                            "runs the first folds and GEL; a worker runs the folds in "
+                            "turn. Results do not depend on it")
     p_sim.add_argument("--json", help="JSON sidecar path")
 
     p_diag = sub.add_parser("diagnose", help="relevance and overidentification tests",

@@ -31,16 +31,19 @@ and each fold writes its g straight into its rows of A and B;
 (32, n_train) buffers that live for one transform. A fold's nuisance fit
 lives from just before its g is computed to the end of its transform. On
 Linux, with at least two CPUs in the process's affinity mask and outside a
-worker process, the split's two folds run at once in two processes: a
-forked child evaluates the second fold into its copy of A and B and sends
-those rows back through a pipe, while the caller evaluates the first.
-Memory is then per process: each holds one fold's nuisance fit and chunk
-buffers beside A and B. Each fold runs the same code on the same rows
-either way, so A, B and the counts are bit-identical to one fold after the
-other. A chunk of event rows evaluated on a training fold without censored
-rows leaves its rows at g: there Ghat is 1, so W is 0 and psi = g exactly.
-It still builds its kernel weights, which its empty-risk-set count needs,
-and writes nothing into the other three buffers.
+worker process, a fit forks one worker process (`fold_worker`) that
+evaluates the second fold of every split in order, into its own A and B
+made once per fit, and sends each split's rows back through a pipe; the
+caller evaluates each split's first fold and runs its GEL fits meanwhile,
+with the worker about one split ahead. Memory is then per process: each
+holds one fold's nuisance fit and chunk buffers beside its A and B, and
+the worker also the pickled record it is sending. Each fold runs the same
+code on the same rows either way, so A, B and the counts are bit-identical
+to one fold after the other. A chunk of event rows evaluated on a training
+fold without censored rows leaves its rows at g: there Ghat is 1, so W is
+0 and psi = g exactly. It still builds its kernel weights, which its
+empty-risk-set count needs, and writes nothing into the other three
+buffers.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import signal
 import sys
 import traceback
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -261,7 +265,7 @@ def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStat
 
 
 def _fan_out() -> bool:
-    """Whether a split's second fold runs in a forked process: on Linux, with
+    """Whether a fit's second folds run in a forked process: on Linux, with
     at least two CPUs in this process's affinity mask, and not inside a
     worker process, whose pool already spreads the work over the cores."""
     return (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
@@ -269,17 +273,23 @@ def _fan_out() -> bool:
 
 
 class _ChildTraceback(Exception):
-    """The formatted traceback of an exception raised in a fold's process."""
+    """The formatted traceback of an exception raised in the fold worker."""
 
 
-class _Child:
-    """job() run in a forked child, which sends back (ok, result or
-    exception, traceback text) pickled through a pipe and leaves through
-    os._exit, so that no cleanup of the parent's runs twice."""
+class _FoldWorker:
+    """A forked process that evaluates the second fold of each fold
+    assignment in turn and sends each outcome through a pipe as a
+    length-prefixed pickled record, (ok, (FoldFit, rows of A, rows of B) or
+    exception, traceback text). It stops after the first failing fold and
+    leaves through os._exit, so that no cleanup of the parent's runs twice.
+    A record larger than the pipe's buffer (64 kB on Linux; a record is
+    720 kB at n = 2000, m = 45) blocks the worker until the caller reads it,
+    so the worker runs at most one split ahead; smaller records may let it
+    run further ahead."""
 
-    def __init__(self, job):
+    def __init__(self, dataset: Dataset, assignments, fit, spec: MomentSpec):
         read, write = os.pipe()
-        # A collection writes to every object it visits, so while the child
+        # A collection writes to every object it visits, so while the worker
         # lives it would copy each page of the caller's objects, in both
         # processes: a benchmark Monte Carlo replication whose heap held its
         # trace spans ran 14-17% slower than untraced on a 2-vCPU VM, and 4%
@@ -292,9 +302,9 @@ class _Child:
             with warnings.catch_warnings():
                 # os.fork warns in a process with threads (Python >= 3.12),
                 # and numpy's OpenBLAS starts a thread pool at import. The
-                # child runs only a fold's numpy code, with the one BLAS
+                # worker runs only the folds' numpy code, with the one BLAS
                 # thread a fit pins, OpenBLAS shuts its pool down at fork,
-                # and the child leaves through os._exit: it takes no lock
+                # and the worker leaves through os._exit: it takes no lock
                 # that another thread may have held at the fork.
                 warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
                 self.pid = os.fork()
@@ -305,26 +315,36 @@ class _Child:
             raise
         if self.pid == 0:
             os.close(read)
-            _run_and_exit(job, write)
+            A, B = np.empty((2, dataset.n, spec.m))  # reused by every split
+            _run_and_exit((partial(_second_fold, dataset, assign, fit, spec, A, B)
+                           for assign in assignments), write)
         os.close(write)
         self._pipe = os.fdopen(read, "rb")
 
-    def outcome(self, label):
-        """job's return value; raises its exception, or an error naming the
-        exit status of a child that sent nothing."""
-        with self._pipe:
-            blob = self._pipe.read()
-        code = self._reap()
-        if code != 0 or not blob:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def next_fold(self, label):
+        """The next second fold's (FoldFit, rows of A, rows of B); raises its
+        exception, or an error naming the exit status of a worker that sent
+        no record for it."""
+        head = self._pipe.read(8)
+        size = int.from_bytes(head, "little")
+        blob = self._pipe.read(size) if len(head) == 8 else b""
+        if len(head) < 8 or len(blob) < size:
+            code = self._reap()
             raise RuntimeError(f"the process evaluating fold {label} exited with "
                                f"status {code} before sending its result")
-        ok, out, tb = pickle.loads(blob)  # bytes the child of this call wrote
+        ok, out, tb = pickle.loads(blob)  # bytes the worker of this fit wrote
         if not ok:
             raise out from _ChildTraceback(tb)
         return out
 
-    def kill(self):
-        """Kill and reap the child unless `outcome` has reaped it."""
+    def close(self):
+        """Kill and reap the worker unless `next_fold` has reaped it."""
         self._pipe.close()
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
@@ -341,27 +361,56 @@ class _Child:
             gc.unfreeze()
 
 
-def _run_and_exit(job, fd):
-    """The child's side of `_Child`: run job, write its outcome to fd, exit."""
+def _run_and_exit(jobs, fd):
+    """The worker's side of `_FoldWorker`: run the jobs in turn, write each
+    outcome to fd, stop after the first that raises, exit."""
     code = 1
     try:
-        try:
-            out = (True, job(), "")
-        except BaseException as exc:  # the parent raises it
-            out = (False, exc, "".join(traceback.format_exception(exc)))
-        try:
-            blob = pickle.dumps(out)
-            if not out[0]:
-                pickle.loads(blob)  # an exception may pickle but fail to unpickle
-        except Exception:  # an exception that does not pickle goes by type and message
-            exc = out[1]
-            blob = pickle.dumps((False, RuntimeError(
-                f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}"), out[2]))
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for job in jobs:
+                try:
+                    out = (True, job(), "")
+                except BaseException as exc:  # the parent raises it
+                    out = (False, exc, "".join(traceback.format_exception(exc)))
+                try:
+                    blob = pickle.dumps(out)
+                    if not out[0]:
+                        pickle.loads(blob)  # an exception may pickle but fail to unpickle
+                except Exception:  # an exception that does not pickle goes by type and message
+                    exc = out[1]
+                    blob = pickle.dumps((False, RuntimeError(
+                        f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}"), out[2]))
+                fh.write(len(blob).to_bytes(8, "little"))
+                fh.write(blob)
+                fh.flush()
+                if not out[0]:
+                    break
         code = 0
     finally:
         os._exit(code)
+
+
+def fold_worker(dataset: Dataset, assignments, fit, spec: MomentSpec):
+    """Where `_fan_out` holds, a context manager holding one forked process
+    that evaluates the second fold of each of assignments, an iterable of
+    fold assignments consumed only in that process, for
+    `build_moment_matrix` to read in the same order; it kills and reaps the
+    process on exit. Elsewhere a context manager holding None."""
+    return _FoldWorker(dataset, assignments, fit, spec) if _fan_out() else nullcontext()
+
+
+def _fold_rows(dataset: Dataset, fold_assignment, spec: MomentSpec):
+    """The two fold labels of a fold assignment and each fold's rows."""
+    assign = np.asarray(fold_assignment)
+    labels = (assign.min(), assign.max()) if assign.size else ()
+    if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
+        raise ValueError("fold_assignment must put every row in one of two folds")
+    min_n = vk_width(dataset.p, max(spec.orders)) + 2
+    rows = [np.flatnonzero(assign == label) for label in labels]
+    for label, idx in zip(labels, rows):
+        if idx.size < min_n:
+            raise IllPosedError(f"fold {label} has {idx.size} rows; need >= {min_n}")
+    return labels, rows
 
 
 def _evaluate_fold(dataset: Dataset, idx, train, fit, spec: MomentSpec, A, B) -> FoldFit:
@@ -375,8 +424,15 @@ def _evaluate_fold(dataset: Dataset, idx, train, fit, spec: MomentSpec, A, B) ->
                    any(pf.ridge_fallback for pf in nuis.partials.values()))
 
 
+def _second_fold(dataset: Dataset, fold_assignment, fit, spec: MomentSpec, A, B):
+    """The fold worker's job: the second fold's FoldFit and rows of A and B."""
+    rows = _fold_rows(dataset, fold_assignment, spec)[1]
+    fold = _evaluate_fold(dataset, rows[1], rows[0], fit, spec, A, B)
+    return fold, A[rows[1]], B[rows[1]]
+
+
 def build_moment_matrix(dataset: Dataset, fold_assignment, fit,
-                        spec: MomentSpec) -> MomentMatrix:
+                        spec: MomentSpec, worker=None) -> MomentMatrix:
     """Cross-fitted moment rows: row i is evaluated with the nuisance fit
     trained on the fold not containing i; rows stay in dataset order.
 
@@ -384,43 +440,28 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, fit,
     evaluated, it is called on the other fold's rows, in dataset order. A
     fold's g goes straight into its rows of A and B, `aipcw_transform` writes
     psi over those rows, and the fold's fit is dropped after its transform.
-    Where `_fan_out` holds, the second fold runs in a forked child at the
-    same time as the first and sends its rows of A and B back with its
-    `FoldFit`; otherwise the folds run one after the other, and one fold's
-    working set is held at a time. An error of the first fold wins over one
-    of the second, as it does when the folds run in turn."""
-    assign = np.asarray(fold_assignment)
-    labels = (assign.min(), assign.max()) if assign.size else ()
-    if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
-        raise ValueError("fold_assignment must put every row in one of two folds")
-    min_n = vk_width(dataset.p, max(spec.orders)) + 2
-    rows = [np.flatnonzero(assign == label) for label in labels]
-    for label, idx in zip(labels, rows):
-        if idx.size < min_n:
-            raise IllPosedError(f"fold {label} has {idx.size} rows; need >= {min_n}")
+    The first fold runs here. The second runs after it, or, given the
+    `fold_worker` of the fit, comes from the worker's next record, which
+    that process evaluated while this one ran the first fold or the previous
+    split's GEL fits. An error of the first fold wins over one of the
+    second, as it does when the folds run in turn."""
+    labels, rows = _fold_rows(dataset, fold_assignment, spec)
     # one heap block: glibc raises the size from which it maps a block on
     # its own to the largest block it has unmapped, and trims the heap only
     # above twice that, so one block keeps a fit's heap for the next fit
     # where two halves did not (at n = 4000, m = 45: under 300 in place of
     # 3,300 page faults per fit)
     A, B = np.empty((2, dataset.n, spec.m))
-    first, second = (partial(_evaluate_fold, dataset, idx, train, fit, spec, A, B)
-                     for idx, train in (rows, rows[::-1]))
-    if not _fan_out():
-        folds = (first(), second())
+    first = _evaluate_fold(dataset, rows[0], rows[1], fit, spec, A, B)
+    if worker is None:
+        second = _evaluate_fold(dataset, rows[1], rows[0], fit, spec, A, B)
     else:
-        child = _Child(lambda: (second(), A[rows[1]], B[rows[1]]))
-        try:
-            fold_0 = first()
-            fold_1, A[rows[1]], B[rows[1]] = child.outcome(labels[1])
-        except BaseException:
-            child.kill()
-            raise
-        folds = (fold_0, fold_1)
+        second, A[rows[1]], B[rows[1]] = worker.next_fold(labels[1])
     stats = TransformStats()
-    for fold in folds:
+    for fold in (first, second):
         stats.merge(fold.stats)
-    return MomentMatrix(A=A, B=B, spec=spec, fold_tags=assign.copy(), stats=stats, folds=folds)
+    return MomentMatrix(A=A, B=B, spec=spec, fold_tags=np.array(fold_assignment), stats=stats,
+                        folds=(first, second))
 
 
 def dump_moments(M: MomentMatrix, path) -> None:

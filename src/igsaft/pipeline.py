@@ -7,13 +7,14 @@ through one at a time, so memory does not grow with the split count. Within
 a split, the moment pair (A, B) is allocated once, and a fold's nuisance
 fit is made just before the fold is evaluated and dropped after its
 transform. On Linux with two or more CPUs available, and outside a worker
-process, the split's second fold runs in a forked child beside the first
-(see `moments.build_moment_matrix`): each of the two processes then holds
-one fold's nuisance fit and chunk buffers beside A and B, and the results
-are bit-identical to running the folds in turn. Otherwise the folds go
-through one at a time, so one fold's nuisance fit and chunk buffers are
-live beside A and B. The split's moment matrix is dropped once every family
-is fitted on it."""
+process, one forked process per fit evaluates every split's second fold,
+about one split ahead of the caller, which runs the first folds and the
+GEL fits (see `moments.fold_worker`): each of the two processes then holds
+one fold's nuisance fit and chunk buffers beside its A and B, and the
+results are bit-identical to running the folds in turn. Otherwise the
+folds go through one at a time, so one fold's nuisance fit and chunk
+buffers are live beside A and B. The split's moment matrix is dropped once
+every family is fitted on it."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .diagnostics import (TestResult, check_rank, factor_exposure, overid_test,
 from .errors import DomainError
 from .gel import FAMILIES, GelFit, fit_gel, wald_interval
 from .interactions import MomentSpec
-from .moments import TransformStats, build_moment_matrix, dump_moments
+from .moments import TransformStats, build_moment_matrix, dump_moments, fold_worker
 from .nuisance import KernelConfig, fit_all
 from .screening import ScreenResult, screen_interactions
 from .simulate import rng_stream
@@ -186,28 +187,32 @@ def _fit_splits(dataset: Dataset, config: FitConfig, spec: MomentSpec, families,
     fold fitter (`build_moment_matrix` picks each fold's training rows), take
     each fold's bandwidths and ridge fallback from it in label order, fit
     every family on it (and dump it if it is split 0's), and drop it before
-    the next split is built."""
+    the next split is built. Where `moments.fold_worker` forks, its one
+    process evaluates every split's second fold while this one runs the
+    first fold and the GEL fits."""
     warnings = []
     if dataset.n < 200:
         warnings.append(f"n = {dataset.n} is small; local censoring estimates may be noisy")
     fits = {fam: [] for fam in families}
     stats = TransformStats()
-    for split in range(config.n_splits):
-        assign = _fold_assignment(dataset.n, config.seed, split)
-        # built per split, so that it calls the fit_all this module holds then
-        M = build_moment_matrix(dataset, assign, partial(fit_all, spec=spec, cfg=config.kernel),
-                                spec)
-        stats.merge(M.stats)
-        warnings.extend(f"split {split}, fold {lab}: partialling used a ridge fallback"
-                        for lab, fold in enumerate(M.folds) if fold.ridge_fallback)
-        if split == 0:
-            fold_sizes = (int((assign == 0).sum()), int((assign == 1).sum()))
-            bandwidths = tuple(list(fold.bandwidth) for fold in M.folds)
-            if dump_moments_path:
-                dump_moments(M, dump_moments_path)
-        for fam, fam_fits in fits.items():
-            fam_fits.append(fit_gel(M, fam, search=config.search, alpha=config.alpha))
-        del M  # else it stays alive through the next split's construction
+    # the fit_all this module holds at the call, so that a traced span runs
+    fit = partial(fit_all, spec=spec, cfg=config.kernel)
+    assignment = partial(_fold_assignment, dataset.n, config.seed)
+    with fold_worker(dataset, map(assignment, range(config.n_splits)), fit, spec) as worker:
+        for split in range(config.n_splits):
+            assign = assignment(split)
+            M = build_moment_matrix(dataset, assign, fit, spec, worker)
+            stats.merge(M.stats)
+            warnings.extend(f"split {split}, fold {lab}: partialling used a ridge fallback"
+                            for lab, fold in enumerate(M.folds) if fold.ridge_fallback)
+            if split == 0:
+                fold_sizes = (int((assign == 0).sum()), int((assign == 1).sum()))
+                bandwidths = tuple(list(fold.bandwidth) for fold in M.folds)
+                if dump_moments_path:
+                    dump_moments(M, dump_moments_path)
+            for fam, fam_fits in fits.items():
+                fam_fits.append(fit_gel(M, fam, search=config.search, alpha=config.alpha))
+            del M  # else it stays alive through the next split's construction
     return ({fam: combine_split_fits(f, config.alpha) for fam, f in fits.items()},
             stats, fold_sizes, bandwidths, warnings)
 

@@ -1,6 +1,7 @@
-"""A split's second fold in a forked process (`moments._fan_out`): the same
-A, B, counts and report as the folds in turn, a child's failure raised in
-the caller as on the serial path, and no process left behind."""
+"""Every split's second fold in one forked process per fit
+(`moments.fold_worker`, where `moments._fan_out` holds): the same A, B,
+counts and report as the folds in turn, a child's failure raised in the
+caller as on the serial path, one fork per fit and no process left behind."""
 
 import gc
 import os
@@ -75,13 +76,19 @@ def fit_recording(monkeypatch, forked, ds, cfg):
     return report, matrices
 
 
-def label_of(training, ds, cfg):
-    """The split-0 fold a fit on the training Dataset evaluates: the other fold."""
-    return int(training == ds.subset(np.flatnonzero(_fold_assignment(ds.n, cfg.seed) == 0)))
+def split_and_label(training, ds, cfg):
+    """The split and the fold a fit on the training Dataset evaluates: the
+    other fold of that split."""
+    for split in range(cfg.n_splits):
+        assign = _fold_assignment(ds.n, cfg.seed, split)
+        for label in (0, 1):
+            if training == ds.subset(np.flatnonzero(assign != label)):
+                return split, label
+    raise AssertionError("the training rows are no fold of the fit's splits")
 
 
 @pytest.mark.parametrize("design", sorted(DESIGNS))
-@pytest.mark.parametrize("n_splits", [1, 3])
+@pytest.mark.parametrize("n_splits", [1, 3, 5])
 def test_forked_folds_match_the_folds_in_turn(design, n_splits, datasets, monkeypatch):
     ds, cfg = datasets[design], FitConfig(n_splits=n_splits, screen=False)
     serial, serial_M = fit_recording(monkeypatch, False, ds, cfg)
@@ -109,6 +116,19 @@ def test_ridge_fallback_warnings_come_back_in_label_order(datasets, monkeypatch)
     assert repr(forked.to_dict()) == repr(serial.to_dict())
 
 
+def raised_both_ways(monkeypatch, ds, cfg):
+    """(type, message) of the error fit_igsaft raises with the folds in turn,
+    then with them forked; nothing may be left behind either way."""
+    raised = []
+    for forked in (False, True):
+        monkeypatch.setattr(moments, "_fan_out", lambda forked=forked: forked)
+        with deadline(60), pytest.raises(Exception) as info:
+            fit_igsaft(ds, cfg)
+        raised.append((info.type, str(info.value)))
+        assert_nothing_left()
+    return raised
+
+
 class Unpicklable(Exception):
     def __reduce__(self):
         raise TypeError("not picklable")
@@ -124,23 +144,83 @@ def test_a_failing_fold_raises_as_in_turn(failing, error, wanted, datasets, monk
     fit_all = igsaft.pipeline.fit_all
 
     def failing_fit(training, **kwargs):
-        label = label_of(training, ds, cfg)
+        label = split_and_label(training, ds, cfg)[1]
         if label in failing:
             raise error(f"fold {label} fails")
         return fit_all(training, **kwargs)
 
     monkeypatch.setattr(igsaft.pipeline, "fit_all", failing_fit)
-    raised = []
-    for forked in (False, True):
-        monkeypatch.setattr(moments, "_fan_out", lambda forked=forked: forked)
-        with deadline(60), pytest.raises(Exception) as info:
-            fit_igsaft(ds, cfg)
-        raised.append((info.type, str(info.value)))
-        assert_nothing_left()
+    raised = raised_both_ways(monkeypatch, ds, cfg)
     if error is Unpicklable:  # only the forked path cannot send it as it is
         assert raised[0] == (Unpicklable, "fold 1 fails")
         del raised[0]
     assert set(raised) == {wanted}
+
+
+@pytest.mark.parametrize("failing, wanted", [
+    ({(2, 1)}, "split 2, fold 1 fails"),  # the child's last fold
+    ({(1, 0), (1, 1)}, "split 1, fold 0 fails"),  # the caller's error wins
+])
+def test_a_fold_failing_in_a_later_split_raises_as_in_turn(failing, wanted, datasets,
+                                                          monkeypatch):
+    ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=3, screen=False)
+    fit_all = igsaft.pipeline.fit_all
+
+    def failing_fit(training, **kwargs):
+        split, label = split_and_label(training, ds, cfg)
+        if (split, label) in failing:
+            raise ValueError(f"split {split}, fold {label} fails")
+        return fit_all(training, **kwargs)
+
+    monkeypatch.setattr(igsaft.pipeline, "fit_all", failing_fit)
+    assert raised_both_ways(monkeypatch, ds, cfg) == [(ValueError, wanted)] * 2
+
+
+@pytest.mark.parametrize("forked", [False, True])
+def test_a_fit_forks_once(forked, datasets, monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(moments, "_fan_out", lambda: forked)
+    monkeypatch.setattr(os, "fork", counted)
+    with deadline(60):
+        fit_igsaft(datasets["p5_cr0"], FitConfig(n_splits=3, screen=False))
+    assert len(forks) == forked
+    assert_nothing_left()
+
+
+def test_a_caller_failing_in_gel_kills_the_child_working_ahead(datasets, monkeypatch):
+    # the caller's GEL fit of split 0 fails while the child is in split 1's
+    # fit_all, which the child reports through a pipe before it sleeps
+    ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=3, screen=False)
+    parent, fit_all = os.getpid(), igsaft.pipeline.fit_all
+    read, write = os.pipe()
+
+    def child_sleeps_in_split_1(training, **kwargs):
+        if os.getpid() != parent and split_and_label(training, ds, cfg)[0] == 1:
+            os.write(write, b"1")
+            time.sleep(600)
+        return fit_all(training, **kwargs)
+
+    def gel_fails(*args, **kwargs):
+        assert os.read(read, 1) == b"1"  # the child is asleep in split 1
+        raise ValueError("GEL fails")
+
+    monkeypatch.setattr(igsaft.pipeline, "fit_all", child_sleeps_in_split_1)
+    monkeypatch.setattr(igsaft.pipeline, "fit_gel", gel_fails)
+    monkeypatch.setattr(moments, "_fan_out", lambda: True)
+    start = time.perf_counter()
+    try:
+        with deadline(60), pytest.raises(ValueError, match="GEL fails"):
+            fit_igsaft(ds, cfg)
+    finally:
+        os.close(read)
+        os.close(write)
+    assert time.perf_counter() - start < 30
+    assert_nothing_left()
 
 
 def test_a_child_that_exits_without_a_result_names_its_status(datasets, monkeypatch):

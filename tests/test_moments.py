@@ -5,7 +5,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from igsaft import moments
 from igsaft.data import Dataset
 from igsaft.interactions import MomentSpec
 from igsaft.moments import aipcw_transform, build_moment_matrix
@@ -136,7 +135,7 @@ def test_mean_psi_at_truth_case1():
     assert np.sqrt(ds.n) * np.linalg.norm(psibar / sd) / np.sqrt(spec.m) < 5.0
 
 
-def test_cross_fitting_uses_opposite_fold(monkeypatch):
+def test_cross_fitting_uses_opposite_fold():
     cfg = SimConfig(case=1, n=200, p=3, target_cr=0.0, reps=1, seed=8)
     ds, _ = generate(cfg, 0)
     spec = MomentSpec.full(3, 2)
@@ -147,8 +146,7 @@ def test_cross_fitting_uses_opposite_fold(monkeypatch):
         trained_on.append(train)
         return fit_all(train, spec, KC)
 
-    monkeypatch.setattr(moments, "_fan_out", lambda: False)  # both fits in this process
-    M = build_moment_matrix(ds, assign, fit, spec)
+    M = build_moment_matrix(ds, assign, fit, spec)  # without a fold worker: both fits here
     # fold 0 is evaluated with the fit on fold 1's rows, then fold 1 with the
     # fit on fold 0's, each in dataset order
     assert trained_on == [ds.subset(range(1, 200, 2)), ds.subset(range(0, 200, 2))]
