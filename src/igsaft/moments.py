@@ -29,21 +29,12 @@ What is held when: `build_moment_matrix` allocates A and B once per split,
 and each fold writes its g straight into its rows of A and B;
 `aipcw_transform` then writes psi over those rows 32 at a time, with four
 (32, n_train) buffers that live for one transform. A fold's nuisance fit
-lives from just before its g is computed to the end of its transform. On
-Linux, with at least two CPUs in the process's affinity mask and outside a
-worker process, a fit forks one worker process (`fold_worker`) that
-evaluates the second fold of every split in order, into its own A and B
-made once per fit, and sends each split's rows back through a pipe; the
-caller evaluates each split's first fold and runs its GEL fits meanwhile,
-with the worker about one split ahead. Memory is then per process: each
-holds one fold's nuisance fit and chunk buffers beside its A and B, and
-the worker also the pickled record it is sending. Each fold runs the same
-code on the same rows either way, so A, B and the counts are bit-identical
-to one fold after the other. A chunk of event rows evaluated on a training
-fold without censored rows leaves its rows at g: there Ghat is 1, so W is
-0 and psi = g exactly. It still builds its kernel weights, which its
-empty-risk-set count needs, and writes nothing into the other three
-buffers.
+lives from just before its g is computed to the end of its transform. A
+fit's second folds may run in another process, with its own memory (see
+`fold_worker`). A chunk of event rows evaluated on a training fold without
+censored rows leaves its rows at g: there Ghat is 1, so W is 0 and psi = g
+exactly. It still builds its kernel weights, which its empty-risk-set
+count needs, and writes nothing into the other three buffers.
 """
 
 from __future__ import annotations
@@ -55,11 +46,9 @@ import os
 import pickle
 import signal
 import sys
-import traceback
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -272,20 +261,8 @@ def _fan_out() -> bool:
             and multiprocessing.parent_process() is None)
 
 
-class _ChildTraceback(Exception):
-    """The formatted traceback of an exception raised in the fold worker."""
-
-
 class _FoldWorker:
-    """A forked process that evaluates the second fold of each fold
-    assignment in turn and sends each outcome through a pipe as a
-    length-prefixed pickled record, (ok, (FoldFit, rows of A, rows of B) or
-    exception, traceback text). It stops after the first failing fold and
-    leaves through os._exit, so that no cleanup of the parent's runs twice.
-    A record larger than the pipe's buffer (64 kB on Linux; a record is
-    720 kB at n = 2000, m = 45) blocks the worker until the caller reads it,
-    so the worker runs at most one split ahead; smaller records may let it
-    run further ahead."""
+    """The process of `fold_worker` and the read end of its pipe."""
 
     def __init__(self, dataset: Dataset, assignments, fit, spec: MomentSpec):
         read, write = os.pipe()
@@ -314,10 +291,17 @@ class _FoldWorker:
             self._thaw()
             raise
         if self.pid == 0:
-            os.close(read)
-            A, B = np.empty((2, dataset.n, spec.m))  # reused by every split
-            _run_and_exit((partial(_second_fold, dataset, assign, fit, spec, A, B)
-                           for assign in assignments), write)
+            try:  # the first exception ends the records; os._exit prints nothing
+                os.close(read)
+                A, B = np.empty((2, dataset.n, spec.m))  # reused by every split
+                with os.fdopen(write, "wb") as fh:
+                    for assign in assignments:
+                        blob = pickle.dumps(_second_fold(dataset, assign, fit, spec, A, B))
+                        fh.write(len(blob).to_bytes(8, "little"))
+                        fh.write(blob)
+                        fh.flush()
+            finally:
+                os._exit(0)
         os.close(write)
         self._pipe = os.fdopen(read, "rb")
 
@@ -327,80 +311,62 @@ class _FoldWorker:
     def __exit__(self, *exc):
         self.close()
 
-    def next_fold(self, label):
-        """The next second fold's (FoldFit, rows of A, rows of B); raises its
-        exception, or an error naming the exit status of a worker that sent
-        no record for it."""
+    def next_fold(self):
+        """The next second fold's (FoldFit, rows of A, rows of B), or None
+        where the worker sent no record for it."""
         head = self._pipe.read(8)
         size = int.from_bytes(head, "little")
         blob = self._pipe.read(size) if len(head) == 8 else b""
         if len(head) < 8 or len(blob) < size:
-            code = self._reap()
-            raise RuntimeError(f"the process evaluating fold {label} exited with "
-                               f"status {code} before sending its result")
-        ok, out, tb = pickle.loads(blob)  # bytes the worker of this fit wrote
-        if not ok:
-            raise out from _ChildTraceback(tb)
-        return out
+            return None
+        return pickle.loads(blob)  # bytes the worker of this fit wrote
 
     def close(self):
-        """Kill and reap the worker unless `next_fold` has reaped it."""
+        """Close the pipe, then kill and reap the worker."""
         self._pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            self._reap()
-
-    def _reap(self) -> int:
-        pid, self.pid = self.pid, None
-        status = os.waitpid(pid, 0)[1]
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
         self._thaw()
-        return os.waitstatus_to_exitcode(status)
 
     def _thaw(self):
         if self._froze:
             gc.unfreeze()
 
 
-def _run_and_exit(jobs, fd):
-    """The worker's side of `_FoldWorker`: run the jobs in turn, write each
-    outcome to fd, stop after the first that raises, exit."""
-    code = 1
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for job in jobs:
-                try:
-                    out = (True, job(), "")
-                except BaseException as exc:  # the parent raises it
-                    out = (False, exc, "".join(traceback.format_exception(exc)))
-                try:
-                    blob = pickle.dumps(out)
-                    if not out[0]:
-                        pickle.loads(blob)  # an exception may pickle but fail to unpickle
-                except Exception:  # an exception that does not pickle goes by type and message
-                    exc = out[1]
-                    blob = pickle.dumps((False, RuntimeError(
-                        f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}"), out[2]))
-                fh.write(len(blob).to_bytes(8, "little"))
-                fh.write(blob)
-                fh.flush()
-                if not out[0]:
-                    break
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def fold_worker(dataset: Dataset, assignments, fit, spec: MomentSpec):
-    """Where `_fan_out` holds, a context manager holding one forked process
-    that evaluates the second fold of each of assignments, an iterable of
-    fold assignments consumed only in that process, for
-    `build_moment_matrix` to read in the same order; it kills and reaps the
-    process on exit. Elsewhere a context manager holding None."""
+    """Where `_fan_out` holds, a context manager holding the fold worker, one
+    forked process, which it kills and reaps on exit; elsewhere a context
+    manager holding None.
+
+    The worker evaluates the second fold of each of assignments, an iterable
+    of fold assignments consumed only in that process, in order, into its
+    own A and B made once per fit. It writes each fold to a pipe as one
+    record, (FoldFit, rows of A, rows of B) pickled behind an 8-byte length,
+    which `build_moment_matrix` reads in the same order while the caller
+    evaluates each split's first fold and runs its GEL fits. A record larger
+    than the pipe's buffer (64 kB on Linux; a record is 720 kB at n = 2000,
+    m = 45) blocks the worker until the caller reads it, so the worker runs
+    at most one split ahead; smaller records may let it run further ahead.
+
+    Records hold results only. At its first exception the worker stops
+    writing and leaves through os._exit, which prints nothing and runs none
+    of the caller's cleanup a second time. Where a record is missing,
+    because the worker failed or died, the caller evaluates that split's
+    second fold itself, as it does without a worker, and so every later
+    split's, since the pipe stays at its end. An error thus only ever comes
+    from the caller's own evaluation, raised as in turn, and a fit whose
+    worker dies equals the fit in turn; on that path only, the failing fold
+    is evaluated twice.
+
+    Each fold runs the same code on the same rows either way, so A, B and
+    the counts are bit-identical to the folds in turn. Memory is per
+    process: each holds one fold's nuisance fit and chunk buffers beside its
+    A and B, and the worker also the pickled record it is sending."""
     return _FoldWorker(dataset, assignments, fit, spec) if _fan_out() else nullcontext()
 
 
 def _fold_rows(dataset: Dataset, fold_assignment, spec: MomentSpec):
-    """The two fold labels of a fold assignment and each fold's rows."""
+    """The rows of each of a fold assignment's two folds, in label order."""
     assign = np.asarray(fold_assignment)
     labels = (assign.min(), assign.max()) if assign.size else ()
     if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
@@ -410,7 +376,7 @@ def _fold_rows(dataset: Dataset, fold_assignment, spec: MomentSpec):
     for label, idx in zip(labels, rows):
         if idx.size < min_n:
             raise IllPosedError(f"fold {label} has {idx.size} rows; need >= {min_n}")
-    return labels, rows
+    return rows
 
 
 def _evaluate_fold(dataset: Dataset, idx, train, fit, spec: MomentSpec, A, B) -> FoldFit:
@@ -426,7 +392,7 @@ def _evaluate_fold(dataset: Dataset, idx, train, fit, spec: MomentSpec, A, B) ->
 
 def _second_fold(dataset: Dataset, fold_assignment, fit, spec: MomentSpec, A, B):
     """The fold worker's job: the second fold's FoldFit and rows of A and B."""
-    rows = _fold_rows(dataset, fold_assignment, spec)[1]
+    rows = _fold_rows(dataset, fold_assignment, spec)
     fold = _evaluate_fold(dataset, rows[1], rows[0], fit, spec, A, B)
     return fold, A[rows[1]], B[rows[1]]
 
@@ -440,12 +406,9 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, fit,
     evaluated, it is called on the other fold's rows, in dataset order. A
     fold's g goes straight into its rows of A and B, `aipcw_transform` writes
     psi over those rows, and the fold's fit is dropped after its transform.
-    The first fold runs here. The second runs after it, or, given the
-    `fold_worker` of the fit, comes from the worker's next record, which
-    that process evaluated while this one ran the first fold or the previous
-    split's GEL fits. An error of the first fold wins over one of the
-    second, as it does when the folds run in turn."""
-    labels, rows = _fold_rows(dataset, fold_assignment, spec)
+    The first fold runs here, the second after it, unless the fit's
+    `fold_worker` sends it as its next record."""
+    rows = _fold_rows(dataset, fold_assignment, spec)
     # one heap block: glibc raises the size from which it maps a block on
     # its own to the largest block it has unmapped, and trims the heap only
     # above twice that, so one block keeps a fit's heap for the next fit
@@ -453,10 +416,11 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, fit,
     # 3,300 page faults per fit)
     A, B = np.empty((2, dataset.n, spec.m))
     first = _evaluate_fold(dataset, rows[0], rows[1], fit, spec, A, B)
-    if worker is None:
+    record = None if worker is None else worker.next_fold()
+    if record is None:
         second = _evaluate_fold(dataset, rows[1], rows[0], fit, spec, A, B)
     else:
-        second, A[rows[1]], B[rows[1]] = worker.next_fold(labels[1])
+        second, A[rows[1]], B[rows[1]] = record
     stats = TransformStats()
     for fold in (first, second):
         stats.merge(fold.stats)

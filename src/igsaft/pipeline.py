@@ -6,15 +6,9 @@ What is held when: no step forms the n x k exposure design. Splits go
 through one at a time, so memory does not grow with the split count. Within
 a split, the moment pair (A, B) is allocated once, and a fold's nuisance
 fit is made just before the fold is evaluated and dropped after its
-transform. On Linux with two or more CPUs available, and outside a worker
-process, one forked process per fit evaluates every split's second fold,
-about one split ahead of the caller, which runs the first folds and the
-GEL fits (see `moments.fold_worker`): each of the two processes then holds
-one fold's nuisance fit and chunk buffers beside its A and B, and the
-results are bit-identical to running the folds in turn. Otherwise the
-folds go through one at a time, so one fold's nuisance fit and chunk
-buffers are live beside A and B. The split's moment matrix is dropped once
-every family is fitted on it."""
+transform, so one fold's nuisance fit and chunk buffers are live beside A
+and B in each process that evaluates folds (see `moments.fold_worker`).
+The split's moment matrix is dropped once every family is fitted on it."""
 
 from __future__ import annotations
 
@@ -187,9 +181,8 @@ def _fit_splits(dataset: Dataset, config: FitConfig, spec: MomentSpec, families,
     fold fitter (`build_moment_matrix` picks each fold's training rows), take
     each fold's bandwidths and ridge fallback from it in label order, fit
     every family on it (and dump it if it is split 0's), and drop it before
-    the next split is built. Where `moments.fold_worker` forks, its one
-    process evaluates every split's second fold while this one runs the
-    first fold and the GEL fits."""
+    the next split is built. The second folds may come from the fit's
+    `moments.fold_worker`."""
     warnings = []
     if dataset.n < 200:
         warnings.append(f"n = {dataset.n} is small; local censoring estimates may be noisy")

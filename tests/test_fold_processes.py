@@ -1,7 +1,8 @@
 """Every split's second fold in one forked process per fit
 (`moments.fold_worker`, where `moments._fan_out` holds): the same A, B,
-counts and report as the folds in turn, a child's failure raised in the
-caller as on the serial path, one fork per fit and no process left behind."""
+counts and report as the folds in turn, a fold the worker does not deliver
+evaluated in the caller, so that its error is the caller's own, one fork
+per fit and no process or file descriptor left behind."""
 
 import gc
 import os
@@ -9,6 +10,7 @@ import re
 import signal
 import sys
 import time
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -137,7 +139,7 @@ class Unpicklable(Exception):
 @pytest.mark.parametrize("failing, error, wanted", [
     ((1,), ValueError, (ValueError, "fold 1 fails")),
     ((0, 1), ValueError, (ValueError, "fold 0 fails")),  # fold 0's error wins
-    ((1,), Unpicklable, (RuntimeError, "test_fold_processes.Unpicklable: fold 1 fails")),
+    ((1,), Unpicklable, (Unpicklable, "fold 1 fails")),
 ])
 def test_a_failing_fold_raises_as_in_turn(failing, error, wanted, datasets, monkeypatch):
     ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=1, screen=False)
@@ -150,11 +152,7 @@ def test_a_failing_fold_raises_as_in_turn(failing, error, wanted, datasets, monk
         return fit_all(training, **kwargs)
 
     monkeypatch.setattr(igsaft.pipeline, "fit_all", failing_fit)
-    raised = raised_both_ways(monkeypatch, ds, cfg)
-    if error is Unpicklable:  # only the forked path cannot send it as it is
-        assert raised[0] == (Unpicklable, "fold 1 fails")
-        del raised[0]
-    assert set(raised) == {wanted}
+    assert set(raised_both_ways(monkeypatch, ds, cfg)) == {wanted}
 
 
 @pytest.mark.parametrize("failing, wanted", [
@@ -223,19 +221,81 @@ def test_a_caller_failing_in_gel_kills_the_child_working_ahead(datasets, monkeyp
     assert_nothing_left()
 
 
-def test_a_child_that_exits_without_a_result_names_its_status(datasets, monkeypatch):
-    ds, parent = datasets["p5_cr0"], os.getpid()
+def test_a_worker_that_exits_early_leaves_the_fit_as_in_turn(datasets, monkeypatch):
+    # the worker dies in split 1 of 3; the caller evaluates that split's
+    # second fold and split 2's itself
+    ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=3, screen=False)
+    parent, fit_all = os.getpid(), igsaft.pipeline.fit_all
+
+    def exiting_in_split_1(training, **kwargs):
+        if os.getpid() != parent and split_and_label(training, ds, cfg)[0] == 1:
+            os._exit(3)
+        return fit_all(training, **kwargs)
+
+    monkeypatch.setattr(igsaft.pipeline, "fit_all", exiting_in_split_1)
+    serial, serial_M = fit_recording(monkeypatch, False, ds, cfg)
+    with deadline(60):
+        forked, forked_M = fit_recording(monkeypatch, True, ds, cfg)
+    assert len(serial_M) == 3 and forked_M == serial_M
+    assert repr(forked.to_dict()) == repr(serial.to_dict())
+
+
+def test_a_fold_failing_in_the_worker_raises_the_callers_own_error(datasets, monkeypatch,
+                                                                  capfd):
+    ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=1, screen=False)
     fit_all = igsaft.pipeline.fit_all
 
-    def exiting(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(3)
-        return fit_all(*args, **kwargs)
+    def failing_fit(training, **kwargs):
+        if split_and_label(training, ds, cfg)[1] == 1:
+            error = ValueError("fold 1 fails")
+            error.pid = os.getpid()
+            raise error
+        return fit_all(training, **kwargs)
 
-    monkeypatch.setattr(igsaft.pipeline, "fit_all", exiting)
+    monkeypatch.setattr(igsaft.pipeline, "fit_all", failing_fit)
     monkeypatch.setattr(moments, "_fan_out", lambda: True)
-    with deadline(60), pytest.raises(RuntimeError, match="fold 1 exited with status 3 "):
-        fit_igsaft(ds, FitConfig(n_splits=1, screen=False))
+    capfd.readouterr()
+    with deadline(60), pytest.raises(ValueError, match="fold 1 fails") as info:
+        fit_igsaft(ds, cfg)
+    assert info.value.pid == os.getpid() and info.value.__cause__ is None
+    frames = [frame.name for frame in traceback.extract_tb(info.tb)]
+    assert frames[frames.index("build_moment_matrix") + 1] == "_evaluate_fold"
+    assert capfd.readouterr().err == ""  # the worker printed nothing
+    assert_nothing_left()
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("path", ["success", "caller fails", "worker fails", "worker exits"])
+def test_a_forked_fit_closes_both_ends_of_its_pipe(path, datasets, monkeypatch):
+    ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=2, screen=False)
+    parent, fit_all = os.getpid(), igsaft.pipeline.fit_all
+
+    def fit(training, **kwargs):
+        in_worker = os.getpid() != parent
+        if path == "caller fails" and not in_worker:
+            raise ValueError("the caller fails")
+        if path == "worker fails" and in_worker:
+            raise ValueError("the worker fails")
+        if path == "worker exits" and in_worker:
+            os._exit(3)
+        return fit_all(training, **kwargs)
+
+    monkeypatch.setattr(igsaft.pipeline, "fit_all", fit)
+    monkeypatch.setattr(moments, "_fan_out", lambda: True)
+    before = open_fds()
+    with deadline(60), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)  # a file closed by its finalizer
+        if path == "caller fails":
+            with pytest.raises(ValueError, match="the caller fails"):
+                fit_igsaft(ds, cfg)
+        else:
+            fit_igsaft(ds, cfg)
+    assert open_fds() == before
+    assert [w.message for w in caught if w.category is ResourceWarning] == []
     assert_nothing_left()
 
 
