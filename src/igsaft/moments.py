@@ -30,7 +30,8 @@ and each fold writes its g straight into its rows of A and B;
 `aipcw_transform` then writes psi over those rows 32 at a time, with four
 (32, n_train) buffers that live for one transform. A fold's nuisance fit
 lives from just before its g is computed to the end of its transform. A
-fit's second folds may run in another process, with its own memory (see
+fit's second folds may run in another process, with its own memory, which
+sends them back through a `multiprocessing.connection.Connection` (see
 `fold_worker`). A chunk of event rows evaluated on a training fold without
 censored rows leaves its rows at g: there Ghat is 1, so W is 0 and psi = g
 exactly. It still builds its kernel weights, which its empty-risk-set
@@ -43,7 +44,6 @@ import csv
 import gc
 import multiprocessing
 import os
-import pickle
 import signal
 import sys
 import warnings
@@ -135,11 +135,11 @@ def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStat
     W_ij is 2 (class of j) + 2C i, the index of P[i, class of j], plus the
     flag j >= J0_i: two adds, one comparison and one gather per chunk. The
     clip count is kept only for rows with a clipped event segment; the live
-    event count of such a row with zero kernel weights is a np.bincount of
-    w > 0 over CensorModel.seg_index, which the chunk's tables share. It is
-    built once per transform, and only if the training fold has a censored
-    row: without one Ghat is 1, nothing is clipped, and the tables sum their
-    event runs without it.
+    event count of such a row with zero kernel weights is
+    `CensorModel.live_events`, which sums w > 0 over the segment index the
+    chunk's tables use. Only a training fold with a censored row builds that
+    index, once per fold: without one Ghat is 1, nothing is clipped, and the
+    tables sum their event runs without it.
 
     On such a training fold, a chunk whose evaluation rows are all events
     skips W: with Ghat = 1, ipcw is 1.0, F and coef_inf are 0 and const =
@@ -161,7 +161,6 @@ def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStat
     # flat index of P[i, class of j] in a chunk's PQ, 2 cls_j + 2C i; Q's is one more
     P_class, P_row = 2 * cm.cls_of, 2 * C * np.arange(c_max)
     uncensored_train = not cm.cens_starts.size
-    seg_index = None if uncensored_train else cm.seg_index(c_max)
     # the chunk's (chunk, n_train) arrays, reused by every chunk; np.take
     # fills them with mode="wrap", as mode="raise" takes through a copy
     w_buf, event_buf, W_buf = (np.empty((c_max, n)) for _ in range(3))
@@ -171,7 +170,7 @@ def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStat
         sl = slice(start, start + _CHUNK)
         y_c, delta_c = fold.y[sl], fold.delta[sl].astype(float)
         c = len(y_c)
-        t = cm.tables(fold.z[sl], fold.d[sl], seg_index, w_buf[:c])
+        t = cm.tables(fold.z[sl], fold.d[sl], w_buf[:c])
         rows = np.arange(c)
         G_raw = np.exp(t.seglog)
         invG = 1.0 / np.maximum(G_raw[:, cm.ev_seg], eps)
@@ -202,11 +201,8 @@ def aipcw_transform(fold: Dataset, A, B, idx, cond: CondMoment) -> TransformStat
         if hit.size:  # a clipped event segment counts its live event rows and used grid points
             live_ev = np.tile(cm.ev_count, (hit.size, 1))
             zero = np.flatnonzero(t.w.min(axis=1)[hit] == 0.0)
-            if zero.size:  # count per event run, then add the two runs of each segment
-                live = np.bincount(seg_index[:zero.size].ravel(), weights=(t.w[hit[zero]] > 0).ravel(),
-                                   minlength=zero.size * cm.n_sums)
-                live = live.reshape(zero.size, cm.n_sums)[:, -2 * E:]
-                live_ev[zero] = live[:, 0::2] + live[:, 1::2]
+            if zero.size:
+                live_ev[zero] = cm.live_events(t.w[hit[zero]])
             below = np.clip(T_eff[hit, None], cm.grid_start, cm.bnd_grid + 1) - cm.grid_start
             stats.clip_count += int((clipped[hit] * (live_ev + below)).sum())
         if uncensored_train and delta_c.all():
@@ -265,7 +261,7 @@ class _FoldWorker:
     """The process of `fold_worker` and the read end of its pipe."""
 
     def __init__(self, dataset: Dataset, assignments, fit, spec: MomentSpec):
-        read, write = os.pipe()
+        read, write = multiprocessing.Pipe(duplex=False)
         # A collection writes to every object it visits, so while the worker
         # lives it would copy each page of the caller's objects, in both
         # processes: a benchmark Monte Carlo replication whose heap held its
@@ -286,24 +282,22 @@ class _FoldWorker:
                 warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
                 self.pid = os.fork()
         except BaseException:
-            os.close(read)
-            os.close(write)
+            read.close()
+            write.close()
             self._thaw()
             raise
         if self.pid == 0:
             try:  # the first exception ends the records; os._exit prints nothing
-                os.close(read)
+                read.close()
                 A, B = np.empty((2, dataset.n, spec.m))  # reused by every split
-                with os.fdopen(write, "wb") as fh:
-                    for assign in assignments:
-                        blob = pickle.dumps(_second_fold(dataset, assign, fit, spec, A, B))
-                        fh.write(len(blob).to_bytes(8, "little"))
-                        fh.write(blob)
-                        fh.flush()
+                for assign in assignments:
+                    rows = _fold_rows(dataset, assign, spec)
+                    fold = _evaluate_fold(dataset, rows[1], rows[0], fit, spec, A, B)
+                    write.send((fold, A[rows[1]], B[rows[1]]))
             finally:
                 os._exit(0)
-        os.close(write)
-        self._pipe = os.fdopen(read, "rb")
+        write.close()
+        self._pipe = read
 
     def __enter__(self):
         return self
@@ -313,13 +307,11 @@ class _FoldWorker:
 
     def next_fold(self):
         """The next second fold's (FoldFit, rows of A, rows of B), or None
-        where the worker sent no record for it."""
-        head = self._pipe.read(8)
-        size = int.from_bytes(head, "little")
-        blob = self._pipe.read(size) if len(head) == 8 else b""
-        if len(head) < 8 or len(blob) < size:
+        where the worker sent no whole record for it."""
+        try:
+            return self._pipe.recv()  # a record the worker of this fit sent
+        except (EOFError, OSError):  # no record, or one cut short
             return None
-        return pickle.loads(blob)  # bytes the worker of this fit wrote
 
     def close(self):
         """Close the pipe, then kill and reap the worker."""
@@ -340,18 +332,19 @@ def fold_worker(dataset: Dataset, assignments, fit, spec: MomentSpec):
 
     The worker evaluates the second fold of each of assignments, an iterable
     of fold assignments consumed only in that process, in order, into its
-    own A and B made once per fit. It writes each fold to a pipe as one
-    record, (FoldFit, rows of A, rows of B) pickled behind an 8-byte length,
-    which `build_moment_matrix` reads in the same order while the caller
+    own A and B made once per fit. It sends each fold as one record,
+    (FoldFit, rows of A, rows of B), through the write end of a one-way
+    `multiprocessing.Pipe`, whose `Connection` pickles it behind its length;
+    `build_moment_matrix` reads the records in the same order while the caller
     evaluates each split's first fold and runs its GEL fits. A record larger
     than the pipe's buffer (64 kB on Linux; a record is 720 kB at n = 2000,
     m = 45) blocks the worker until the caller reads it, so the worker runs
     at most one split ahead; smaller records may let it run further ahead.
 
     Records hold results only. At its first exception the worker stops
-    writing and leaves through os._exit, which prints nothing and runs none
-    of the caller's cleanup a second time. Where a record is missing,
-    because the worker failed or died, the caller evaluates that split's
+    sending and leaves through os._exit, which prints nothing and runs none
+    of the caller's cleanup a second time. Where a record is missing or cut
+    short, because the worker failed or died, the caller evaluates that split's
     second fold itself, as it does without a worker, and so every later
     split's, since the pipe stays at its end. An error thus only ever comes
     from the caller's own evaluation, raised as in turn, and a fit whose
@@ -388,13 +381,6 @@ def _evaluate_fold(dataset: Dataset, idx, train, fit, spec: MomentSpec, A, B) ->
     stats = aipcw_transform(eval_fold, A, B, idx, nuis.cond_moment)
     return FoldFit(stats, tuple(float(h) for h in nuis.censor_model.bandwidth),
                    any(pf.ridge_fallback for pf in nuis.partials.values()))
-
-
-def _second_fold(dataset: Dataset, fold_assignment, fit, spec: MomentSpec, A, B):
-    """The fold worker's job: the second fold's FoldFit and rows of A and B."""
-    rows = _fold_rows(dataset, fold_assignment, spec)
-    fold = _evaluate_fold(dataset, rows[1], rows[0], fit, spec, A, B)
-    return fold, A[rows[1]], B[rows[1]]
 
 
 def build_moment_matrix(dataset: Dataset, fold_assignment, fit,

@@ -2,9 +2,12 @@
 kernel-weighted local Kaplan-Meier censoring survival, and the training-fold
 g values that the AIPCW transform averages over weighted risk sets.
 
-All fitting happens on one fold; fitted objects are immutable and safe to
-evaluate concurrently. Training arrays are kept internally in sorted-time
-order; tie groups are precomputed so risk sets use I(Y_j >= Y_i) exactly.
+All fitting happens on one fold; fitted objects are safe to evaluate
+concurrently. They are immutable but for one cache: a CensorModel keeps the
+flat index of its segment sums, built for the largest batch so far and
+swapped in whole, so a concurrent call at worst builds it again. Training
+arrays are kept internally in sorted-time order; tie groups are precomputed
+so risk sets use I(Y_j >= Y_i) exactly.
 """
 
 from __future__ import annotations
@@ -85,32 +88,26 @@ class _KernelWeigher:
     -|t - x|^2 / 2h^2 is t'x / h^2 - |x|^2 / 2h^2 plus a per-row constant
     that normalization removes: one (c, dim + 1) x (dim + 1, n) product of
     [t / h, 1] with XhT, the coordinates over h stacked on a row of
-    -|x|^2 / 2h^2. Without conditioning coordinates (dim 0) every weight
-    is 1/n.
+    -|x|^2 / 2h^2. Without conditioning coordinates (dim 0), h is empty,
+    the log-kernel is 0 and every weight is exactly 1/n.
     """
 
     def __init__(self, X: np.ndarray, cfg: KernelConfig):
         self.n, self.dim = X.shape
-        if self.dim:
-            self.mean = X.mean(axis=0)
-            sd = X.std(axis=0)
-            self.sd = np.where(sd > 0, sd, 1.0)
-            # standardized coordinates have unit scale
-            h = 1.06 * self.n ** (-1.0 / (4 + self.dim)) if cfg.fixed_h is None else cfg.fixed_h
-            self.h = np.full(self.dim, float(h))
-            Xh = (X - self.mean) / self.sd / self.h
-            self.XhT = np.vstack([Xh.T, -0.5 * (Xh * Xh).sum(axis=1)])
-        else:
-            self.h = np.zeros(0)
+        self.mean = X.mean(axis=0)
+        sd = X.std(axis=0)
+        self.sd = np.where(sd > 0, sd, 1.0)
+        # standardized coordinates have unit scale
+        h = 1.06 * self.n ** (-1.0 / (4 + self.dim)) if cfg.fixed_h is None else cfg.fixed_h
+        self.h = np.full(self.dim, float(h))
+        Xh = (X - self.mean) / self.sd / self.h
+        self.XhT = np.vstack([Xh.T, -0.5 * (Xh * Xh).sum(axis=1)])
 
     def weights(self, targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Normalized weights (c, n); rows sum to 1. Written into out, a
         C-contiguous (c, n) float array, if given."""
         c = targets.shape[0]
         w = np.empty((c, self.n)) if out is None else out
-        if self.dim == 0:
-            w.fill(1.0 / self.n)
-            return w
         T = np.ones((c, self.dim + 1))
         T[:, :-1] = (targets - self.mean) / self.sd / self.h
         np.matmul(T, self.XhT, out=w)
@@ -136,10 +133,10 @@ class KMTables:
 
     Ghat is constant on each censoring segment, so its log is kept once per
     segment; seglog[:, CensorModel.seg_of] expands it to every training row.
-    On a fold with a censored row, mass comes from one np.bincount of w over
-    CensorModel.seg_index, each run summed in row order; on a fold without
-    one, from two slice sums of each row of w. A run without event rows is
-    exactly 0 either way.
+    On a fold with a censored row, mass comes from
+    CensorModel.segment_sums(w), each run summed in row order; on a fold
+    without one, from two slice sums of each row of w. A run without event
+    rows is exactly 0 either way.
     """
 
     w: np.ndarray       # (c, n) kernel weights
@@ -205,23 +202,35 @@ class CensorModel:
         S = self.cens_starts.size
         self.seg_row = np.where(cens, self.seg_of - 1, S + self.cls_of)
         self.n_sums = S + 2 * self.ev_seg.size
+        self._index = np.empty((0, self.n), dtype=np.intp)  # see segment_sums
 
     @property
     def bandwidth(self) -> np.ndarray:
         return self.weigher.h
 
-    def seg_index(self, c: int) -> np.ndarray:
-        """(c, n) flat index seg_row[j] + (S + 2E) i of entry (i, j) in the
-        (c, S + 2E) sums of `tables`; build it once for the largest batch."""
-        return self.seg_row + self.n_sums * np.arange(c)[:, None]
+    def segment_sums(self, w: np.ndarray) -> np.ndarray:
+        """(c, S + 2E) sums of each row of the (c, n) array w over each
+        censored tie group, then each event run, in row order: one
+        np.bincount over the flat index seg_row[j] + (S + 2E) i of entry
+        (i, j). The index is built for the largest batch so far and kept on
+        the model, so batches of at most the first one's size build it once."""
+        c = len(w)
+        index = self._index
+        if len(index) < c:
+            index = self._index = self.seg_row + self.n_sums * np.arange(c)[:, None]
+        return np.bincount(index[:c].ravel(), weights=w.ravel(),
+                           minlength=c * self.n_sums).reshape(c, self.n_sums)
 
-    def tables(self, z, d, index: np.ndarray | None,
-               w_out: np.ndarray | None = None) -> KMTables:
-        """Compute weight and survival tables for a batch of c targets;
-        index is `seg_index(k)` for some k >= c, read only when the fold has
-        a censored row (None will do otherwise). The kernel weights are
-        written into w_out, a C-contiguous (c, n) float array, if given, so
-        that a caller going through many batches reuses one buffer.
+    def live_events(self, w: np.ndarray) -> np.ndarray:
+        """(c, E) count of the event rows of each event segment with w > 0."""
+        live = self.segment_sums(w > 0)[:, self.cens_starts.size:]
+        return live[:, 0::2] + live[:, 1::2]
+
+    def tables(self, z, d, w_out: np.ndarray | None = None) -> KMTables:
+        """Compute weight and survival tables for a batch of c targets. The
+        kernel weights are written into w_out, a C-contiguous (c, n) float
+        array, if given, so that a caller going through many batches reuses
+        one buffer.
 
         Tied censored observations are grouped: each tie group contributes a
         single product-limit factor 1 - (censored mass in group) / (at-risk
@@ -231,9 +240,9 @@ class CensorModel:
         zeros without censored rows). mass is the event weight of each event
         segment over two runs (before and from its last event group); a run
         without event rows sums to exactly 0. With a censored row, the
-        censored mass of each group and mass come from one np.bincount of w
-        over index, which sums each group and run in row order, and the
-        at-risk masses are a reduceat from each censored group start on.
+        censored mass of each group and mass come from `segment_sums`, which
+        sums each group and run in row order, and the at-risk masses are a
+        reduceat from each censored group start on.
         Without one, the fold is one event segment whose runs are the rows
         before and from last_first[0], and mass is those two slice sums of
         each row: a bincount would add every row into one of two bins, each
@@ -246,9 +255,7 @@ class CensorModel:
             split = self.last_first[0]
             mass = np.column_stack([w[:, :split].sum(axis=1), w[:, split:].sum(axis=1)])
             return KMTables(w=w, seglog=np.zeros((c, 1)), mass=mass)
-        # (c, S + 2E): censored groups, then event runs
-        sums = np.bincount(index[:c].ravel(), weights=w.ravel(),
-                           minlength=c * self.n_sums).reshape(c, self.n_sums)
+        sums = self.segment_sums(w)  # (c, S + 2E): censored groups, then event runs
         seglog = np.zeros((c, S + 1))
         between = np.add.reduceat(w, self.cens_starts, axis=1)  # from the first start on
         risk_at_start = np.cumsum(between[:, ::-1], axis=1)[:, ::-1]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -379,15 +380,8 @@ def run_monte_carlo(sim_cfg: SimConfig, fit_cfg, estimators=("el",),
             raise DomainError(f"unknown estimator {est!r}; choose from {', '.join(MC_ESTIMATORS)}")
     taus = (math.inf, math.inf) if sim_cfg.target_cr == 0.0 else calibrate_censoring(sim_cfg)
     jobs = [(sim_cfg, fit_cfg, estimators, rep, taus) for rep in range(sim_cfg.reps)]
-    results = {}
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for rep, out in pool.map(_mc_one_rep, jobs, chunksize=1):
-                results[rep] = out
-    else:
-        for job in jobs:
-            rep, out = _mc_one_rep(job)
-            results[rep] = out
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        results = dict((map if pool is None else pool.map)(_mc_one_rep, jobs))
 
     rows = []
     b0 = sim_cfg.beta0

@@ -80,7 +80,7 @@ def dense_transform(fold: Dataset, A, B, idx, cond: CondMoment):
         sl = slice(start, min(start + 32, n_eval))
         y_c = eval_y[sl]
         delta_c = eval_delta[sl].astype(float)
-        tables = cm.tables(eval_z[sl], eval_d[sl], cm.seg_index(len(y_c)))
+        tables = cm.tables(eval_z[sl], eval_d[sl])
         omega, S_total, S_grid, G_grid, T_eff, ipcw, st = _grid_tables(
             cond, tables, y_c, delta_c)
         stats.merge(st)
@@ -180,7 +180,7 @@ def test_segment_transform_matches_dense_reference(name, monkeypatch):
     if "zero_weights" in branches:
         train = np.flatnonzero(assign == 1)
         cm = fit_all(ds.subset(train), M.spec, kc).censor_model
-        assert (cm.tables(ds.z[:50], ds.d[:50], cm.seg_index(50)).w == 0).any()
+        assert (cm.tables(ds.z[:50], ds.d[:50]).w == 0).any()
     if "psi_is_g" in branches:
         for label in (0, 1):
             idx, aux = np.flatnonzero(assign == label), np.flatnonzero(assign != label)
@@ -290,12 +290,11 @@ def test_segment_metadata_matches_brute_force():
     (HAND_Y, HAND_ALL_EVENTS, []), (HAND_ONE_TIME, HAND_ALL_EVENTS, [0]),
 ], ids=["hand", "event_first", "all_events", "all_events_one_time"])
 def test_segment_sums_match_loop_sums(y, delta, empty_runs):
-    # censored tie-group sums and event-run masses (one np.bincount over
-    # seg_index, or two slice sums without censored rows) against sums in a
-    # loop over the rows of each group and run
+    # censored tie-group sums and event-run masses (CensorModel.segment_sums,
+    # or two slice sums without censored rows) against sums in a loop over
+    # the rows of each group and run
     ds, cm = hand_model(delta=delta, y=y)
-    t = cm.tables(np.random.default_rng(32).normal(size=(9, 2)), np.linspace(-2.0, 2.0, 9),
-                  cm.seg_index(9))
+    t = cm.tables(np.random.default_rng(32).normal(size=(9, 2)), np.linspace(-2.0, 2.0, 9))
     ys, dl, n, S = cm.ys, cm.delta_s, cm.n, cm.cens_starts.size
     group_start = [min(i for i in range(n) if ys[i] == ys[j]) for j in range(n)]
     cens_groups = sorted({group_start[j] for j in range(n) if dl[j] == 0})
@@ -315,8 +314,7 @@ def test_segment_sums_match_loop_sums(y, delta, empty_runs):
     run_ref = [loop_sum(j for j in range(n) if dl[j] == 1 and seg_of[j] == s
                         and (group_start[j] == last_group[s]) == last)
                for s in event_segs for last in (False, True)]
-    sums = np.bincount(cm.seg_index(9).ravel(), weights=t.w.ravel(), minlength=9 * cm.n_sums)
-    cens_got = sums.reshape(9, cm.n_sums)[:, :S]
+    cens_got = cm.segment_sums(t.w)[:, :S]
     cens_ref = np.reshape(cens_ref, (S, 9)).T  # (9, 0) without censored groups
     for got, ref in ((cens_got, cens_ref), (t.mass, np.column_stack(run_ref))):
         assert got.shape == ref.shape
@@ -328,3 +326,19 @@ def test_segment_sums_match_loop_sums(y, delta, empty_runs):
     empty = ~np.column_stack(run_ref).any(axis=0)
     assert list(np.flatnonzero(empty)) == empty_runs
     assert np.all(t.mass[:, empty] == 0.0)
+
+
+@pytest.mark.parametrize("delta", [HAND_DELTA, HAND_DELTA_EVENT_FIRST, HAND_ALL_EVENTS],
+                         ids=["hand", "event_first", "all_events"])
+def test_a_models_kept_segment_index_gives_a_fresh_models_tables(delta):
+    # one model keeps the index of its largest batch so far: built for 9
+    # rows, read for 1, rebuilt for 20
+    rng = np.random.default_rng(33)
+    kept = hand_model(delta=delta)[1]
+    for c in (9, 1, 20):
+        z, d = rng.normal(size=(c, 2)), rng.normal(size=c)
+        fresh = hand_model(delta=delta)[1]
+        got, want = kept.tables(z, d), fresh.tables(z, d)
+        for name in ("w", "seglog", "mass"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(kept.live_events(got.w), fresh.live_events(got.w))

@@ -5,9 +5,11 @@ evaluated in the caller, so that its error is the caller's own, one fork
 per fit and no process or file descriptor left behind."""
 
 import gc
+import multiprocessing
 import os
 import re
 import signal
+import struct
 import sys
 import time
 import traceback
@@ -15,6 +17,8 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
+from multiprocessing.connection import Connection
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -76,6 +80,25 @@ def fit_recording(monkeypatch, forked, ds, cfg):
     monkeypatch.setattr(igsaft.pipeline, "build_moment_matrix", build)
     assert_nothing_left()
     return report, matrices
+
+
+def cut_off_at_send(monkeypatch, cut):
+    """Make the worker's send number cut (from 1) write the length header
+    `Connection` writes and half the pickled record, then exit: a record cut
+    short."""
+    send, sent = Connection.send, []
+
+    def cut_send(conn, obj):
+        sent.append(1)
+        if len(sent) < cut:
+            return send(conn, obj)
+        blob = bytes(ForkingPickler.dumps(obj))
+        data = struct.pack("!i", len(blob)) + blob[:len(blob) // 2]
+        while data:
+            data = data[os.write(conn.fileno(), data):]
+        os._exit(3)
+
+    monkeypatch.setattr(Connection, "send", cut_send)
 
 
 def split_and_label(training, ds, cfg):
@@ -222,7 +245,8 @@ def test_a_caller_failing_in_gel_kills_the_child_working_ahead(datasets, monkeyp
 
 
 def test_a_worker_that_exits_early_leaves_the_fit_as_in_turn(datasets, monkeypatch):
-    # the worker dies in split 1 of 3; the caller evaluates that split's
+    # the worker dies in split 1 of 3, before it sends that split's record,
+    # then halfway through sending it; the caller evaluates that split's
     # second fold and split 2's itself
     ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=3, screen=False)
     parent, fit_all = os.getpid(), igsaft.pipeline.fit_all
@@ -236,8 +260,12 @@ def test_a_worker_that_exits_early_leaves_the_fit_as_in_turn(datasets, monkeypat
     serial, serial_M = fit_recording(monkeypatch, False, ds, cfg)
     with deadline(60):
         forked, forked_M = fit_recording(monkeypatch, True, ds, cfg)
-    assert len(serial_M) == 3 and forked_M == serial_M
-    assert repr(forked.to_dict()) == repr(serial.to_dict())
+    monkeypatch.setattr(igsaft.pipeline, "fit_all", fit_all)
+    cut_off_at_send(monkeypatch, 2)
+    with deadline(60):
+        cut, cut_M = fit_recording(monkeypatch, True, ds, cfg)
+    assert len(serial_M) == 3 and forked_M == serial_M and cut_M == serial_M
+    assert repr(forked.to_dict()) == repr(serial.to_dict()) == repr(cut.to_dict())
 
 
 def test_a_fold_failing_in_the_worker_raises_the_callers_own_error(datasets, monkeypatch,
@@ -269,7 +297,8 @@ def open_fds():
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
-@pytest.mark.parametrize("path", ["success", "caller fails", "worker fails", "worker exits"])
+@pytest.mark.parametrize("path", ["success", "caller fails", "worker fails", "worker exits",
+                                  "worker cut off mid-record"])
 def test_a_forked_fit_closes_both_ends_of_its_pipe(path, datasets, monkeypatch):
     ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=2, screen=False)
     parent, fit_all = os.getpid(), igsaft.pipeline.fit_all
@@ -284,8 +313,17 @@ def test_a_forked_fit_closes_both_ends_of_its_pipe(path, datasets, monkeypatch):
             os._exit(3)
         return fit_all(training, **kwargs)
 
+    pipes, Pipe = [], multiprocessing.Pipe
+
+    def kept_pipe(*args, **kwargs):  # held here, so no finalizer closes its ends
+        pipes.append(Pipe(*args, **kwargs))
+        return pipes[-1]
+
+    if path == "worker cut off mid-record":
+        cut_off_at_send(monkeypatch, 1)
     monkeypatch.setattr(igsaft.pipeline, "fit_all", fit)
     monkeypatch.setattr(moments, "_fan_out", lambda: True)
+    monkeypatch.setattr(multiprocessing, "Pipe", kept_pipe)
     before = open_fds()
     with deadline(60), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)  # a file closed by its finalizer
@@ -294,6 +332,7 @@ def test_a_forked_fit_closes_both_ends_of_its_pipe(path, datasets, monkeypatch):
                 fit_igsaft(ds, cfg)
         else:
             fit_igsaft(ds, cfg)
+    assert len(pipes) == 1 and all(conn.closed for conn in pipes[0])
     assert open_fds() == before
     assert [w.message for w in caught if w.category is ResourceWarning] == []
     assert_nothing_left()

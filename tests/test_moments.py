@@ -112,7 +112,7 @@ def test_subnormal_risk_set_mass_counts_as_empty():
     assign = _fold_assignment(ds.n, 0)
     nuis = fold_fits(ds, assign, spec, kc)
     cm = nuis[assign[83]].censor_model
-    w = cm.tables(ds.z[[83]], ds.d[[83]], cm.seg_index(1)).w * cm.delta_s
+    w = cm.tables(ds.z[[83]], ds.d[[83]]).w * cm.delta_s
     assert 0.0 < w[w > 0].min() < np.finfo(float).tiny
     with warnings.catch_warnings():
         warnings.simplefilter("error")
