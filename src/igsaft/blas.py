@@ -4,8 +4,8 @@ A fit's BLAS calls are small ((32, n) x (n, m) AIPCW products, m x m GEL
 systems): a second OpenBLAS thread only adds overhead to them and, in a
 pool of worker processes, competes with the other workers for the cores.
 More cores are used through processes: a fit's second folds may run in a
-forked one (`moments.fold_worker`), and `run_monte_carlo(threads=)` runs
-replications in worker processes.
+forked one, which the generator `moments.fold_worker` starts and ends, and
+`run_monte_carlo(threads=)` runs replications in worker processes.
 Pinning also makes a fit independent of the caller's BLAS thread count,
 which otherwise moves the last bits of the estimates.
 

@@ -129,8 +129,10 @@ def _manifest(command: str, cfg: dict, started: float, input_path=None, argv=())
         "platform": platform.platform(),
         # per bundled OpenBLAS; empty when none was found to pin
         "fit_blas_threads": fit_blas_threads,
-        # 2 where each fit had a `moments.fold_worker`
-        "fold_processes": 2 if moments._fan_out() and cfg.get("threads", 1) == 1 else 1,
+        # 2 where each fit had a fold worker (the generator `moments.fold_worker`):
+        # where fits ran here, not in a pool (min(threads, reps) > 1)
+        "fold_processes": 2 if moments._fan_out() and min(
+            cfg.get("threads", 1), cfg.get("reps", SimConfig.reps)) == 1 else 1,
     }
     if input_path:
         man["input_sha256"] = _sha256(input_path)

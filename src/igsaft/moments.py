@@ -31,11 +31,12 @@ and each fold writes its g straight into its rows of A and B;
 (32, n_train) buffers that live for one transform. A fold's nuisance fit
 lives from just before its g is computed to the end of its transform. A
 fit's second folds may run in another process, with its own memory, which
-sends them back through a `multiprocessing.connection.Connection` (see
-`fold_worker`). A chunk of event rows evaluated on a training fold without
-censored rows leaves its rows at g: there Ghat is 1, so W is 0 and psi = g
-exactly. It still builds its kernel weights, which its empty-risk-set
-count needs, and writes nothing into the other three buffers.
+sends them back through a `multiprocessing.connection.Connection` (see the
+generator `fold_worker`). A chunk of event rows evaluated on a training
+fold without censored rows leaves its rows at g: there Ghat is 1, so W is
+0 and psi = g exactly. It still builds its kernel weights, which its
+empty-risk-set count needs, and writes nothing into the other three
+buffers.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import os
 import signal
 import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,82 +258,16 @@ def _fan_out() -> bool:
             and multiprocessing.parent_process() is None)
 
 
-class _FoldWorker:
-    """The process of `fold_worker` and the read end of its pipe."""
-
-    def __init__(self, dataset: Dataset, assignments, fit, spec: MomentSpec):
-        read, write = multiprocessing.Pipe(duplex=False)
-        # A collection writes to every object it visits, so while the worker
-        # lives it would copy each page of the caller's objects, in both
-        # processes: a benchmark Monte Carlo replication whose heap held its
-        # trace spans ran 14-17% slower than untraced on a 2-vCPU VM, and 4%
-        # with them frozen. Objects the caller froze itself stay as they
-        # are, since unfreezing would thaw them too.
-        self._froze = gc.get_freeze_count() == 0
-        if self._froze:
-            gc.freeze()
-        try:
-            with warnings.catch_warnings():
-                # os.fork warns in a process with threads (Python >= 3.12),
-                # and numpy's OpenBLAS starts a thread pool at import. The
-                # worker runs only the folds' numpy code, with the one BLAS
-                # thread a fit pins, OpenBLAS shuts its pool down at fork,
-                # and the worker leaves through os._exit: it takes no lock
-                # that another thread may have held at the fork.
-                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-                self.pid = os.fork()
-        except BaseException:
-            read.close()
-            write.close()
-            self._thaw()
-            raise
-        if self.pid == 0:
-            try:  # the first exception ends the records; os._exit prints nothing
-                read.close()
-                A, B = np.empty((2, dataset.n, spec.m))  # reused by every split
-                for assign in assignments:
-                    rows = _fold_rows(dataset, assign, spec)
-                    fold = _evaluate_fold(dataset, rows[1], rows[0], fit, spec, A, B)
-                    write.send((fold, A[rows[1]], B[rows[1]]))
-            finally:
-                os._exit(0)
-        write.close()
-        self._pipe = read
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def next_fold(self):
-        """The next second fold's (FoldFit, rows of A, rows of B), or None
-        where the worker sent no whole record for it."""
-        try:
-            return self._pipe.recv()  # a record the worker of this fit sent
-        except (EOFError, OSError):  # no record, or one cut short
-            return None
-
-    def close(self):
-        """Close the pipe, then kill and reap the worker."""
-        self._pipe.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self._thaw()
-
-    def _thaw(self):
-        if self._froze:
-            gc.unfreeze()
-
-
+@contextmanager
 def fold_worker(dataset: Dataset, assignments, fit, spec: MomentSpec):
-    """Where `_fan_out` holds, a context manager holding the fold worker, one
-    forked process, which it kills and reaps on exit; elsewhere a context
-    manager holding None.
+    """A context manager holding the read end of the pipe of the fold worker,
+    a process it forks where `_fan_out` holds, or None where it does not or
+    the fork fails (EAGAIN at the process limit); on every way out it closes
+    both ends, kills and reaps the worker and unfreezes what it froze.
 
-    The worker evaluates the second fold of each of assignments, an iterable
-    of fold assignments consumed only in that process, in order, into its
-    own A and B made once per fit. It sends each fold as one record,
+    The worker evaluates the second fold of each of assignments, fold
+    assignments that both processes iterate, in order, into its own
+    A and B made once per fit. It sends each fold as one record,
     (FoldFit, rows of A, rows of B), through the write end of a one-way
     `multiprocessing.Pipe`, whose `Connection` pickles it behind its length;
     `build_moment_matrix` reads the records in the same order while the caller
@@ -355,11 +290,60 @@ def fold_worker(dataset: Dataset, assignments, fit, spec: MomentSpec):
     the counts are bit-identical to the folds in turn. Memory is per
     process: each holds one fold's nuisance fit and chunk buffers beside its
     A and B, and the worker also the pickled record it is sending."""
-    return _FoldWorker(dataset, assignments, fit, spec) if _fan_out() else nullcontext()
+    if not _fan_out():
+        yield None
+        return
+    read, write = multiprocessing.Pipe(duplex=False)
+    # A collection writes to every object it visits, so while the worker
+    # lives it would copy each page of the caller's objects, in both
+    # processes: a benchmark Monte Carlo replication whose heap held its
+    # trace spans ran 14-17% slower than untraced on a 2-vCPU VM, and 4%
+    # with them frozen. Objects the caller froze itself stay as they are,
+    # since unfreezing would thaw them too.
+    froze = gc.get_freeze_count() == 0
+    if froze:
+        gc.freeze()
+    try:
+        with read, write:
+            try:
+                with warnings.catch_warnings():
+                    # os.fork warns in a process with threads (Python >= 3.12),
+                    # and numpy's OpenBLAS starts a thread pool at import. The
+                    # worker runs only the folds' numpy code, with the one BLAS
+                    # thread a fit pins, OpenBLAS shuts its pool down at fork,
+                    # and the worker leaves through os._exit: it takes no lock
+                    # that another thread may have held at the fork.
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no process to spare: the folds run in turn
+                pid = None
+            if pid == 0:
+                try:  # the first exception ends the records; os._exit prints nothing
+                    read.close()
+                    A, B = np.empty((2, dataset.n, spec.m))  # reused by every split
+                    for assign in assignments:
+                        rows = _fold_rows(dataset, assign, spec)
+                        fold = _evaluate_fold(dataset, rows[1], rows[0], fit, spec, A, B)
+                        write.send((fold, A[rows[1]], B[rows[1]]))
+                finally:
+                    os._exit(0)
+            if pid is None:
+                yield None
+                return
+            write.close()
+            try:
+                yield read
+            finally:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    finally:
+        if froze:
+            gc.unfreeze()
 
 
 def _fold_rows(dataset: Dataset, fold_assignment, spec: MomentSpec):
-    """The rows of each of a fold assignment's two folds, in label order."""
+    """The rows of each of a fold assignment's two folds, in label order;
+    each fold must be large enough for the design and hold an event."""
     assign = np.asarray(fold_assignment)
     labels = (assign.min(), assign.max()) if assign.size else ()
     if assign.shape != (dataset.n,) or labels[0] == labels[1] or not np.isin(assign, labels).all():
@@ -369,6 +353,8 @@ def _fold_rows(dataset: Dataset, fold_assignment, spec: MomentSpec):
     for label, idx in zip(labels, rows):
         if idx.size < min_n:
             raise IllPosedError(f"fold {label} has {idx.size} rows; need >= {min_n}")
+        if not dataset.delta[idx].any():  # a training fold needs an event
+            raise IllPosedError(f"fold {label} has no observed event")
     return rows
 
 
@@ -392,8 +378,8 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, fit,
     evaluated, it is called on the other fold's rows, in dataset order. A
     fold's g goes straight into its rows of A and B, `aipcw_transform` writes
     psi over those rows, and the fold's fit is dropped after its transform.
-    The first fold runs here, the second after it, unless the fit's
-    `fold_worker` sends it as its next record."""
+    The first fold runs here, the second after it, unless worker, the pipe
+    end a `fold_worker` holds, gives it as its next record."""
     rows = _fold_rows(dataset, fold_assignment, spec)
     # one heap block: glibc raises the size from which it maps a block on
     # its own to the largest block it has unmapped, and trims the heap only
@@ -402,11 +388,14 @@ def build_moment_matrix(dataset: Dataset, fold_assignment, fit,
     # 3,300 page faults per fit)
     A, B = np.empty((2, dataset.n, spec.m))
     first = _evaluate_fold(dataset, rows[0], rows[1], fit, spec, A, B)
-    record = None if worker is None else worker.next_fold()
-    if record is None:
+    second = None
+    if worker is not None:
+        try:  # the record the fit's worker sent for this split
+            second, A[rows[1]], B[rows[1]] = worker.recv()
+        except (EOFError, OSError):  # no record, or one cut short
+            pass
+    if second is None:
         second = _evaluate_fold(dataset, rows[1], rows[0], fit, spec, A, B)
-    else:
-        second, A[rows[1]], B[rows[1]] = record
     stats = TransformStats()
     for fold in (first, second):
         stats.merge(fold.stats)

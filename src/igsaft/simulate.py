@@ -371,7 +371,8 @@ def run_monte_carlo(sim_cfg: SimConfig, fit_cfg, estimators=("el",),
 
     Each fit uses one BLAS thread. More cores are used through worker
     processes: `threads` > 1 runs the replications in that many processes,
-    and the summary equals the one from `threads=1`."""
+    but never more than there are replications, and the summary equals the
+    one from `threads=1`."""
     if threads < 1:
         raise DomainError("threads must be at least 1")
     estimators = list(estimators)
@@ -380,7 +381,9 @@ def run_monte_carlo(sim_cfg: SimConfig, fit_cfg, estimators=("el",),
             raise DomainError(f"unknown estimator {est!r}; choose from {', '.join(MC_ESTIMATORS)}")
     taus = (math.inf, math.inf) if sim_cfg.target_cr == 0.0 else calibrate_censoring(sim_cfg)
     jobs = [(sim_cfg, fit_cfg, estimators, rep, taus) for rep in range(sim_cfg.reps)]
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    # a fork pool starts all its workers at the first submit (CPython gh-90622)
+    workers = min(threads, sim_cfg.reps)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = dict((map if pool is None else pool.map)(_mc_one_rep, jobs))
 
     rows = []

@@ -153,6 +153,16 @@ def test_too_small_csv_is_an_estimation_error(tmp_path, capsys):
     assert "estimation error" in capsys.readouterr().err
 
 
+def test_a_fold_without_an_event_is_an_estimation_error(tmp_path, capsys):
+    ds, _ = generate(SimConfig(case=1, n=300, p=4, seed=3, reps=1), 0, taus=(-2.0, 14.0))
+    delta = np.zeros(ds.n)
+    delta[np.flatnonzero(ds.delta)[0]] = 1.0
+    path = tmp_path / "one_event.csv"
+    write_csv(path, Dataset(ds.z, ds.d, ds.y, delta), COLS)
+    assert main(["fit", *data_args(path), "--n-splits", "1"]) == 2
+    assert "has no observed event" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cell, column, scale, message", [
     ("inf", "z2", "log", "non-finite value 'inf' in column 'z2' at row 3"),
     ("1e999", "time", "log", "non-finite value '1e999' in column 'time' at row 3"),
@@ -200,6 +210,9 @@ def test_simulate_accepts_threads(tmp_path, capsys):
     assert [r["n_used"] for r in payload["rows"]] == [2]
     # the workers of --threads 2 run each split's folds in turn
     assert _manifest("simulate", {"threads": 2}, 0.0)["fold_processes"] == 1
+    # one replication runs in this process, whatever the thread count
+    assert _manifest("simulate", {"threads": 2, "reps": 1}, 0.0)["fold_processes"] == (
+        2 if moments._fan_out() else 1)
 
 
 def test_simulate_null_design_writes_bias_as_na_and_null(tmp_path, capsys):

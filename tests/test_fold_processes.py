@@ -1,9 +1,11 @@
-"""Every split's second fold in one forked process per fit
-(`moments.fold_worker`, where `moments._fan_out` holds): the same A, B,
+"""Every split's second fold in one forked process per fit (the generator
+`moments.fold_worker`, where `moments._fan_out` holds): the same A, B,
 counts and report as the folds in turn, a fold the worker does not deliver
 evaluated in the caller, so that its error is the caller's own, one fork
-per fit and no process or file descriptor left behind."""
+per fit, a fork that fails leaving the folds in turn, and no process or
+file descriptor left behind."""
 
+import errno
 import gc
 import multiprocessing
 import os
@@ -99,6 +101,19 @@ def cut_off_at_send(monkeypatch, cut):
         os._exit(3)
 
     monkeypatch.setattr(Connection, "send", cut_send)
+
+
+def kept_pipes(monkeypatch):
+    """The list of the ends of every `multiprocessing.Pipe` made from now on,
+    held there, so that no finalizer closes them."""
+    pipes, Pipe = [], multiprocessing.Pipe
+
+    def kept_pipe(*args, **kwargs):
+        pipes.append(Pipe(*args, **kwargs))
+        return pipes[-1]
+
+    monkeypatch.setattr(multiprocessing, "Pipe", kept_pipe)
+    return pipes
 
 
 def split_and_label(training, ds, cfg):
@@ -313,17 +328,11 @@ def test_a_forked_fit_closes_both_ends_of_its_pipe(path, datasets, monkeypatch):
             os._exit(3)
         return fit_all(training, **kwargs)
 
-    pipes, Pipe = [], multiprocessing.Pipe
-
-    def kept_pipe(*args, **kwargs):  # held here, so no finalizer closes its ends
-        pipes.append(Pipe(*args, **kwargs))
-        return pipes[-1]
-
     if path == "worker cut off mid-record":
         cut_off_at_send(monkeypatch, 1)
     monkeypatch.setattr(igsaft.pipeline, "fit_all", fit)
     monkeypatch.setattr(moments, "_fan_out", lambda: True)
-    monkeypatch.setattr(multiprocessing, "Pipe", kept_pipe)
+    pipes = kept_pipes(monkeypatch)
     before = open_fds()
     with deadline(60), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)  # a file closed by its finalizer
@@ -335,6 +344,23 @@ def test_a_forked_fit_closes_both_ends_of_its_pipe(path, datasets, monkeypatch):
     assert len(pipes) == 1 and all(conn.closed for conn in pipes[0])
     assert open_fds() == before
     assert [w.message for w in caught if w.category is ResourceWarning] == []
+    assert_nothing_left()
+
+
+def test_a_fork_that_fails_leaves_the_fit_in_turn(datasets, monkeypatch):
+    # os.fork raises EAGAIN at the process limit
+    ds, cfg = datasets["p5_cr0"], FitConfig(n_splits=2, screen=False)
+    serial, serial_M = fit_recording(monkeypatch, False, ds, cfg)
+
+    def no_process():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_process)
+    pipes = kept_pipes(monkeypatch)
+    unforked, unforked_M = fit_recording(monkeypatch, True, ds, cfg)
+    assert len(serial_M) == 2 and unforked_M == serial_M
+    assert repr(unforked.to_dict()) == repr(serial.to_dict())
+    assert len(pipes) == 1 and all(conn.closed for conn in pipes[0])
     assert_nothing_left()
 
 

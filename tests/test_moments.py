@@ -5,11 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
+from igsaft import moments
 from igsaft.data import Dataset
+from igsaft.errors import IllPosedError
 from igsaft.interactions import MomentSpec
 from igsaft.moments import aipcw_transform, build_moment_matrix
 from igsaft.nuisance import CondMoment, KernelConfig, fit_all, fold_g_values
-from igsaft.pipeline import _fold_assignment
+from igsaft.pipeline import FitConfig, _fold_assignment, fit_igsaft
 from igsaft.simulate import SimConfig, generate
 from scalar_reference import (Observation, eval_g, eval_psi, evaluate, mean_and_cov,
                               observation, row)
@@ -271,7 +273,16 @@ def test_fold_too_small_raises():
     spec = MomentSpec.full(4, 2)
     assign = np.zeros(ds.n, dtype=int)
     assign[:3] = 1
-    from igsaft.errors import IllPosedError
-
     with pytest.raises(IllPosedError):
         build_moment_matrix(ds, assign, partial(fit_all, spec=spec, cfg=KC), spec)
+
+
+@pytest.mark.parametrize("forked", [False, True])
+def test_a_fold_without_an_event_is_ill_posed(forked, monkeypatch):
+    ds, _ = generate(SimConfig(case=1, n=300, p=4, seed=3, reps=1), 0, taus=(-2.0, 14.0))
+    event = np.flatnonzero(ds.delta)[0]
+    ds = Dataset(ds.z, ds.d, ds.y, (np.arange(ds.n) == event).astype(float))  # one event
+    monkeypatch.setattr(moments, "_fan_out", lambda: forked)
+    empty = 1 - _fold_assignment(ds.n, 0)[event]
+    with pytest.raises(IllPosedError, match=f"^fold {empty} has no observed event$"):
+        fit_igsaft(ds, FitConfig(n_splits=1))

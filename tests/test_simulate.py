@@ -112,6 +112,30 @@ def test_monte_carlo_does_not_depend_on_the_worker_count():
     assert pooled == serial
 
 
+@pytest.mark.parametrize("threads, reps, pools", [(5000, 2, [2]), (3, 1, []), (2, 3, [2])])
+def test_a_pool_has_at_most_one_worker_per_replication(threads, reps, pools, monkeypatch):
+    sizes = []
+
+    class InProcessPool:  # records its worker count and maps here: no process starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    cfg = SimConfig(case=1, n=200, p=3, target_cr=0.2, seed=5, reps=reps)
+    serial = run_monte_carlo(cfg, FitConfig(n_splits=1), ("el", "aft"))
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    assert run_monte_carlo(cfg, FitConfig(n_splits=1), ("el", "aft"), threads=threads) == serial
+    assert sizes == pools
+
+
 def test_monte_carlo_on_the_paper_design_does_not_depend_on_the_worker_count():
     # p = 10, m = 45, n = 2000: the AIPCW products are large enough for
     # OpenBLAS to split them over threads, which moves the last bits of
